@@ -2,15 +2,13 @@
 
 Exact partition/cumulant combinatorics, truncated-series transforms, measures
 and Stieltjes inversion, free additive convolution (exact moment route and
-analytic continuation route), random walks on lattices and free groups,
+analytic subordination route), random walks on lattices and free groups,
 group-algebra and Fock-space models of freeness, and random-matrix checks
 (Wick/genus expansions, Weingarten calculus, reproducible Monte Carlo).
 
-Heavy numerical kernels (Cauchy-transform quadrature and the convolution
-continuation solver) are compiled with numba when available; set
-FREEPROB_BACKEND=numpy to force the pure-numpy twins, FREEPROB_BACKEND=numba
-to require compilation (import fails if numba is missing), or leave it on
-auto to compile when possible.
+The analytic free convolution solves the subordination fixed point for
+every point of the inversion grid at once, in numpy; the Cauchy transforms it
+needs come from one vectorised kernel (`freeprob._kernels`).
 """
 
 from . import (

@@ -1,14 +1,6 @@
-"""Numerical kernels: numba-jitted fast path with a pure-numpy fallback.
+"""Cauchy transform of a decomposed measure, vectorised over points in numpy.
 
-The backend is chosen once at import time from the environment variable
-``FREEPROB_BACKEND``:
-
-* ``auto`` (default): numba if it imports, else numpy
-* ``numba``: require numba, raise if unavailable
-* ``numpy``: force the vectorized numpy implementations
-
-Both paths implement the same arithmetic; `bench/bench_backends.py` compares
-them.  A measure enters these kernels decomposed into three parts:
+A measure enters this kernel decomposed into three parts:
 
 * atoms: point masses (exact pole sums),
 * a piecewise-linear density on a uniform grid (cells [lo, hi) of the grid),
@@ -18,427 +10,113 @@ them.  A measure enters these kernels decomposed into three parts:
 * extra weighted nodes (S, W): fine sub-cell quadrature clouds used for
   inverse-square-root edge bands, already folded into point-mass form.
 
-All kernels are branch-aware only through their inputs; given identical
-arrays, numba and numpy paths agree to floating-point roundoff.
+Near the support the per-cell logarithm log((z - t_k)/(z - t_{k+1})) is
+computed as log1p(h/(z - t_{k+1})) from the exact cell width h, in real
+arithmetic.  Far from it (``_FAR`` cell widths or more from every cell) each
+cell is written in y = h/(2(z - c)), c its midpoint: the logarithm is
+2 atanh(y) and the part of the integral that cancels to O(h^3/z^2) is
+h (atanh(y)/y - 1), both summed as series in y^2.  So G keeps its relative
+precision at any distance, where a direct formula loses a factor |z|/h.
+
+Points are processed in blocks so that no points-by-cells temporary holds
+more than ``_BLOCK_ELEMS`` values, whatever the grid size.
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
-_choice = os.environ.get("FREEPROB_BACKEND", "auto").lower()
-if _choice not in ("auto", "numba", "numpy"):
-    raise RuntimeError(f"FREEPROB_BACKEND must be auto, numba, or numpy; got {_choice!r}")
+BACKEND = "numpy"
 
-HAS_NUMBA = False
-if _choice in ("auto", "numba"):
-    try:
-        from numba import njit
+# Largest points-by-cells temporary, in values (1 MB of float64).
+_BLOCK_ELEMS = 1 << 17
 
-        HAS_NUMBA = True
-    except ImportError:
-        if _choice == "numba":
-            raise
-        HAS_NUMBA = False
-
-BACKEND = "numba" if HAS_NUMBA else "numpy"
-
-if not HAS_NUMBA:
-
-    def njit(*args, **kwargs):  # no-op decorator so the jitted source still imports
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(f):
-            return f
-
-        return wrap
+# Points at least _FAR cell widths from every cell midpoint take the series,
+# where |y| <= 1/32; the terms 1/3, 1/5, ..., 1/13 of atanh(y)/y - 1 then
+# reach double precision.
+_FAR = 16.0
+_ATANH_TERMS = 1.0 / np.arange(3.0, 15.0, 2.0)
 
 
-@njit(cache=True)
-def _g_gp_scalar(z, locs, masses, t, f, lo, hi, S, W):
-    """Cauchy transform G(z) and derivative G'(z) of a decomposed measure."""
-    g = 0.0 + 0.0j
-    gp = 0.0 + 0.0j
-    for j in range(locs.shape[0]):
-        d = z - locs[j]
-        g += masses[j] / d
-        gp -= masses[j] / (d * d)
-    for k in range(lo, hi):
-        za = z - t[k]
-        zb = z - t[k + 1]
-        h = t[k + 1] - t[k]
-        m = (f[k + 1] - f[k]) / h
-        lg = np.log(za / zb)
-        g += (f[k] + m * za) * lg - m * h
-        gp += m * lg + (f[k] + m * za) * (1.0 / za - 1.0 / zb)
-    for j in range(S.shape[0]):
-        d = z - S[j]
-        g += W[j] / d
-        gp -= W[j] / (d * d)
+def _cells_near(z, tc, fc, h, m):
+    """(sum of the cell integrals, sum of m log) by the log formula.
+
+    With a = Re z - t at the cell nodes, |z - t|^2 = A at t_k and B at
+    t_{k+1}, and A - B = h(a_k + a_{k+1}): the real part of the cell log is
+    log1p of |A - B| over the smaller of A and B, signed, so the log1p
+    argument is never negative and nothing cancels.
+    """
+    a = z.real[:, None] - tc
+    ar, br = a[:, :-1], a[:, 1:]
+    zi = z.imag[:, None]
+    zi2 = zi * zi
+    q = a * a + zi2
+    d = h * (ar + br)
+    re = 0.5 * np.copysign(np.log1p(np.abs(d) / np.minimum(q[:, :-1], q[:, 1:])), d)
+    im = np.arctan2(-h * zi, ar * br + zi2)
+    # cell integral (f_k + m za) log(za/zb) - m h, with za = z - t_k; the
+    # m h terms sum to f_hi - f_lo
+    cr = fc[:-1] + m * ar
+    mre = np.einsum("ij,j->i", re, m)
+    mim = np.einsum("ij,j->i", im, m)
+    g = (np.einsum("ij,ij->i", cr, re) - z.imag * mim - (fc[-1] - fc[0])) + 1j * (
+        np.einsum("ij,ij->i", cr, im) + z.imag * mre
+    )
+    return g, mre + 1j * mim
+
+
+def _cells_far(z, tc, fc, h, m):
+    """(sum of the cell integrals, sum of m log) by the series in y."""
+    y = h / (2.0 * (z[:, None] - 0.5 * (tc[:-1] + tc[1:])))
+    y2 = y * y
+    q = _ATANH_TERMS[-1]
+    for coef in _ATANH_TERMS[-2::-1]:
+        q = q * y2 + coef
+    q = q * y2  # atanh(y)/y - 1
+    lg = 2.0 * y * (1.0 + q)
+    # cell integral f_mid log + m h (atanh(y)/y - 1)
+    g = np.einsum("ij,j->i", lg, 0.5 * (fc[:-1] + fc[1:])) + np.einsum("ij,j->i", q, m * h)
+    return g, np.einsum("ij,j->i", lg, m)
+
+
+def _g_block(z, locs, masses, t, f, lo, hi, S, W):
+    g = np.zeros(z.shape, dtype=np.complex128)
+    gp = np.zeros(z.shape, dtype=np.complex128)
+    for nodes, weights in ((locs, masses), (S, W)):
+        if nodes.size:
+            inv = 1.0 / (z[:, None] - nodes)
+            g += np.einsum("ij,j->i", inv, weights)
+            gp -= np.einsum("ij,ij,j->i", inv, inv, weights)
+    if hi > lo:
+        tc = t[lo : hi + 1]
+        fc = f[lo : hi + 1]
+        h = np.diff(tc)
+        m = np.diff(fc) / h
+        outside = np.maximum(np.maximum(tc[0] - z.real, z.real - tc[-1]), 0.0)
+        far = np.hypot(outside, z.imag) >= _FAR * h.max()
+        for sel, cells in ((far, _cells_far), (~far, _cells_near)):
+            if sel.any():
+                gs, ms = cells(z[sel], tc, fc, h, m)
+                g[sel] += gs
+                gp[sel] += ms
+        # derivative: sum of m log(za/zb) plus f_k/za - f_{k+1}/zb, which telescopes
+        gp += fc[0] / (z - tc[0]) - fc[-1] / (z - tc[-1])
     return g, gp
 
 
-@njit(cache=True)
-def _g_many(z, locs, masses, t, f, lo, hi, S, W):
-    out = np.empty(z.shape[0], dtype=np.complex128)
-    for i in range(z.shape[0]):
-        g, _ = _g_gp_scalar(z[i], locs, masses, t, f, lo, hi, S, W)
-        out[i] = g
-    return out
-
-
-def _g_gp_scalar_np(z, locs, masses, t, f, lo, hi, S, W):
-    g = np.complex128(0)
-    gp = np.complex128(0)
-    if locs.size:
-        d = z - locs
-        g += np.sum(masses / d)
-        gp -= np.sum(masses / (d * d))
-    if hi > lo:
-        za = z - t[lo:hi]
-        zb = z - t[lo + 1 : hi + 1]
-        h = t[lo + 1 : hi + 1] - t[lo:hi]
-        m = (f[lo + 1 : hi + 1] - f[lo:hi]) / h
-        lg = np.log(za / zb)
-        g += np.sum((f[lo:hi] + m * za) * lg - m * h)
-        gp += np.sum(m * lg + (f[lo:hi] + m * za) * (1.0 / za - 1.0 / zb))
-    if S.size:
-        d = z - S
-        g += np.sum(W / d)
-        gp -= np.sum(W / (d * d))
-    return complex(g), complex(gp)
-
-
 def _g_many_np(z, locs, masses, t, f, lo, hi, S, W):
-    z = np.asarray(z, dtype=np.complex128)
-    out = np.zeros(z.shape, dtype=np.complex128)
-    if locs.size:
-        out += np.sum(masses / (z[..., None] - locs), axis=-1)
-    if hi > lo:
-        za = z[..., None] - t[lo:hi]
-        zb = z[..., None] - t[lo + 1 : hi + 1]
-        h = t[lo + 1 : hi + 1] - t[lo:hi]
-        m = (f[lo + 1 : hi + 1] - f[lo:hi]) / h
-        lg = np.log(za / zb)
-        out += np.sum((f[lo:hi] + m * za) * lg - m * h, axis=-1)
-    if S.size:
-        out += np.sum(W / (z[..., None] - S), axis=-1)
-    return out
+    """(G(z), G'(z)) of a decomposed measure for a 1-d array of points z."""
+    z = np.ascontiguousarray(np.asarray(z, dtype=np.complex128).ravel())
+    cells = locs.shape[0] + max(hi - lo, 0) + 1 + S.shape[0]
+    step = max(1, _BLOCK_ELEMS // cells)
+    g = np.empty(z.shape, dtype=np.complex128)
+    gp = np.empty(z.shape, dtype=np.complex128)
+    for start in range(0, z.size, step):
+        block = slice(start, start + step)
+        g[block], gp[block] = _g_block(z[block], locs, masses, t, f, lo, hi, S, W)
+    return g, gp
 
 
 def cauchy_many(z, parts):
-    """G(z) for an array of points z, dispatching on the active backend."""
-    locs, masses, t, f, lo, hi, S, W = parts
-    z = np.ascontiguousarray(np.asarray(z, dtype=np.complex128).ravel())
-    if HAS_NUMBA:
-        return _g_many(z, locs, masses, t, f, lo, hi, S, W)
-    return _g_many_np(z, locs, masses, t, f, lo, hi, S, W)
-
-
-def cauchy_scalar(z, parts):
-    """(G(z), G'(z)) at a single complex point."""
-    locs, masses, t, f, lo, hi, S, W = parts
-    if HAS_NUMBA:
-        return _g_gp_scalar(complex(z), locs, masses, t, f, lo, hi, S, W)
-    return _g_gp_scalar_np(complex(z), locs, masses, t, f, lo, hi, S, W)
-
-
-# ---------------------------------------------------------------------------
-# Voiculescu continuation solver.
-#
-# For the free convolution of measures X and Y we need, at each output point
-# z in the upper half-plane, the value g = G_{X+Y}(z) solving
-#
-#     V_X(g) + V_Y(g) - 1/g = z,
-#
-# where V_X = G_X^{-1}.  Evaluating V_X(g) means solving G_X(zx) = g for zx
-# by an inner Newton iteration; V_X'(g) = 1/G_X'(zx).  The outer Newton on g
-# is seeded by continuation: from high above the axis (where g ~ 1/z and
-# zx ~ zy ~ z) down a geometric eta ladder, each level seeding the next.
-# ---------------------------------------------------------------------------
-
-NEWTON_TOL = 1e-12
-NEWTON_MAXIT = 50
-
-
-@njit(cache=True)
-def _invert_g(w, seed, locs, masses, t, f, lo, hi, S, W):
-    """Solve G(zx) = w for zx in the upper half-plane, Newton from seed.
-
-    Returns (zx, ok).  Falls back to a bisection in the imaginary direction
-    when a Newton step leaves the upper half-plane and damping cannot save it
-    (square-root branch points near the support edge stall raw Newton).
-    """
-    zx = seed
-    if zx.imag <= 0.0:
-        zx = complex(zx.real, 1e-6)
-    g, gp = _g_gp_scalar(zx, locs, masses, t, f, lo, hi, S, W)
-    err = abs(g - w)
-    for _ in range(NEWTON_MAXIT):
-        if err <= NEWTON_TOL * (1.0 + abs(w)):
-            return zx, True
-        if gp == 0.0:
-            break
-        step = (g - w) / gp
-        lam = 1.0
-        improved = False
-        for _damp in range(30):
-            cand = zx - lam * step
-            if cand.imag > 0.0:
-                gc, gpc = _g_gp_scalar(cand, locs, masses, t, f, lo, hi, S, W)
-                ec = abs(gc - w)
-                if ec < err * (1.0 - 1e-6):
-                    zx, g, gp, err = cand, gc, gpc, ec
-                    improved = True
-                    break
-            lam *= 0.5
-        if not improved:
-            # bisection in the imaginary part: raise Im zx until the error
-            # landscape is tame again, then resume Newton
-            hi_im = zx.imag * 4.0 + 1e-3
-            cand = complex(zx.real, hi_im)
-            gc, gpc = _g_gp_scalar(cand, locs, masses, t, f, lo, hi, S, W)
-            ec = abs(gc - w)
-            if ec < err * (1.0 - 1e-6):
-                zx, g, gp, err = cand, gc, gpc, ec
-            else:
-                break
-    return zx, err <= 1e-8 * (1.0 + abs(w))
-
-
-@njit(cache=True)
-def _advance(g, zx, zy, z, xparts_locs, xparts_masses, xt, xf, xlo, xhi, xS, xW,
-             yparts_locs, yparts_masses, yt, yf, ylo, yhi, yS, yW):
-    """Damped outer Newton for the convolution equation at one point z.
-
-    A candidate g is accepted only if both inner inversions succeed there and
-    the residual decreases, which keeps the iterate inside the image of the
-    inner Cauchy transforms (the image boundary is a critical value where
-    inversion is unsolvable).  Returns the best (g, zx, zy, err) found.
-    """
-    zx2, okx = _invert_g(g, zx, xparts_locs, xparts_masses, xt, xf, xlo, xhi, xS, xW)
-    zy2, oky = _invert_g(g, zy, yparts_locs, yparts_masses, yt, yf, ylo, yhi, yS, yW)
-    if not (okx and oky):
-        return g, zx, zy, 1e300
-    zx, zy = zx2, zy2
-    err = abs(zx + zy - 1.0 / g - z)
-    for _ in range(NEWTON_MAXIT):
-        if err <= NEWTON_TOL * (1.0 + abs(z)):
-            break
-        _, gpx = _g_gp_scalar(zx, xparts_locs, xparts_masses, xt, xf, xlo, xhi, xS, xW)
-        _, gpy = _g_gp_scalar(zy, yparts_locs, yparts_masses, yt, yf, ylo, yhi, yS, yW)
-        fprime = 1.0 / gpx + 1.0 / gpy + 1.0 / (g * g)
-        if fprime == 0.0:
-            break
-        step = (zx + zy - 1.0 / g - z) / fprime
-        lam = 1.0
-        accepted = False
-        for _damp in range(30):
-            cand = g - lam * step
-            if cand.imag < 0.0:
-                zxc, okx = _invert_g(cand, zx, xparts_locs, xparts_masses,
-                                     xt, xf, xlo, xhi, xS, xW)
-                zyc, oky = _invert_g(cand, zy, yparts_locs, yparts_masses,
-                                     yt, yf, ylo, yhi, yS, yW)
-                if okx and oky:
-                    ec = abs(zxc + zyc - 1.0 / cand - z)
-                    if ec < err * (1.0 - 1e-6):
-                        g, zx, zy, err = cand, zxc, zyc, ec
-                        accepted = True
-                        break
-            lam *= 0.5
-        if not accepted:
-            break
-    return g, zx, zy, err
-
-
-@njit(cache=True)
-def _solve_column(tre, etas, xparts_locs, xparts_masses, xt, xf, xlo, xhi, xS, xW,
-                  yparts_locs, yparts_masses, yt, yf, ylo, yhi, yS, yW, eta_top):
-    """March one output column t + i*eta down the eta ladder.
-
-    Returns (g values per eta level, worst residual over accepted levels,
-    final-level residual, ok flag).  The branch with Im g < 0 is selected by
-    construction: the continuation starts where g ~ 1/z identifies it
-    uniquely.  When a ladder step fails to converge (the path can pass
-    arbitrarily close to a critical value of an inner transform, where the
-    equation has a square-root singularity), the step is subdivided at
-    geometric midpoints; a waypoint that still resists after the gap becomes
-    negligible is accepted with its residual recorded, since conditioning
-    recovers as the path moves on.  Only the final level's residual gates ok.
-    """
-    nlev = etas.shape[0]
-    out = np.empty(nlev, dtype=np.complex128)
-    z = complex(tre, eta_top)
-    g = 1.0 / z
-    zx = z
-    zy = z
-    g, zx, zy, err = _advance(g, zx, zy, z,
-                              xparts_locs, xparts_masses, xt, xf, xlo, xhi, xS, xW,
-                              yparts_locs, yparts_masses, yt, yf, ylo, yhi, yS, yW)
-    worst = err
-    final = err
-    cur_eta = eta_top
-    pending = np.empty(64, dtype=np.float64)
-    for lev in range(nlev):
-        n_pend = 1
-        pending[0] = etas[lev]
-        attempts = 0
-        while n_pend > 0:
-            target = pending[n_pend - 1]
-            z = complex(tre, target)
-            # retry from the last accepted state: a failed attempt may have
-            # drifted into the paralysed basin around a critical point of an
-            # inner transform, and seeds taken from there never escape
-            gc, zxc, zyc, err = _advance(g, zx, zy, z,
-                                         xparts_locs, xparts_masses, xt, xf, xlo, xhi, xS, xW,
-                                         yparts_locs, yparts_masses, yt, yf, ylo, yhi, yS, yW)
-            attempts += 1
-            if err <= 1e-8 * (1.0 + abs(z)):
-                g, zx, zy = gc, zxc, zyc
-                cur_eta = target
-                n_pend -= 1
-                if err > worst:
-                    worst = err
-            elif (cur_eta / target > 1.0 + 1e-6 and n_pend < 64
-                  and attempts < 400):
-                pending[n_pend] = math.sqrt(cur_eta * target)
-                n_pend += 1
-            else:
-                # unsplittable: the path grazes a critical value here; record
-                # the shortfall and move on, keeping the last good state
-                cur_eta = target
-                n_pend -= 1
-                if err > worst:
-                    worst = err
-        out[lev] = g
-        if lev == nlev - 1:
-            final = err
-    ok = final <= 1e-8 * (1.0 + abs(complex(tre, etas[nlev - 1])))
-    return out, worst, final, ok
-
-
-def _invert_g_py(w, seed, parts):
-    locs, masses, t, f, lo, hi, S, W = parts
-    zx = complex(seed)
-    if zx.imag <= 0.0:
-        zx = complex(zx.real, 1e-6)
-    g, gp = _g_gp_scalar_np(zx, *parts)
-    err = abs(g - w)
-    for _ in range(NEWTON_MAXIT):
-        if err <= NEWTON_TOL * (1.0 + abs(w)):
-            return zx, True
-        if gp == 0.0:
-            break
-        step = (g - w) / gp
-        lam = 1.0
-        improved = False
-        for _damp in range(30):
-            cand = zx - lam * step
-            if cand.imag > 0.0:
-                gc, gpc = _g_gp_scalar_np(cand, *parts)
-                ec = abs(gc - w)
-                if ec < err * (1.0 - 1e-6):
-                    zx, g, gp, err = cand, gc, gpc, ec
-                    improved = True
-                    break
-            lam *= 0.5
-        if not improved:
-            cand = complex(zx.real, zx.imag * 4.0 + 1e-3)
-            gc, gpc = _g_gp_scalar_np(cand, *parts)
-            ec = abs(gc - w)
-            if ec < err * (1.0 - 1e-6):
-                zx, g, gp, err = cand, gc, gpc, ec
-            else:
-                break
-    return zx, err <= 1e-8 * (1.0 + abs(w))
-
-
-def _advance_py(g, zx, zy, z, xparts, yparts):
-    zx2, okx = _invert_g_py(g, zx, xparts)
-    zy2, oky = _invert_g_py(g, zy, yparts)
-    if not (okx and oky):
-        return g, zx, zy, 1e300
-    zx, zy = zx2, zy2
-    err = abs(zx + zy - 1.0 / g - z)
-    for _ in range(NEWTON_MAXIT):
-        if err <= NEWTON_TOL * (1.0 + abs(z)):
-            break
-        _, gpx = _g_gp_scalar_np(zx, *xparts)
-        _, gpy = _g_gp_scalar_np(zy, *yparts)
-        fprime = 1.0 / gpx + 1.0 / gpy + 1.0 / (g * g)
-        if fprime == 0.0:
-            break
-        step = (zx + zy - 1.0 / g - z) / fprime
-        lam = 1.0
-        accepted = False
-        for _damp in range(30):
-            cand = g - lam * step
-            if cand.imag < 0.0:
-                zxc, okx = _invert_g_py(cand, zx, xparts)
-                zyc, oky = _invert_g_py(cand, zy, yparts)
-                if okx and oky:
-                    ec = abs(zxc + zyc - 1.0 / cand - z)
-                    if ec < err * (1.0 - 1e-6):
-                        g, zx, zy, err = cand, zxc, zyc, ec
-                        accepted = True
-                        break
-            lam *= 0.5
-        if not accepted:
-            break
-    return g, zx, zy, err
-
-
-def _solve_column_py(tre, etas, xparts, yparts, eta_top):
-    nlev = len(etas)
-    out = np.empty(nlev, dtype=np.complex128)
-    z = complex(tre, eta_top)
-    g = 1.0 / z
-    zx = z
-    zy = z
-    g, zx, zy, err = _advance_py(g, zx, zy, z, xparts, yparts)
-    worst = err
-    final = err
-    cur_eta = eta_top
-    for lev in range(nlev):
-        pending = [etas[lev]]
-        attempts = 0
-        while pending:
-            target = pending[-1]
-            z = complex(tre, target)
-            # retry from the last accepted state: a failed attempt may have
-            # drifted into the paralysed basin around a critical point of an
-            # inner transform, and seeds taken from there never escape
-            gc, zxc, zyc, err = _advance_py(g, zx, zy, z, xparts, yparts)
-            attempts += 1
-            if err <= 1e-8 * (1.0 + abs(z)):
-                g, zx, zy = gc, zxc, zyc
-                cur_eta = target
-                pending.pop()
-                worst = max(worst, err)
-            elif (cur_eta / target > 1.0 + 1e-6 and len(pending) < 64
-                  and attempts < 400):
-                pending.append(math.sqrt(cur_eta * target))
-            else:
-                # unsplittable: the path grazes a critical value here; record
-                # the shortfall and move on, keeping the last good state
-                cur_eta = target
-                pending.pop()
-                worst = max(worst, err)
-        out[lev] = g
-        if lev == nlev - 1:
-            final = err
-    ok = final <= 1e-8 * (1.0 + abs(complex(tre, etas[nlev - 1])))
-    return out, worst, final, ok
-
-
-def solve_convolution_column(tre, etas, xparts, yparts, eta_top):
-    """Backend dispatch for one continuation column."""
-    etas = np.asarray(etas, dtype=np.float64)
-    if HAS_NUMBA:
-        return _solve_column(float(tre), etas, *xparts, *yparts, float(eta_top))
-    return _solve_column_py(float(tre), etas, xparts, yparts, float(eta_top))
+    """(G(z), G'(z)) for an array of points z; ``parts`` as `Measure._parts`."""
+    return _g_many_np(z, *parts)

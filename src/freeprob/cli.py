@@ -325,6 +325,9 @@ def _cmd_freeconv(args) -> str:
             n_moments=min(args.order, 6))
         diagnostics["continuation_residual"] = conv.diagnostics[0]
         diagnostics["functional_residual"] = conv.diagnostics[1]
+        diagnostics["iterations"] = conv.solver.iterations
+        diagnostics["safeguarded_steps"] = conv.solver.safeguarded_steps
+        diagnostics["worst_z"] = conv.solver.worst_z
         if args.format == "csv":
             header = _csv_header(config)
             return header + measures.to_csv(conv.measure)
@@ -577,3 +580,7 @@ def run(argv) -> int:
 
 def main():
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

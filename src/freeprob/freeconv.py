@@ -4,17 +4,22 @@ Moment route: free cumulants linearize the operation, so convolving moment
 sequences is cumulant extraction, addition, and resummation -- exact in
 rational arithmetic via the one-sided functional-equation recursion.
 
-Analytic route: Voiculescu's four-step algorithm run numerically.  At each
-output point z = t + i*eta the two Cauchy transforms are inverted by an inner
-Newton iteration, the R-transforms added, and the defining equation
+Analytic route: the Cauchy transform of X boxplus Y is computed by
+subordination (Belinschi & Bercovici, "A new approach to subordination
+results in free probability", J. Anal. Math. 101, 2007).  With
+h = 1/G - id, for every z in the upper half-plane the map
 
-    G_X^{-1}(g) + G_Y^{-1}(g) - 1/g = z
+    T(w) = z + h_Y(z + h_X(w))
 
-solved for g = G_{X boxplus Y}(z) by an outer Newton.  The Nevanlinna branch
-(Im g < 0) is pinned by continuation: each column starts high above the real
-axis where g ~ 1/z, then descends a geometric eta ladder, each level seeding
-the next.  Stieltjes inversion of the resulting boundary values produces the
-output measure.
+has a unique fixed point w = omega_1(z) in the upper half-plane (its
+Denjoy-Wolff point), and G_{X boxplus Y}(z) = G_X(omega_1(z)).  Because the
+fixed point is unique, no continuation from far above the axis is needed to
+pick the branch: every point of the Stieltjes-inversion grid is solved at
+once, by Newton steps on w - T(w) with plain steps w <- T(w) as the fallback.
+At the fixed point omega_2 = z + h_X(omega_1) satisfies
+G_X(omega_1) = G_Y(omega_2), which the functional residual measures.
+Stieltjes inversion of the resulting boundary values produces the output
+measure.
 
 The semicircle flow f_mu(s) = mu boxplus (semicircle of variance s) satisfies
 the complex inviscid Burgers equation d_s G + G d_z G = 0 in the variance
@@ -34,12 +39,13 @@ import numpy as np
 from . import _kernels
 from .measures import Measure, cauchy, make_named
 from .measures import moments as measure_moments
-from .measures import stieltjes_invert, support_radius
+from .measures import stieltjes_invert
 from .series import free_cumulants_from_moments, free_moments_from_cumulants
 
 __all__ = [
     "ConvolutionResult",
     "ContinuationError",
+    "SolverCounters",
     "free_convolve_moments",
     "free_convolve_analytic",
     "convolved_cauchy",
@@ -49,8 +55,19 @@ __all__ = [
 ]
 
 
+# Subordination solve (see `_subordinate`).
+ROUNDING = 2.0**-50  # relative rounding error assumed in each term of T(w)
+SOLVE_TOL = 1e-12  # residual at which a point is done
+ACCEPT_TOL = 1e-8  # largest residual accepted after a stall or at MAX_ROUNDS
+STALL_ROUNDS = 8  # rounds without a new lowest residual that make a stall
+FREE_ROUNDS = 40  # rounds in which every Newton step is taken
+SWAP_ROUNDS = 32  # stall after which a point is solved with X and Y swapped
+LAMBDA_MIN = 1.0 / 16.0  # smallest fraction of a Newton step tried
+MAX_ROUNDS = 1000
+
+
 class ContinuationError(RuntimeError):
-    """Continuation to the real axis failed; carries the offending point."""
+    """The analytic solve did not converge; carries the offending point."""
 
     def __init__(self, message: str, z: complex):
         super().__init__(message)
@@ -58,10 +75,22 @@ class ContinuationError(RuntimeError):
 
 
 @dataclass(frozen=True)
+class SolverCounters:
+    """Deterministic step counts of the subordination solve."""
+
+    iterations: int  # most rounds any point took, both orders counted
+    safeguarded_steps: int  # damped or plain steps, summed over points
+    worst_z: complex | None  # the point with the largest fixed-point residual
+
+
+@dataclass(frozen=True)
 class ConvolutionResult:
     moments: tuple
     measure: Measure | None
-    diagnostics: tuple  # (continuation residual, max functional-equation residual)
+    # (worst relative fixed-point residual (|w - T(w)| + rounding)/(1 + |w|),
+    #  worst |G_X(omega_1) - G_Y(omega_2)|/|G|)
+    diagnostics: tuple
+    solver: SolverCounters
 
 
 def free_convolve_moments(mx, my) -> list:
@@ -85,31 +114,130 @@ def _bounds(mu: Measure) -> tuple:
     return lo, hi
 
 
-def _eta_ladder(eta_top: float, target: float) -> np.ndarray:
-    if target >= eta_top:
-        return np.array([target])
-    n = max(4, int(math.ceil(math.log(eta_top / target) / math.log(1.0 / 0.35))) + 1)
-    return np.geomspace(eta_top, target, n)
+def _subordinate(z: np.ndarray, xparts, yparts, tally: "_Tally", after: int = 0) -> np.ndarray:
+    """G of X boxplus Y at every point of z (Im z > 0), solved together.
+
+    Returns G_X(w), w the fixed point of T(w) = z + h_Y(z + h_X(w)) with
+    h = 1/G - id, iterated from w = z.  Each round evaluates every point
+    still iterating at its trial iterate:
+
+    * Steps.  The trial after an accepted one is the full Newton step on
+      F(w) = w - T(w).  For ``FREE_ROUNDS`` rounds every trial is accepted:
+      near a double root of F (two Bernoulli laws at z = 0) Newton converges
+      while |F| first grows.  After that a trial is accepted only if it lowers
+      |F|, else the step is halved.  The plain step w <- T(w) replaces a
+      Newton step that leaves the upper half-plane or falls below
+      ``LAMBDA_MIN``, and is always accepted: plain steps converge to the
+      fixed point (Denjoy-Wolff), only slowly.
+    * Residual.  (|F(w)| + e)/(1 + |w|), where e bounds the rounding error of
+      T(w) at ``ROUNDING`` per term, so that rounding noise cannot pass for
+      convergence.  It bounds the error of w relative to 1 + |w|, up to the
+      conditioning 1/|1 - T'(w)|.
+    * Done.  At a residual of ``SOLVE_TOL``, or of ``ACCEPT_TOL`` once the
+      residual has stalled for ``STALL_ROUNDS`` rounds: where G is small one
+      of the two subordination functions is huge, and rounding alone keeps
+      the residual above ``SOLVE_TOL``.
+    * Swap.  A point stalled for ``SWAP_ROUNDS`` rounds above ``ACCEPT_TOL``
+      after ``FREE_ROUNDS``, or above it at ``MAX_ROUNDS``, is solved again as G_Y(omega_2), with X
+      and Y swapped, ``after`` the rounds already spent: the rounding floor is
+      lower in the order that iterates the smaller subordination function.
+      In that order a point above ``ACCEPT_TOL`` at ``MAX_ROUNDS`` raises
+      ContinuationError.
+    """
+    z = np.asarray(z, dtype=np.complex128).ravel()
+    out = np.empty(z.shape, dtype=np.complex128)
+    n = z.size
+    idx = np.arange(n)  # points still iterating
+    zs = w = base = t_base = z  # trial iterate, last accepted one, T there
+    delta = np.zeros(n, dtype=np.complex128)  # Newton step from base
+    f_base = np.full(n, np.inf)  # |F| at base
+    lam = np.ones(n)
+    plain = np.zeros(n, dtype=bool)
+    r_low = np.full(n, np.inf)  # lowest residual so far
+    stall = np.zeros(n, dtype=np.int64)  # rounds since it was reached
+    for rounds in range(1, MAX_ROUNDS + 1):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            gx, gxp = _kernels.cauchy_many(w, xparts)
+            u = zs + 1.0 / gx - w
+            gy, gyp = _kernels.cauchy_many(u, yparts)
+            tw = zs + 1.0 / gy - u
+            dhx = -gxp / (gx * gx) - 1.0  # h_X'(w)
+            dhy = -gyp / (gy * gy) - 1.0  # h_Y'(u)
+            noise = np.abs(dhy) * (np.abs(1.0 / gx) + np.abs(w) + np.abs(zs))
+            noise += np.abs(1.0 / gy) + np.abs(u) + np.abs(zs)
+        fw = w - tw
+        f_abs = np.abs(fw)
+        r = (f_abs + ROUNDING * noise) / (1.0 + np.abs(w))
+        stall = np.where(r < r_low, 0, stall + 1)
+        r_low = np.minimum(r, r_low)
+        done = (r <= SOLVE_TOL) | ((stall >= STALL_ROUNDS) & (r <= ACCEPT_TOL))
+        stuck = ~done & (stall >= SWAP_ROUNDS) & (rounds > FREE_ROUNDS)
+        if rounds == MAX_ROUNDS:
+            done = r <= ACCEPT_TOL
+            stuck = ~done
+            if after and stuck.any():
+                k = int(np.argmax(np.where(stuck, r, -1.0)))
+                raise ContinuationError(
+                    f"subordination did not converge at z = {complex(zs[k])} "
+                    f"(residual {r[k]:.3e})",
+                    complex(zs[k]),
+                )
+        if done.any():
+            functional = np.abs(gx[done] - gy[done]) / np.abs(gx[done])
+            tally.add(zs[done], r[done], functional, after + rounds)
+            out[idx[done]] = gx[done]
+        keep = ~done
+        if not after and stuck.any():
+            out[idx[stuck]] = _subordinate(zs[stuck], yparts, xparts, tally, after=rounds)
+            keep &= ~stuck
+        if rounds == MAX_ROUNDS or not keep.any():
+            break
+        accept = plain | (f_abs < f_base) | (rounds <= FREE_ROUNDS)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = -fw / (1.0 - dhy * dhx)
+            base = np.where(accept, w, base)
+            t_base = np.where(accept, tw, t_base)
+            f_base = np.where(accept, f_abs, f_base)
+            delta = np.where(accept, step, delta)
+            lam = np.where(accept, 1.0, 0.5 * lam)
+            trial = base + lam * delta
+        plain = ~(np.isfinite(trial) & (trial.imag > 0.0)) | (lam < LAMBDA_MIN)
+        w = np.where(plain, t_base, trial)
+        tally.safeguarded += int(np.count_nonzero(keep & (plain | (lam < 1.0))))
+        idx, zs, w, base, t_base = idx[keep], zs[keep], w[keep], base[keep], t_base[keep]
+        delta, f_base, lam, plain = delta[keep], f_base[keep], lam[keep], plain[keep]
+        r_low, stall = r_low[keep], stall[keep]
+    return out
 
 
-def _solve_point(tre: float, target_eta: float, xparts, yparts, eta_top: float):
-    etas = _eta_ladder(eta_top, target_eta)
-    gs, worst, final, ok = _kernels.solve_convolution_column(tre, etas, xparts, yparts, eta_top)
-    return complex(gs[-1]), float(worst), float(final), bool(ok)
+class _Tally:
+    """Worst residuals and step counts over the solves of one convolution."""
+
+    def __init__(self):
+        self.residual = 0.0
+        self.functional = 0.0
+        self.iterations = 0
+        self.safeguarded = 0
+        self.worst_z = None
+
+    def add(self, zs, residual, functional, rounds):
+        k = int(np.argmax(residual))
+        if self.worst_z is None or residual[k] > self.residual:
+            self.residual = float(residual[k])
+            self.worst_z = complex(zs[k])
+        self.functional = max(self.functional, float(functional.max()))
+        self.iterations = max(self.iterations, rounds)
+
+    def counters(self) -> SolverCounters:
+        return SolverCounters(self.iterations, self.safeguarded, self.worst_z)
 
 
 def convolved_cauchy(mu_x: Measure, mu_y: Measure, z) -> complex:
-    """G of mu_x boxplus mu_y at one point z (Im z > 0), by continuation."""
+    """G of mu_x boxplus mu_y at one point z (Im z > 0), by subordination."""
     z = complex(z)
     if z.imag <= 0:
         raise ValueError("convolved_cauchy needs Im z > 0")
-    eta_top = max(10.0 * (support_radius(mu_x) + support_radius(mu_y)), 1.0, 2.0 * abs(z))
-    g, worst, final, ok = _solve_point(z.real, z.imag, mu_x._parts, mu_y._parts, eta_top)
-    if not ok:
-        raise ContinuationError(
-            f"continuation failed at z = {z} (residual {max(worst, final):.3e})", z
-        )
-    return g
+    return complex(_subordinate(np.array([z]), mu_x._parts, mu_y._parts, _Tally())[0])
 
 
 def free_convolve_analytic(
@@ -127,26 +255,10 @@ def free_convolve_analytic(
     ay, by = _bounds(mu_y)
     a, b = ax + ay, bx + by
     pad = 0.1 * max(b - a, 1.0)
-    eta_top = max(10.0 * (support_radius(mu_x) + support_radius(mu_y)), 1.0)
-
-    xparts, yparts = mu_x._parts, mu_y._parts
-    worst_cont = 0.0
-    worst_final = 0.0
+    tally = _Tally()
 
     def transform(zs: np.ndarray) -> np.ndarray:
-        nonlocal worst_cont, worst_final
-        out = np.empty(zs.shape, dtype=np.complex128)
-        for i, z in enumerate(zs):
-            g, worst, final, ok = _solve_point(z.real, z.imag, xparts, yparts, eta_top)
-            if not ok:
-                raise ContinuationError(
-                    f"continuation failed at z = {complex(z)} (residual {max(worst, final):.3e})",
-                    complex(z),
-                )
-            worst_cont = max(worst_cont, worst)
-            worst_final = max(worst_final, final)
-            out[i] = g
-        return out
+        return _subordinate(zs, mu_x._parts, mu_y._parts, tally).reshape(zs.shape)
 
     raw = stieltjes_invert(transform, (a - pad, b + pad), grid_size=grid_size, eps=eta)
     measure = Measure(
@@ -159,7 +271,8 @@ def free_convolve_analytic(
     return ConvolutionResult(
         moments=tuple(float(v) for v in mom),
         measure=measure,
-        diagnostics=(worst_cont, worst_final),
+        diagnostics=(tally.residual, tally.functional),
+        solver=tally.counters(),
     )
 
 

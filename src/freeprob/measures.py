@@ -313,15 +313,16 @@ def cauchy(mu: Measure, z):
                 a, b = mu.support
                 if a - 1e-12 <= x <= b + 1e-12:
                     raise ValueError(f"z = {x} lies on the support [{a}, {b}]")
-    vals = _kernels.cauchy_many(zs.ravel(), mu._parts)
+    vals, _ = _kernels.cauchy_many(zs.ravel(), mu._parts)
     if zs.ndim == 0:
         return complex(vals[0])
     return vals.reshape(zs.shape)
 
 
 def cauchy_with_derivative(mu: Measure, z) -> tuple:
-    """(G(z), G'(z)) at a single complex point; used by the inversion solvers."""
-    return _kernels.cauchy_scalar(complex(z), mu._parts)
+    """(G(z), G'(z)) at a single complex point."""
+    g, gp = _kernels.cauchy_many([complex(z)], mu._parts)
+    return complex(g[0]), complex(gp[0])
 
 
 def support_radius(mu: Measure) -> float:

@@ -1,9 +1,14 @@
 """End-to-end runs of the command-line interface."""
 
+import itertools
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import freeprob
 import freeprob.cli as cli
 from freeprob.freeconv import ContinuationError
 
@@ -63,6 +68,28 @@ def test_freeconv_both_routes_agree(capsys):
     )
     assert float(doc["diagnostics"]["route_agreement"]) < 1e-5
     assert doc["diagnostics"]["continuation_residual"] < 1e-7
+
+
+NAMED_LAWS = (
+    "semicircle",
+    "arcsine",
+    "bernoulli",
+    "marchenko_pastur:lam=0.5",
+    "marchenko_pastur:lam=1",
+    "sato_tate",
+    "point:c=1.5",
+)
+
+
+@pytest.mark.parametrize(
+    "law_x,law_y", list(itertools.combinations_with_replacement(NAMED_LAWS, 2)))
+def test_freeconv_every_named_pair_converges(capsys, law_x, law_y):
+    doc = run_json(
+        capsys,
+        ["freeconv", "--law-x", law_x, "--law-y", law_y,
+         "--route", "analytic", "--grid-size", "128"],
+    )
+    assert doc["diagnostics"]["continuation_residual"] < 1e-8
 
 
 def test_freeconv_csv_density(capsys):
@@ -228,3 +255,16 @@ def test_usage_errors(capsys):
     assert cli.run(["kesten", "--d", "0", "--nmax", "4"]) == 2  # bad value
     assert cli.run(["polya", "--d", "1", "--nmax", "50"]) == 2  # below floor
     assert cli.run(["flow", "--h", "0.02,0.01"]) == 2  # one step, not a list
+
+
+def test_python_dash_m_matches_cli_run(capsys):
+    assert cli.run(["wick", "--n", "4"]) == 0
+    expected = capsys.readouterr().out
+    src = os.path.dirname(os.path.dirname(os.path.abspath(freeprob.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "freeprob", "wick", "--n", "4"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == expected

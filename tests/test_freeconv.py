@@ -2,15 +2,13 @@
 
 import cmath
 import math
-import os
-import subprocess
-import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from freeprob import freeconv
 from freeprob.freeconv import (
     ContinuationError,
     convolved_cauchy,
@@ -22,7 +20,7 @@ from freeprob.freeconv import (
     free_poisson,
     semicircle_flow_residual,
 )
-from freeprob.measures import cauchy, make_named, moments
+from freeprob.measures import make_named, moments
 
 BERN = [Fraction(0), Fraction(1)] * 3
 
@@ -164,22 +162,94 @@ def test_continuation_error_carries_failure_point():
     assert err.z == 1 + 2j
 
 
-def test_numpy_backend_agrees():
-    # same computation with the pure-numpy kernels must match to high accuracy
-    code = (
-        "import freeprob.freeconv as F, freeprob.measures as M\n"
-        "b = M.make_named('bernoulli')\n"
-        "r = F.free_convolve_analytic(b, b, grid_size=128)\n"
-        "print(repr(list(r.moments)))\n"
-        "print(repr(M.cauchy(M.make_named('semicircle'), 1.1+0.3j)))\n"
-    )
-    env = dict(os.environ, FREEPROB_BACKEND="numpy")
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    ).stdout.splitlines()
-    ref_moments = eval(out[0])
-    ref_g = eval(out[1])
+# G of the convolution at the probe points above and at points near the axis,
+# as the eta-ladder continuation solve computed it before it was replaced by
+# subordination: (law x, grid, params, law y, grid, params, z, G).
+FROZEN_LADDER = [
+    ("arcsine", 2048, {}, "arcsine", 2048, {}, 1 + 1j,
+     0.07191531441523953 - 0.3630126064440789j),
+    ("arcsine", 2048, {}, "arcsine", 2048, {}, -2 + 0.5j,
+     -0.17267656509316573 - 0.40331782537243144j),
+    ("arcsine", 2048, {}, "arcsine", 2048, {}, 0.3 + 2j,
+     0.018014613146066605 - 0.29942228524331665j),
+    ("arcsine", 2048, {}, "arcsine", 2048, {}, 4 + 0.2j,
+     0.3668096782265874 - 0.045010627389870536j),
+    ("point", 2048, {"c": 1.0}, "point", 2048, {"c": -3.0}, 0.7 + 1.3j,
+     0.3006681514492861 - 0.14476614699198787j),
+    ("bernoulli", 2048, {}, "bernoulli", 2048, {}, 0.5 + 1e-3j,
+     6.885300629331979e-05 - 0.5163976968688964j),
+    ("bernoulli", 2048, {}, "bernoulli", 2048, {}, 1.9 + 5e-4j,
+     0.0039004959825304207 - 1.6012667730519818j),
+    ("bernoulli", 2048, {}, "bernoulli", 2048, {}, -1.2 + 1e-3j,
+     -0.00029296841740650807 - 0.624999671936404j),
+    ("semicircle", 512, {}, "bernoulli", 2048, {}, 0.3 + 1e-3j,
+     -0.14089707695890147 - 0.5652294400243947j),
+    ("semicircle", 512, {}, "bernoulli", 2048, {}, 2.5 + 5e-4j,
+     0.8181926333590924 - 0.2699667758586764j),
+    ("point", 2048, {"c": 1.5}, "bernoulli", 2048, {}, 0.5 + 1e-3j,
+     -0.24999993751750016 - 500.0001249993998j),
+    ("point", 2048, {"c": 1.5}, "bernoulli", 2048, {}, 1 + 1e-3j,
+     0.6666628148307485 - 0.0022222141234888326j),
+    ("arcsine", 512, {}, "sato_tate", 512, {}, 1.5 + 1e-3j,
+     -0.0013711439080715765 - 0.4987430943840357j),
+    ("semicircle", 2048, {}, "semicircle", 4096, {"r": 1.0}, 2j,
+     -1.119758576904357e-15 - 0.40000005239865843j),
+    ("point", 2048, {"c": 0.0}, "semicircle", 4096, {"r": 1.0}, 2j,
+     -2.5887415755735642e-15 - 0.47213596081606923j),
+]
+
+
+@pytest.mark.parametrize("case", FROZEN_LADDER, ids=lambda c: f"{c[0]}+{c[3]}@{c[6]}")
+def test_subordination_matches_frozen_ladder_solve(case):
+    law_x, grid_x, par_x, law_y, grid_y, par_y, z, frozen = case
+    mu_x = make_named(law_x, grid_x, **par_x)
+    mu_y = make_named(law_y, grid_y, **par_y)
+    for a, b in ((mu_x, mu_y), (mu_y, mu_x)):
+        assert abs(convolved_cauchy(a, b, z) - frozen) <= 1e-10 * abs(frozen)
+
+
+def test_unconverged_point_raises_continuation_error(monkeypatch):
+    monkeypatch.setattr(freeconv, "MAX_ROUNDS", 2)
     b = make_named("bernoulli")
-    here = free_convolve_analytic(b, b, grid_size=128)
-    assert np.allclose(here.moments, ref_moments, atol=1e-9)
-    assert abs(cauchy(make_named("semicircle"), 1.1 + 0.3j) - ref_g) < 1e-9
+    z = 0.5 + 1e-3j
+    with pytest.raises(ContinuationError) as info:
+        convolved_cauchy(b, b, z)
+    assert info.value.z == z
+
+
+def test_analytic_solver_counters_are_deterministic():
+    b, st = make_named("bernoulli"), make_named("sato_tate", 128)
+    res = free_convolve_analytic(b, st, grid_size=128)
+    again = free_convolve_analytic(b, st, grid_size=128)
+    assert res.solver == again.solver
+    assert 1 <= res.solver.iterations <= freeconv.MAX_ROUNDS
+    assert res.solver.worst_z.imag in (1e-3, 5e-4)
+
+
+@pytest.mark.parametrize(
+    "x,y,z,exact",
+    [
+        # Bernoulli boxplus Bernoulli is the arcsine law on [-2, 2]; at z = 1e-6i
+        # w - T(w) is close to a double root
+        (("bernoulli", {}), ("bernoulli", {}), 1e-6j, -1j / math.sqrt(4 + 1e-12)),
+        # point(1.5) boxplus Bernoulli is (delta_0.5 + delta_2.5)/2; at the centre
+        # of its gap G is small and one subordination function is about 1e4
+        (("point", {"c": 1.5}), ("bernoulli", {}), 1.5 + 1e-4j,
+         0.5 / (1 + 1e-4j) + 0.5 / (-1 + 1e-4j)),
+    ],
+    ids=["bernoulli+bernoulli", "point+bernoulli"],
+)
+def test_subordination_exact_at_hard_points(x, y, z, exact):
+    mu_x, mu_y = make_named(x[0], **x[1]), make_named(y[0], **y[1])
+    for a, b in ((mu_x, mu_y), (mu_y, mu_x)):
+        assert abs(convolved_cauchy(a, b, z) - exact) < 1e-10
+
+
+def test_subordination_in_a_gap_is_linear_in_eta():
+    # Bernoulli boxplus Sato-Tate has a gap around pi/2, where G(pi/2) = 0 by
+    # symmetry, so G(pi/2 + i eta) is i eta G'(pi/2) up to O(eta^3)
+    b, st = make_named("bernoulli"), make_named("sato_tate", 512)
+    for mu_x, mu_y in ((b, st), (st, b)):
+        g3 = convolved_cauchy(mu_x, mu_y, math.pi / 2 + 1e-3j)
+        g4 = convolved_cauchy(mu_x, mu_y, math.pi / 2 + 1e-4j)
+        assert abs(g4 / g3 - 0.1) < 1e-5

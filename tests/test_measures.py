@@ -135,6 +135,15 @@ def test_cauchy_derivative_matches_finite_difference():
     assert abs(dg - fd) < 1e-7
 
 
+@pytest.mark.parametrize("law", ["semicircle", "sato_tate", "arcsine"])
+def test_cauchy_far_from_support_matches_moment_series(law):
+    mu = make_named(law, 512)
+    z = 1e4 + 3j
+    m = moments(mu, 6)
+    series = 1 / z + sum(m[k - 1] / z ** (k + 1) for k in range(1, 7))
+    assert abs(cauchy(mu, z) - series) <= 1e-9 * abs(series)
+
+
 def test_stieltjes_invert_round_trip_density():
     sc = make_named("semicircle")
     rec = stieltjes_invert(lambda w: cauchy(sc, w), (-2.2, 2.2))
