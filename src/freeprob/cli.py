@@ -492,7 +492,7 @@ def _pretty_expansion(terms: dict) -> str:
 def _cmd_wick(args) -> str:
     _require_json(args)
     if args.n < 0 or args.n > 16:
-        raise _Usage("--n must be in 0..16 (pairing enumeration grows factorially)")
+        raise _Usage("--n must be in 0..16")
     config = _resolved_config(args, ["n", "N"])
     terms = rmt.wick_trace_moment(args.n)
     result = {

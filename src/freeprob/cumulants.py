@@ -1,20 +1,20 @@
 """Moment/cumulant transforms over the partition lattices, and mixed cumulants.
 
 The classical transform sums over all set partitions, the free transform over
-non-crossing partitions only; both directions use the same recursion that
-splits off the one-block term:
+non-crossing partitions only.  Neither sum is enumerated for a single
+variable: splitting off the block that contains 1 gives, on the classical
+lattice,
 
-    m_n = kappa_n + sum over partitions with at least two blocks of
-          prod_B kappa_{|B|}
+    m_n = sum_{k=1}^{n} C(n-1, k-1) kappa_k m_{n-k}
 
-so cumulants are obtained by subtracting the proper-partition sum from m_n.
-Everything here is exact when fed exact rationals.  The lattice sums enumerate
-partitions explicitly (capped by ``partitions.DEFAULT_CAPS``); for high orders
-use the generating-function route in :mod:`freeprob.series` instead.
+(choose the other k-1 elements of that block), and on the free lattice the
+functional equation L(z) = K(zL(z)) solved by :mod:`freeprob.series`.  Both
+are O(n^2) coefficient recursions, exact when fed exact rationals.
 
-Multivariate mixed cumulants extend the same recursion to words: the moment of
-a word is the sum over lattice partitions of products of cumulants of the
-subwords cut out by the blocks.
+Multivariate mixed cumulants have no such shortcut and do enumerate: the
+moment of a word is the sum over lattice partitions (capped by
+``partitions.DEFAULT_CAPS``) of products of cumulants of the subwords cut out
+by the blocks, solved for the one-block term.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from functools import lru_cache
 from math import comb
 
 from .partitions import enumerate_partitions
+from .series import free_cumulants_from_moments, free_moments_from_cumulants
 
 __all__ = [
     "MomentFunctional",
@@ -49,6 +50,10 @@ def _check_lattice(lattice: str):
         raise ValueError(f"lattice must be one of {LATTICES}, got {lattice!r}")
 
 
+def _exact(values) -> list:
+    return [Fraction(x) if isinstance(x, int) else x for x in values]
+
+
 def moments_to_cumulants(moments, lattice: str = "classical") -> list:
     """Cumulants c_1..c_N (classical) or kappa_1..kappa_N (free) from moments.
 
@@ -56,39 +61,29 @@ def moments_to_cumulants(moments, lattice: str = "classical") -> list:
     [Fraction(0, 1), Fraction(1, 1), Fraction(0, 1), Fraction(0, 1), Fraction(0, 1), Fraction(0, 1)]
     """
     _check_lattice(lattice)
-    moments = [Fraction(x) if isinstance(x, int) else x for x in moments]
+    moments = _exact(moments)
+    if lattice == "free":
+        return free_cumulants_from_moments(moments)
+    m = [1] + moments
     kappa: list = []
-    for n in range(1, len(moments) + 1):
-        proper = 0
-        for blocks in _block_profiles(n, lattice):
-            if len(blocks) < 2:
-                continue
-            term = 1
-            for b in blocks:
-                term *= kappa[len(b) - 1]
-                if term == 0:
-                    break
-            proper += term
-        kappa.append(moments[n - 1] - proper)
+    for n in range(1, len(m)):
+        proper = sum(comb(n - 1, k - 1) * kappa[k - 1] * m[n - k] for k in range(1, n))
+        kappa.append(m[n] - proper)
     return kappa
 
 
 def cumulants_to_moments(cumulants, lattice: str = "classical") -> list:
     """Moments from cumulants: m_n = sum over lattice partitions of prod kappa_|B|."""
     _check_lattice(lattice)
-    cumulants = [Fraction(x) if isinstance(x, int) else x for x in cumulants]
-    out: list = []
-    for n in range(1, len(cumulants) + 1):
-        total = 0
-        for blocks in _block_profiles(n, lattice):
-            term = 1
-            for b in blocks:
-                term *= cumulants[len(b) - 1]
-                if term == 0:
-                    break
-            total += term
-        out.append(total if total != 0 else Fraction(0))
-    return out
+    cumulants = _exact(cumulants)
+    if lattice == "free":
+        out = free_moments_from_cumulants(cumulants)
+    else:
+        m: list = [1]
+        for n in range(1, len(cumulants) + 1):
+            m.append(sum(comb(n - 1, k - 1) * cumulants[k - 1] * m[n - k] for k in range(1, n + 1)))
+        out = m[1:]
+    return [total if total != 0 else Fraction(0) for total in out]
 
 
 @dataclass
@@ -185,13 +180,3 @@ def classical_convolve_moments(mx, my) -> list:
     cy = moments_to_cumulants(my, "classical")
     return cumulants_to_moments([a + b for a, b in zip(cx, cy)], "classical")
 
-
-def binomial_convolve_moments(mx, my) -> list:
-    """Direct binomial-sum form of classical convolution (cross-check route)."""
-    mx = [Fraction(1)] + list(mx)
-    my = [Fraction(1)] + list(my)
-    n_max = min(len(mx), len(my)) - 1
-    return [
-        sum(comb(n, k) * mx[k] * my[n - k] for k in range(n + 1))
-        for n in range(1, n_max + 1)
-    ]

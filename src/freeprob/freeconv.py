@@ -37,7 +37,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
-from .measures import Measure, cauchy, make_named
+from .measures import InversionError, Measure, cauchy, make_named
 from .measures import moments as measure_moments
 from .measures import stieltjes_invert
 from .series import free_cumulants_from_moments, free_moments_from_cumulants
@@ -261,6 +261,12 @@ def free_convolve_analytic(
         return _subordinate(zs, mu_x._parts, mu_y._parts, tally).reshape(zs.shape)
 
     raw = stieltjes_invert(transform, (a - pad, b + pad), grid_size=grid_size, eps=eta)
+    missing = 1.0 - sum(m for _, m in raw.atoms)
+    if missing > 1e-9 and not raw.samples.any():
+        raise InversionError(
+            f"inversion found atoms of total mass {1.0 - missing:.6g} and a zero "
+            f"density, so mass {missing:.3g} is missing (eta={eta:g} too coarse?)"
+        )
     measure = Measure(
         atoms=raw.atoms, support=raw.support, samples=raw.samples, edges=raw.edges, normalize=True
     )

@@ -47,7 +47,8 @@ _EMPTY = np.empty(0, dtype=np.float64)
 
 
 class InversionError(RuntimeError):
-    """Stieltjes inversion produced a significantly negative density."""
+    """Stieltjes inversion produced a significantly negative density, or a
+    measure that misses part of the unit mass."""
 
 
 @dataclass(frozen=True)

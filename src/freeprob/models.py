@@ -14,11 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .cumulants import MomentFunctional
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "TruncationError",
@@ -244,6 +247,8 @@ class FockOperator:
 
     @classmethod
     def raising(cls, v: int, dim_v: int, degree: int) -> "FockOperator":
+        import scipy.sparse as sp  # imported here to keep scipy out of the CLI's start-up
+
         if not 0 <= v < dim_v:
             raise ValueError(f"vector index {v} outside 0..{dim_v - 1}")
         idx = cls._index(dim_v, degree)

@@ -70,13 +70,6 @@ class Partition:
     def block_sizes(self) -> tuple[int, ...]:
         return tuple(len(b) for b in self.blocks)
 
-    def block_of(self, x: int) -> int:
-        """Index of the block containing x."""
-        for i, b in enumerate(self.blocks):
-            if x in b:
-                return i
-        raise ValueError(f"{x} not in ground set")
-
     def __str__(self) -> str:
         return "".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks)
 

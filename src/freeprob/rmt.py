@@ -1,18 +1,21 @@
 """Random-matrix ensembles, exact trace-moment calculus, and MC experiments.
 
-Sampling covers Ginibre, GUE, CUE (Gram-Schmidt of a Ginibre), and fixed
-deterministic matrices.  The GUE normalization is defined by its pair
-correlation E[X(ij) X(lk)] = delta_ik delta_jl / N — diagonal entries real
-with variance 1/N, off-diagonal complex with per-component variance 1/(2N) —
-since every exact formula below is derived from that covariance; note the
-symmetrization (Z + Z*)/2 of a variance-1/N Ginibre produces HALF this
-covariance and is therefore not used.
+Sampling covers Ginibre, GUE, CUE (QR of a Ginibre with the phases of R's
+diagonal moved into Q), and fixed deterministic matrices.  The GUE
+normalization is defined by its pair correlation E[X(ij) X(lk)] =
+delta_ik delta_jl / N — diagonal entries real with variance 1/N,
+off-diagonal complex with per-component variance 1/(2N) — since every exact
+formula below is derived from that covariance; note the symmetrization
+(Z + Z*)/2 of a variance-1/N Ginibre produces HALF this covariance and is
+therefore not used.
 
 Exact calculus: `wick_trace_moment` expands E tr[X^n] over pairings as a
-polynomial in 1/N^2 (the genus expansion), `genus_profile` histograms the
-pairings by genus, and `weingarten_series` counts monotone transposition
-factorizations to expand unitary correlators in 1/N, with exact geometric
-resummation when the coefficient tail is periodic.
+polynomial in 1/N^2 (the genus expansion) and `genus_profile` counts the
+pairings by genus, both from the Harer-Zagier recursion; `weingarten_series`
+counts monotone transposition factorizations, as the Jucys-Murphy evaluation
+of complete homogeneous polynomials read off through the characters of S(n),
+to expand unitary correlators in 1/N, with exact geometric resummation when
+the coefficient tail is periodic.
 
 Monte Carlo: `mc_word_moment` estimates (E tr) of matrix words with
 counter-based per-trial RNG streams, so results are bit-identical for any
@@ -91,21 +94,13 @@ def _rng(seed: int, trial: int = 0, stream: int = 0) -> np.random.Generator:
 
 
 def _haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Modified Gram-Schmidt of a complex Ginibre; columns normalized with
-    positive real diagonal R, which is what makes the law Haar.  Columns
-    that come out nearly dependent are re-orthogonalized once."""
+    """QR of a complex Ginibre, each column of Q multiplied by the phase of
+    R's diagonal entry there: that makes R's diagonal positive, which is what
+    makes the law Haar (Mezzadri, math-ph/0609050)."""
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q = np.empty_like(a)
-    for j in range(n):
-        v = a[:, j].copy()
-        norm0 = np.linalg.norm(v)
-        for i in range(j):
-            v -= (q[:, i].conj() @ v) * q[:, i]
-        if np.linalg.norm(v) < 1e-8 * norm0:
-            for i in range(j):
-                v -= (q[:, i].conj() @ v) * q[:, i]
-        q[:, j] = v / np.linalg.norm(v)
-    return q
+    q, r = np.linalg.qr(a)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
 
 
 def _sample_rng(spec: EnsembleSpec, rng: np.random.Generator) -> np.ndarray:
@@ -126,41 +121,24 @@ def sample(spec: EnsembleSpec, trial: int = 0) -> np.ndarray:
     return _sample_rng(spec, _rng(spec.seed, trial))
 
 
-def _iter_pairing_images(n: int):
-    """Yield each pairing of {1..n} as a 0-based involution image array."""
-    images = list(range(n))
+def _genus_counts(k: int) -> tuple:
+    """(eps_0(k), eps_1(k), ...): pairings of [2k] by genus g, from the
+    Harer-Zagier recursion (Invent. Math. 85, 1986)
 
-    def rec(free: list):
-        if not free:
-            yield tuple(images)
-            return
-        a = free[0]
-        rest = free[1:]
-        for idx, b in enumerate(rest):
-            images[a], images[b] = b, a
-            yield from rec(rest[:idx] + rest[idx + 1 :])
-            images[a], images[b] = a, b
+        (k+1) eps_g(k) = 2(2k-1) eps_g(k-1) + (k-1)(2k-1)(2k-3) eps_{g-1}(k-2)
 
-    yield from rec(list(range(n)))
-
-
-def _pairing_cycle_histogram(n: int) -> dict:
-    """counts[c] = number of pairings pi of [n] with c cycles in gamma*pi,
-    gamma the forward n-cycle."""
-    counts: dict = {}
-    for images in _iter_pairing_images(n):
-        seen = [False] * n
-        c = 0
-        for start in range(n):
-            if seen[start]:
-                continue
-            c += 1
-            k = start
-            while not seen[k]:
-                seen[k] = True
-                k = (images[k] + 1) % n
-        counts[c] = counts.get(c, 0) + 1
-    return counts
+    with eps_0(0) = 1; every eps_g(k) with 2g <= k is positive."""
+    rows = [(1,), (1,)]
+    for j in range(2, k + 1):
+        prev, prev2 = rows[j - 1], rows[j - 2]
+        row = []
+        for g in range(j // 2 + 1):
+            acc = 2 * (2 * j - 1) * (prev[g] if g < len(prev) else 0)
+            if g:
+                acc += (j - 1) * (2 * j - 1) * (2 * j - 3) * prev2[g - 1]
+            row.append(acc // (j + 1))
+        rows.append(tuple(row))
+    return rows[k]
 
 
 def wick_trace_moment(n: int, N=None):
@@ -174,13 +152,10 @@ def wick_trace_moment(n: int, N=None):
     if n < 0:
         raise ValueError(f"moment order must be >= 0, got {n}")
     if n > 20:
-        raise ValueError(f"moment order {n} > 20: pairing enumeration grows as (n-1)!!")
+        raise ValueError(f"moment order {n} > 20")
     if n % 2 == 1:
         return {} if N is None else Fraction(0)
-    if n == 0:
-        return {0: 1} if N is None else Fraction(1)
-    hist = _pairing_cycle_histogram(n)
-    expansion = {n // 2 + 1 - c: cnt for c, cnt in sorted(hist.items(), reverse=True)}
+    expansion = {2 * g: cnt for g, cnt in enumerate(_genus_counts(n // 2))}
     if N is None:
         return expansion
     return sum((Fraction(cnt, N**r) for r, cnt in expansion.items()), Fraction(0))
@@ -192,8 +167,7 @@ def genus_profile(k: int) -> tuple:
     (2k-1)!!."""
     if not 1 <= k <= 8:
         raise ValueError(f"k must be in 1..8, got {k}")
-    hist = _pairing_cycle_histogram(2 * k)
-    return tuple(hist.get(k + 1 - 2 * g, 0) for g in range(k // 2 + 1))
+    return _genus_counts(k)
 
 
 @dataclass(frozen=True)
@@ -268,12 +242,54 @@ class WeingartenExpansion:
         return WeingartenValue(total, float(bound), False)
 
 
+def _integer_partitions(n: int, largest: int | None = None):
+    """Yield the partitions of n as non-increasing tuples."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in _integer_partitions(n - first, first):
+            yield (first,) + rest
+
+
+def _character(beta: tuple, cycle_type: tuple) -> int:
+    """chi^lambda at cycle type mu by Murnaghan-Nakayama.
+
+    lambda is given by its beta-set (first-column hook lengths): removing a
+    rim hook of length k moves one bead from b to b - k onto a free place,
+    with sign (-1)^(beads strictly between)."""
+    if not cycle_type:
+        return 1
+    k, rest = cycle_type[0], cycle_type[1:]
+    total = 0
+    for b in beta:
+        if b >= k and b - k not in beta:
+            height = sum(1 for x in beta if b - k < x < b)
+            moved = tuple(sorted(b - k if x == b else x for x in beta))
+            total += (-1) ** height * _character(moved, rest)
+    return total
+
+
+def _shape_weight(shape: tuple, cycle_type: tuple) -> int:
+    """dim lambda * chi^lambda(mu), dim lambda by the hook-length formula."""
+    columns = [sum(1 for part in shape if part > j) for j in range(shape[0])]
+    hooks = math.prod(
+        shape[i] - j + columns[j] - i - 1 for i in range(len(shape)) for j in range(shape[i])
+    )
+    beta = tuple(sorted(part + len(shape) - 1 - i for i, part in enumerate(shape)))
+    return math.factorial(sum(shape)) // hooks * _character(beta, cycle_type)
+
+
 def weingarten_series(permutation: Permutation, R: int | None = None) -> WeingartenExpansion:
     """Count monotone factorizations of pi into r transpositions, r <= R.
 
     A monotone factorization is pi = (s_1 t_1)...(s_r t_r) with s_i < t_i
-    and t_1 <= ... <= t_r.  Counted by stripping the last (largest-t)
-    factor, memoized on (permutation, max allowed t).
+    and t_1 <= ... <= t_r.  Their sum over all pi is h_r(J_2, ..., J_n), the
+    complete homogeneous polynomial in the Jucys-Murphy elements; it is
+    central and acts on the irreducible lambda as h_r(contents of lambda), so
+    (Matsumoto & Novak, arXiv:0905.1992)
+
+        c_r(pi) = (1/n!) sum_lambda dim lambda chi^lambda(pi) h_r(contents).
     """
     n = permutation.n
     if n > 8:
@@ -282,29 +298,20 @@ def weingarten_series(permutation: Permutation, R: int | None = None) -> Weingar
         R = permutation.cayley_distance + 10
     if R > 20:
         raise ValueError(f"truncation order {R} > 20")
-    transpositions = [
-        (Permutation.transposition(n, s, t), t)
-        for t in range(2, n + 1)
-        for s in range(1, t)
-    ]
-    ident_images = Permutation.identity(n).images
-    cache: dict = {}
-
-    # Count factorizations of exactly length r by stripping the last
-    # (largest-t) factor; r decreases, so the recursion is well-founded.
-    def counts(pi: Permutation, cap: int, r: int) -> int:
-        if r == 0:
-            return 1 if pi.images == ident_images else 0
-        key = (pi.images, cap, r)
-        got = cache.get(key)
-        if got is None:
-            got = sum(
-                counts(pi * tau, t, r - 1) for tau, t in transpositions if t <= cap
-            )
-            cache[key] = got
-        return got
-
-    raw = tuple(counts(permutation, n, r) for r in range(R + 1))
+    cycle_type = tuple(sorted((len(c) for c in permutation.cycles()), reverse=True))
+    totals = [0] * (R + 1)
+    for shape in _integer_partitions(n):
+        weight = _shape_weight(shape, cycle_type)
+        if not weight:
+            continue
+        h = [1] + [0] * R
+        for i, part in enumerate(shape):
+            for j in range(part):
+                for r in range(1, R + 1):
+                    h[r] += (j - i) * h[r - 1]
+        for r in range(R + 1):
+            totals[r] += weight * h[r]
+    raw = tuple(t // math.factorial(n) for t in totals)
     d = permutation.cayley_distance
     return WeingartenExpansion(
         n=n,

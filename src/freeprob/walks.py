@@ -7,12 +7,14 @@ probabilities switch to log-domain floats where asymptotic exponents are
 being fitted rather than identities asserted.
 
 For F_d the loop-generating function equals the moment generating function
-of the d-fold free additive convolution of the arcsine law, so
-`kesten_loops` delegates to the exact cumulant route.  `kesten_green` also
+of the d-fold free additive convolution of the arcsine law; `kesten_loops`
+counts the loops directly, by a dynamic programme over the distance from the
+identity in the Cayley tree (the tests check it against that identity).
+`kesten_green` also
 evaluates a closed-form expression whose denominator (1 - 16 z^2) is
 specific to d = 2 while its numerator is written for general d; the two
 return values agree only at d = 2, and for other ranks the truncated series
-(cross-checked against an exact tree-distance DP) is the one to trust.
+(built on the exact tree-distance DP) is the one to trust.
 Both are reported side by side rather than silently reconciling them.
 """
 
@@ -24,9 +26,6 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
-
-from .series import free_cumulants_from_moments, free_moments_from_cumulants
 
 __all__ = [
     "LoopCounts",
@@ -149,6 +148,20 @@ def loops_lattice(d: int, n_max: int) -> LoopCounts:
     return LoopCounts(group=label, rank=d, values=tuple(lam))
 
 
+def _logsumexp(t: np.ndarray) -> float:
+    """log sum exp(t), shifted by the maximum.  The maximal terms are split
+    off and the rest enters through log1p, which keeps full relative
+    precision when the maximum dominates (the arithmetic of
+    scipy.special.logsumexp, without its per-call overhead)."""
+    top = t.max()
+    hit = t == top
+    rest = np.exp(t - top)
+    rest[hit] = 0.0
+    count = float(np.count_nonzero(hit))
+    s = rest.sum() / count
+    return math.log1p(s) + math.log(count) + top
+
+
 def _log_return_probs_lattice(d: int, n_max: int) -> np.ndarray:
     """log rho_d(n) for even n on Z^d, via log-domain EGF convolution.
 
@@ -164,7 +177,7 @@ def _log_return_probs_lattice(d: int, n_max: int) -> np.ndarray:
     for _ in range(d - 1):
         nxt = np.full(n_max + 1, -np.inf)
         for n in range(0, n_max + 1, 2):
-            nxt[n] = logsumexp(lcd[0 : n + 1 : 2] + lc1[n::-2])
+            nxt[n] = _logsumexp(lcd[0 : n + 1 : 2] + lc1[n::-2])
         lcd = nxt
     lg_fact = np.vectorize(math.lgamma)(ns + 1.0)
     return lg_fact + lcd - ns * math.log(2 * d)
@@ -192,17 +205,33 @@ def polya_diagnostic(d: int, n_max: int) -> tuple[float, float]:
 def kesten_loops(d: int, n_max: int) -> LoopCounts:
     """Exact loop counts on the free group F_d.
 
-    The length-n loops on F_d are counted by the n-th moment of the d-fold
-    free additive convolution of the arcsine law (per-generator moments are
-    the central binomials), so the exact cumulant route applies: free
-    cumulants of one factor, scaled by d, back to moments.
+    A radial walk on the Cayley tree: from the identity all 2d letters move
+    one step out; from distance r > 0 exactly one letter moves in and 2d - 1
+    move out.  lambda(n) is the number of length-n walks that end at the
+    identity.  Only distances that can still return by n_max are kept.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    one = _central_binomials(n_max)
-    kappa = free_cumulants_from_moments([Fraction(v) for v in one[1:]])
-    mom = free_moments_from_cumulants([d * k for k in kappa])
-    values = [1] + [int(m) for m in mom]
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    out = 2 * d - 1
+    counts = [1]  # counts[r]: walks of the current length at distance r
+    values = [1]
+    for n in range(1, n_max + 1):
+        reach = min(n, n_max - n)
+        nxt = [0] * (reach + 1)
+        for r, c in enumerate(counts):
+            if not c:
+                continue
+            if r == 0:
+                if reach >= 1:
+                    nxt[1] += 2 * d * c
+                continue
+            nxt[r - 1] += c
+            if r + 1 <= reach:
+                nxt[r + 1] += out * c
+        counts = nxt
+        values.append(counts[0])
     label = "Z" if d == 1 else f"F_{d}"
     return LoopCounts(group=label, rank=d, values=tuple(values))
 

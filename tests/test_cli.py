@@ -268,3 +268,24 @@ def test_python_dash_m_matches_cli_run(capsys):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == expected
+
+
+def test_zero_density_with_missing_mass_is_a_numerical_failure(capsys):
+    # at eta = 0.1 the inversion finds the two atoms of point(1.5) boxplus
+    # Bernoulli but blanks the density, so part of the unit mass is lost
+    argv = ["freeconv", "--law-x", "point:c=1.5", "--law-y", "bernoulli",
+            "--route", "analytic", "--grid-size", "128", "--eta", "0.1"]
+    assert cli.run(argv) == 3
+    assert "mass 0.00124 is missing" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(freeprob.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, freeprob.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

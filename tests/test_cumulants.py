@@ -1,6 +1,8 @@
 """Moment/cumulant transforms on both partition lattices, mixed cumulants."""
 
+import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +14,7 @@ from freeprob.cumulants import (
     mixed_cumulant,
     moments_to_cumulants,
 )
+from freeprob.partitions import enumerate_partitions
 
 # moments m_n = 2^C(n,2) count labelled graphs; their cumulants count the
 # connected ones (classical lattice) and the "free-connected" ones
@@ -100,3 +103,59 @@ def test_free_mixed_cumulant_detects_classical_dependence():
     bern = [Fraction(0), Fraction(1), Fraction(0), Fraction(1)]
     f = MomentFunctional.from_classical_independent({"x": bern, "y": bern}, 4)
     assert mixed_cumulant(f, ("x", "y", "x", "y"), lattice="free") == 1
+
+
+# ---------------------------------------------------------------------------
+# Partition-sum oracle for the coefficient recursions.
+
+
+@lru_cache(maxsize=None)
+def lattice_partitions(n, lattice):
+    return enumerate_partitions(n, "all" if lattice == "classical" else "non-crossing")
+
+
+def partition_sum_moments(cumulants, lattice):
+    """m_n = sum over lattice partitions of prod over blocks of kappa_|B|."""
+    out = []
+    for n in range(1, len(cumulants) + 1):
+        total = 0
+        for p in lattice_partitions(n, lattice):
+            term = 1
+            for size in p.block_sizes():
+                term *= cumulants[size - 1]
+            total += term
+        out.append(total)
+    return out
+
+
+def partition_sum_cumulants(moments, lattice):
+    """The same sum solved for its one-block term, order by order."""
+    kappa = []
+    for n in range(1, len(moments) + 1):
+        proper = 0
+        for p in lattice_partitions(n, lattice):
+            if p.block_count < 2:
+                continue
+            term = 1
+            for size in p.block_sizes():
+                term *= kappa[size - 1]
+            proper += term
+        kappa.append(moments[n - 1] - proper)
+    return kappa
+
+
+@pytest.mark.parametrize("lattice", ["classical", "free"])
+def test_recursions_match_partition_sums(lattice):
+    rng = random.Random(2097)
+    for _ in range(6):
+        seq = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(8)]
+        kappa = moments_to_cumulants(seq, lattice=lattice)
+        assert kappa == partition_sum_cumulants(seq, lattice)
+        moments = cumulants_to_moments(seq, lattice=lattice)
+        assert moments == partition_sum_moments(seq, lattice)
+        # floats run the same recursions, within 1e-12 of the exact values
+        for got, exact in (
+            (moments_to_cumulants([float(v) for v in seq], lattice=lattice), kappa),
+            (cumulants_to_moments([float(v) for v in seq], lattice=lattice), moments),
+        ):
+            assert all(abs(g - float(e)) <= 1e-12 * abs(float(e)) for g, e in zip(got, exact))

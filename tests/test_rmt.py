@@ -2,10 +2,12 @@
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from freeprob import rmt
 from freeprob.partitions import Permutation
 from freeprob.rmt import (
     EnsembleSpec,
@@ -219,3 +221,110 @@ def test_geodesic_order_assembly_sums_match():
     geo, full = geodesic_order_assembly()
     assert geo == Fraction(99, 16)
     assert full == Fraction(99, 16)
+
+
+# ---------------------------------------------------------------------------
+# Enumeration oracles for the recursions in rmt (small n only).
+
+
+def iter_pairing_images(n):
+    """Yield each pairing of {1..n} as a 0-based involution image array."""
+    images = list(range(n))
+
+    def rec(free):
+        if not free:
+            yield tuple(images)
+            return
+        a = free[0]
+        rest = free[1:]
+        for idx, b in enumerate(rest):
+            images[a], images[b] = b, a
+            yield from rec(rest[:idx] + rest[idx + 1 :])
+            images[a], images[b] = a, b
+
+    yield from rec(list(range(n)))
+
+
+def pairing_cycle_histogram(n):
+    """counts[c] = number of pairings pi of [n] with c cycles in gamma*pi,
+    gamma the forward n-cycle."""
+    counts = {}
+    for images in iter_pairing_images(n):
+        seen = [False] * n
+        c = 0
+        for start in range(n):
+            if seen[start]:
+                continue
+            c += 1
+            k = start
+            while not seen[k]:
+                seen[k] = True
+                k = (images[k] + 1) % n
+        counts[c] = counts.get(c, 0) + 1
+    return counts
+
+
+@lru_cache(maxsize=None)
+def monotone_count(images, cap, r):
+    """Monotone factorizations of the permutation with these one-line images
+    into r transpositions (s t), s < t <= cap, by stripping the last
+    (largest-t) factor."""
+    if r == 0:
+        return int(images == tuple(range(1, len(images) + 1)))
+    total = 0
+    for t in range(2, cap + 1):
+        for s in range(1, t):
+            nxt = list(images)  # images of pi * (s t)
+            nxt[s - 1], nxt[t - 1] = nxt[t - 1], nxt[s - 1]
+            total += monotone_count(tuple(nxt), t, r - 1)
+    return total
+
+
+def gram_schmidt_haar(rng, n):
+    """Modified Gram-Schmidt of a complex Ginibre; columns normalized with
+    positive real diagonal R.  Columns that come out nearly dependent are
+    re-orthogonalized once."""
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q = np.empty_like(a)
+    for j in range(n):
+        v = a[:, j].copy()
+        norm0 = np.linalg.norm(v)
+        for i in range(j):
+            v -= (q[:, i].conj() @ v) * q[:, i]
+        if np.linalg.norm(v) < 1e-8 * norm0:
+            for i in range(j):
+                v -= (q[:, i].conj() @ v) * q[:, i]
+        q[:, j] = v / np.linalg.norm(v)
+    return q
+
+
+def test_harer_zagier_matches_pairing_enumeration():
+    for n in range(1, 13):
+        if n % 2:
+            assert wick_trace_moment(n) == {}
+            continue
+        hist = pairing_cycle_histogram(n)
+        assert wick_trace_moment(n) == {n // 2 + 1 - c: cnt for c, cnt in hist.items()}
+        k = n // 2
+        assert genus_profile(k) == tuple(hist.get(k + 1 - 2 * g, 0) for g in range(k // 2 + 1))
+
+
+def test_character_formula_matches_factorization_search():
+    for n in range(1, 7):
+        # one permutation per cycle type: consecutive cycles of the given lengths
+        for shape in rmt._integer_partitions(n):
+            cycles, start = [], 1
+            for length in shape:
+                cycles.append(tuple(range(start, start + length)))
+                start += length
+            perm = Permutation.from_cycles(n, cycles)
+            R = perm.cayley_distance + 10
+            e = weingarten_series(perm, R)
+            assert e.raw == tuple(monotone_count(perm.images, n, r) for r in range(R + 1))
+
+
+def test_qr_haar_matches_gram_schmidt():
+    for seed, trial in ((0, 0), (7, 3), (101, 19)):
+        q = rmt._haar_unitary(rmt._rng(seed, trial), 50)
+        ref = gram_schmidt_haar(rmt._rng(seed, trial), 50)
+        assert np.max(np.abs(q - ref)) < 1e-12

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from freeprob.series import free_cumulants_from_moments, free_moments_from_cumulants
 from freeprob.walks import (
     ReturnProbabilities,
     first_return,
@@ -184,3 +185,13 @@ def test_kesten_green_guards():
         kesten_green(1, 0.1)
     with pytest.raises(ValueError):
         kesten_green(2, 0.9)
+
+
+def test_kesten_loops_are_moments_of_free_arcsine_powers():
+    # the paper's identity: loops on F_d are the moments of the d-fold free
+    # convolution of the arcsine law, whose moments are the central binomials
+    arcsine = [Fraction(math.comb(n, n // 2) if n % 2 == 0 else 0) for n in range(1, 65)]
+    kappa = free_cumulants_from_moments(arcsine)
+    for d in (2, 3, 4):
+        moments = free_moments_from_cumulants([d * k for k in kappa])
+        assert kesten_loops(d, 64).values == tuple([1] + [int(m) for m in moments])
