@@ -20,7 +20,14 @@ the coefficient tail is periodic.
 Monte Carlo: `mc_word_moment` estimates (E tr) of matrix words with
 counter-based per-trial RNG streams, so results are bit-identical for any
 worker count; `freeness_experiment` packages the standard asymptotic
-freeness checks with exact predictions and z-scores.
+freeness checks with exact predictions and z-scores.  Its trials compute
+each trace by an exact identity rather than by multiplying out the word.
+For U D U* + D with D = +-1 (N/2 each) the spectrum is +-2 cos(theta_i),
+theta_i the principal angles between a Haar N/2-subspace and a coordinate
+N/2-subspace (Halmos, "Two subspaces", Trans. AMS 144, 1969), so a trial
+needs only the N/2 x N/2 Gram matrix W whose eigenvalues are cos^2(theta_i),
+a Jacobi matrix with the arcsine limit law (Collins, PTRF 133, 2005).  The
+other traces pair stored powers: tr h^(a+b) = sum_ij (h^a)_ij (h^b)_ji.
 """
 
 from __future__ import annotations
@@ -446,13 +453,67 @@ def _bernoulli_diag(n: int) -> np.ndarray:
     return d
 
 
+def _power_traces(h: np.ndarray, degree: int) -> np.ndarray:
+    """tr h^k for k = 1..degree, h Hermitian, from the powers up to ceil(degree/2).
+
+    tr h^(a+b) = sum_ij (h^a)_ij (h^b)_ji, and (h^b)_ji is the conjugate of
+    (h^b)_ij because h^b is Hermitian, so each trace is one inner product of
+    two stored powers with a = ceil(k/2), b = floor(k/2).
+    """
+    powers = [None, h]
+    for _ in range(2, (degree + 1) // 2 + 1):
+        powers.append(powers[-1] @ h)
+    out = np.empty(degree)
+    out[0] = np.trace(h).real
+    for k in range(2, degree + 1):
+        out[k - 1] = np.vdot(powers[k // 2], powers[(k + 1) // 2]).real
+    return out
+
+
+def _rotated_diagonal_moments(q: np.ndarray, degree: int) -> np.ndarray:
+    """tr(m^k)/N for k = 1..degree, m = U D U* + D, D = diag(1, -1, 1, ...).
+
+    q holds the columns of U where D = +1 (any orthonormal basis of their
+    span gives the same m).  With W = qe* qe, qe the rows of q where D = +1,
+    tr(m^(2j)) = 2 4^j tr(W^j) and every odd moment is 0: the spectrum of m
+    is +-2 cos(theta_i), where cos^2(theta_i) are the eigenvalues of W.
+    """
+    n = q.shape[0]
+    qe = q[::2]
+    out = np.zeros(degree)
+    half = degree // 2
+    out[1::2] = 2.0 * 4.0 ** np.arange(1, half + 1) * _power_traces(qe.conj().T @ qe, half) / n
+    return out
+
+
+def _gue_pair_traces(x: np.ndarray, y: np.ndarray, degree: int) -> dict:
+    """tr of the gue_gue words up to this degree, x and y Hermitian.
+
+    tr(xxyy) = ||xy||_F^2, because yx = (xy)*; the degree-4 and degree-6
+    words then need only the products xy and (xy)^2.
+    """
+    vals = {
+        (0, 0): np.sum(x * x.T),
+        (0, 1): np.sum(x * y.T),
+        (1, 0): np.sum(y * x.T),
+        (1, 1): np.sum(y * y.T),
+    }
+    if degree >= 4:
+        xy = x @ y
+        vals[(0, 1, 0, 1)] = np.sum(xy * xy.T)
+        vals[(0, 0, 1, 1)] = np.vdot(xy, xy)
+        if degree >= 6:
+            vals[(0, 1, 0, 1, 0, 1)] = np.sum((xy @ xy) * xy.T)
+    return vals
+
+
 def _rows_from_trials(labels, pred, samples, trials) -> tuple:
     rows = []
     for j, label in enumerate(labels):
         col = samples[:, j]
-        mean = float(np.sum(col.real) / trials)
+        mean = float(np.sum(col) / trials)
         if trials > 1:
-            err = math.sqrt(float(np.sum((col.real - mean) ** 2)) / (trials - 1) / trials)
+            err = math.sqrt(float(np.sum((col - mean) ** 2)) / (trials - 1) / trials)
         else:
             err = 0.0
         rows.append(
@@ -472,6 +533,15 @@ def freeness_experiment(
     moments of semicircle and Bernoulli.  rotated_diagonal: moments of
     U D U* + D, U Haar, against the arcsine (Bernoulli boxplus Bernoulli)
     moments.
+
+    Each trial computes its traces by exact identities, so every estimate is
+    the same random variable as the multiplied-out word.  rotated_diagonal
+    draws only the N/2 columns of U where D = +1 (a thin QR of an N x N/2
+    Ginibre) and reads the moments off the N/2 x N/2 Gram matrix of their
+    rows where D = +1, by the principal angles between the two subspaces
+    (Halmos, Trans. AMS 144, 1969; its limit law is the arcsine, Collins,
+    PTRF 133, 2005); the odd moments are exactly 0.  gue_deterministic pairs
+    stored powers of X + D, and gue_gue uses tr(xxyy) = ||xy||_F^2.
     """
     if kind not in ("gue_gue", "gue_deterministic", "rotated_diagonal"):
         raise ValueError(f"unknown experiment kind {kind!r}")
@@ -490,25 +560,14 @@ def freeness_experiment(
             words += [(0, 1, 0, 1, 0, 1)]
         labels = ["".join("xy"[c] for c in w) for w in words]
         pred = [float(_nc2_colour_count(w)) for w in words]
-        samples = np.empty((trials, len(words)), dtype=np.complex128)
+        samples = np.empty((trials, len(words)))
 
         def run_gg(t: int):
             x = _sample_rng(EnsembleSpec("gue", N, seed), _rng(seed, t, 0))
             y = _sample_rng(EnsembleSpec("gue", N, seed), _rng(seed, t, 1))
-            vals = {
-                (0, 0): np.sum(x * x.T),
-                (0, 1): np.sum(x * y.T),
-                (1, 0): np.sum(y * x.T),
-                (1, 1): np.sum(y * y.T),
-            }
-            if degree >= 4:
-                xy = x @ y
-                vals[(0, 1, 0, 1)] = np.sum(xy * xy.T)
-                vals[(0, 0, 1, 1)] = np.sum((x @ x) * (y @ y).T)
-                if degree >= 6:
-                    vals[(0, 1, 0, 1, 0, 1)] = np.sum((xy @ xy) * xy.T)
+            vals = _gue_pair_traces(x, y, degree)
             for j, w in enumerate(words):
-                samples[t, j] = vals[w] / N
+                samples[t, j] = vals[w].real / N
 
         runner = run_gg
     else:
@@ -525,19 +584,16 @@ def freeness_experiment(
         else:
             pred = [float(v) for v in free_convolve_moments(bern, bern)]
         labels = [f"m{k}" for k in range(1, degree + 1)]
-        samples = np.empty((trials, degree), dtype=np.complex128)
+        samples = np.empty((trials, degree))
 
         def run_det(t: int):
+            rng = _rng(seed, t, 0)
             if kind == "gue_deterministic":
-                x = _sample_rng(EnsembleSpec("gue", N, seed), _rng(seed, t, 0))
-                m = x + np.diag(diag)
+                x = _sample_rng(EnsembleSpec("gue", N, seed), rng)
+                samples[t] = _power_traces(x + np.diag(diag), degree) / N
             else:
-                u = _haar_unitary(_rng(seed, t, 0), N)
-                m = (u * diag) @ u.conj().T + np.diag(diag)
-            power = np.eye(N, dtype=np.complex128)
-            for k in range(degree):
-                power = power @ m
-                samples[t, k] = np.trace(power) / N
+                g = rng.standard_normal((N, N // 2)) + 1j * rng.standard_normal((N, N // 2))
+                samples[t] = _rotated_diagonal_moments(np.linalg.qr(g)[0], degree)
 
         runner = run_det
 

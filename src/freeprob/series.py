@@ -12,6 +12,7 @@ feeds floats, in which case the same recursions run in floating point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -162,29 +163,46 @@ def exp_log(s: TruncatedSeries, direction: str) -> TruncatedSeries:
     raise ValueError(f"direction must be 'exp' or 'log', got {direction!r}")
 
 
+def _graded(values):
+    """(unit, values, unscale) for the graded recursions below.
+
+    The recursions are graded: the degree-n output is a sum of products of
+    inputs whose degrees add up to n.  So when every input is an int or a
+    Fraction, with D the lcm of their denominators, scaling the degree-n
+    input by D^n gives integer inputs, integer arithmetic throughout and a
+    degree-n output D^n times the true one, which ``unscale`` divides out.
+    Other inputs run as given, from the unit Fraction(1).
+    """
+    if all(isinstance(v, (int, Fraction)) for v in values):
+        d = math.lcm(*(v.denominator for v in values))
+        scaled = [(v * d**n).numerator for n, v in enumerate(values, 1)]
+        return 1, scaled, lambda n, v: Fraction(v, d**n)
+    return Fraction(1), values, lambda n, v: v
+
+
 class _PowerTable:
-    """Lazy table of [z^j] L(z)^s for a moment list m (m[0] = 1)."""
+    """rows[s][j] = [z^j] L(z)^s for L = m[0] + m[1] z + ..., m[0] the unit.
+
+    ``grow(n)`` appends the entries of degree s + j = n for s = 1..n, which
+    need m up to m[n - 1] only, so the table can grow while m is solved for.
+    Each entry sums rows[s-1][i] * m[j-i] over ascending i, skipping the
+    terms with m[j-i] = 0, and a zero sum is stored as the exact zero.
+    """
 
     def __init__(self, m: list):
         self.m = m
-        self.table: dict[tuple[int, int], object] = {(0, 0): Fraction(1)}
+        self.zero = 0 * m[0]
+        self.rows = [[m[0]]]
 
-    def get(self, s: int, j: int):
-        key = (s, j)
-        val = self.table.get(key)
-        if val is None:
-            if s == 0:
-                val = Fraction(0)
-            else:
-                val = sum(
-                    self.get(s - 1, i) * self.m[j - i]
-                    for i in range(j + 1)
-                    if self.m[j - i] != 0
-                )
-                if val == 0:
-                    val = Fraction(0)
-            self.table[key] = val
-        return val
+    def grow(self, n: int):
+        m, rows = self.m, self.rows
+        rows[0].append(self.zero)
+        rows.append([])
+        for s in range(1, n + 1):
+            j = n - s
+            prev = rows[s - 1]
+            val = sum(prev[i] * m[j - i] for i in range(j + 1) if m[j - i] != 0)
+            rows[s].append(val if val != 0 else self.zero)
 
 
 def free_moments_from_cumulants(kappa, order: int | None = None) -> list:
@@ -196,11 +214,13 @@ def free_moments_from_cumulants(kappa, order: int | None = None) -> list:
     """
     kappa = list(kappa)
     n_max = len(kappa) if order is None else order
-    m: list = [Fraction(1)] + [None] * n_max
+    unit, kappa, unscale = _graded(kappa[:n_max])
+    m = [unit]
     powers = _PowerTable(m)
     for n in range(1, n_max + 1):
-        m[n] = sum(kappa[s - 1] * powers.get(s, n - s) for s in range(1, n + 1))
-    return m[1:]
+        powers.grow(n)
+        m.append(sum(kappa[s - 1] * powers.rows[s][n - s] for s in range(1, n + 1)))
+    return [unscale(n, v) for n, v in enumerate(m[1:], 1)]
 
 
 def free_cumulants_from_moments(m, order: int | None = None) -> list:
@@ -208,13 +228,15 @@ def free_cumulants_from_moments(m, order: int | None = None) -> list:
     for kappa_n, the only new unknown at degree n)."""
     m = list(m)
     n_max = len(m) if order is None else order
-    full = [Fraction(1)] + m
+    unit, m, unscale = _graded(m[:n_max])
+    full = [unit] + m
     powers = _PowerTable(full)
     kappa: list = []
     for n in range(1, n_max + 1):
-        s = sum(kappa[j - 1] * powers.get(j, n - j) for j in range(1, n))
+        powers.grow(n)
+        s = sum(kappa[j - 1] * powers.rows[j][n - j] for j in range(1, n))
         kappa.append(full[n] - s)
-    return kappa
+    return [unscale(n, v) for n, v in enumerate(kappa, 1)]
 
 
 def solve_free_ogf(series: TruncatedSeries, direction: str) -> TruncatedSeries:

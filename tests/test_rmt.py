@@ -328,3 +328,75 @@ def test_qr_haar_matches_gram_schmidt():
         q = rmt._haar_unitary(rmt._rng(seed, trial), 50)
         ref = gram_schmidt_haar(rmt._rng(seed, trial), 50)
         assert np.max(np.abs(q - ref)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The multiplied-out trial arithmetic that the trace identities replace.
+
+
+def direct_power_moments(m, degree):
+    """tr(m^k)/N for k = 1..degree by repeated multiplication."""
+    n = m.shape[0]
+    power = np.eye(n, dtype=np.complex128)
+    out = []
+    for _ in range(degree):
+        power = power @ m
+        out.append(np.trace(power).real / n)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("N", [20, 50])
+def test_half_rank_reduction_matches_power_loop(N):
+    d = rmt._bernoulli_diag(N)
+    for seed, trial in ((0, 0), (5, 2), (31, 7)):
+        u = rmt._haar_unitary(rmt._rng(seed, trial), N)
+        direct = direct_power_moments((u * d) @ u.conj().T + np.diag(d), 8)
+        reduced = rmt._rotated_diagonal_moments(u[:, ::2], 8)
+        assert np.all(np.abs(reduced - direct) <= 1e-12 * np.maximum(1.0, np.abs(direct)))
+        assert np.all(reduced[0::2] == 0.0)
+
+
+def test_power_traces_match_matrix_power():
+    N = 30
+    x = sample(EnsembleSpec("gue", N, seed=2))
+    h = x + np.diag(rmt._bernoulli_diag(N))
+    for degree in (1, 2, 5, 8):
+        got = rmt._power_traces(h, degree)
+        want = [np.trace(np.linalg.matrix_power(h, k)).real for k in range(1, degree + 1)]
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * N)
+
+
+def test_gue_pair_traces_match_products():
+    N = 30
+    x = sample(EnsembleSpec("gue", N, seed=3))
+    y = sample(EnsembleSpec("gue", N, seed=4))
+    vals = rmt._gue_pair_traces(x, y, 6)
+    xy = x @ y
+    want = {
+        (0, 0): np.trace(x @ x),
+        (0, 1): np.trace(xy),
+        (1, 0): np.trace(y @ x),
+        (1, 1): np.trace(y @ y),
+        (0, 1, 0, 1): np.trace(xy @ xy),
+        (0, 0, 1, 1): np.sum((x @ x) * (y @ y).T),
+        (0, 1, 0, 1, 0, 1): np.trace(xy @ xy @ xy),
+    }
+    assert vals.keys() == want.keys()
+    for word, value in want.items():
+        assert abs(vals[word] - value) <= 1e-12 * max(1.0, abs(value))
+    assert set(rmt._gue_pair_traces(x, y, 4)) == set(want) - {(0, 1, 0, 1, 0, 1)}
+
+
+def test_rotated_diagonal_odd_rows_are_exactly_zero():
+    for seed in (0, 87, 106):
+        rep = freeness_experiment("rotated_diagonal", 40, 10, 6, seed=seed)
+        for row in rep.rows[0::2]:
+            assert (row.empirical, row.stderr, row.predicted, row.z) == (0.0, 0.0, 0.0, 0.0)
+        assert all(row.stderr > 0 for row in rep.rows[1::2])
+
+
+@pytest.mark.parametrize("kind", ["gue_gue", "gue_deterministic", "rotated_diagonal"])
+def test_freeness_experiment_worker_count_is_invisible(kind):
+    one = freeness_experiment(kind, 24, 9, 6, seed=12, workers=1)
+    two = freeness_experiment(kind, 24, 9, 6, seed=12, workers=2)
+    assert one.rows == two.rows

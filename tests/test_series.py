@@ -1,5 +1,6 @@
 """Truncated/Laurent series arithmetic and the free OGF functional equation."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -141,3 +142,84 @@ def test_truncation_order_tracking():
     assert t.coeffs[1] == Fraction(1, 2)
     u = s.shift(2)
     assert u.coeffs[:3] == (0, 0, 1)
+
+
+# ---------------------------------------------------------------------------
+# The memoised [z^j] L^s recursion that the graded integer table replaced.
+
+
+class OldPowerTable:
+    """Lazy table of [z^j] L(z)^s for a moment list m (m[0] = 1)."""
+
+    def __init__(self, m: list):
+        self.m = m
+        self.table = {(0, 0): Fraction(1)}
+
+    def get(self, s: int, j: int):
+        key = (s, j)
+        val = self.table.get(key)
+        if val is None:
+            if s == 0:
+                val = Fraction(0)
+            else:
+                val = sum(
+                    self.get(s - 1, i) * self.m[j - i]
+                    for i in range(j + 1)
+                    if self.m[j - i] != 0
+                )
+                if val == 0:
+                    val = Fraction(0)
+            self.table[key] = val
+        return val
+
+
+def old_moments_from_cumulants(kappa):
+    m = [Fraction(1)] + [None] * len(kappa)
+    powers = OldPowerTable(m)
+    for n in range(1, len(kappa) + 1):
+        m[n] = sum(kappa[s - 1] * powers.get(s, n - s) for s in range(1, n + 1))
+    return m[1:]
+
+
+def old_cumulants_from_moments(m):
+    full = [Fraction(1)] + list(m)
+    powers = OldPowerTable(full)
+    kappa = []
+    for n in range(1, len(m) + 1):
+        s = sum(kappa[j - 1] * powers.get(j, n - j) for j in range(1, n))
+        kappa.append(full[n] - s)
+    return kappa
+
+
+def same_values_and_types(a, b):
+    return [(type(x), repr(x)) for x in a] == [(type(x), repr(x)) for x in b]
+
+
+def test_graded_table_matches_memoised_recursion():
+    rng = random.Random(7)
+    for _ in range(12):
+        n = rng.randint(1, 14)
+        seq = [
+            Fraction(rng.randint(-30, 30), rng.choice([1, 2, 3, 7, 12, 35]))
+            if rng.random() < 0.8 else Fraction(0)
+            for _ in range(n)
+        ]
+        assert same_values_and_types(
+            free_cumulants_from_moments(seq), old_cumulants_from_moments(seq))
+        assert same_values_and_types(
+            free_moments_from_cumulants(seq), old_moments_from_cumulants(seq))
+
+
+def test_float_recursion_is_bit_identical_to_memoised_one():
+    rng = random.Random(11)
+    for _ in range(12):
+        n = rng.randint(0, 13)
+        # one float makes the whole run float; the exact zeros stay mixed in
+        seq = [rng.uniform(-3, 3)] + [
+            rng.uniform(-3, 3) if rng.random() < 0.7 else rng.choice([0.0, -0.0, 0, Fraction(0)])
+            for _ in range(n)
+        ]
+        assert same_values_and_types(
+            free_cumulants_from_moments(seq), old_cumulants_from_moments(seq))
+        assert same_values_and_types(
+            free_moments_from_cumulants(seq), old_moments_from_cumulants(seq))
