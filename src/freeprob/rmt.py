@@ -7,7 +7,8 @@ delta_ik delta_jl / N — diagonal entries real with variance 1/N,
 off-diagonal complex with per-component variance 1/(2N) — since every exact
 formula below is derived from that covariance; note the symmetrization
 (Z + Z*)/2 of a variance-1/N Ginibre produces HALF this covariance and is
-therefore not used.
+therefore not used.  A GUE draw takes the N^2 real normals of one matrix g
+and sets ((g + g^T) + i (g - g^T)) / (2 sqrt(N)), which has that law.
 
 Exact calculus: `wick_trace_moment` expands E tr[X^n] over pairings as a
 polynomial in 1/N^2 (the genus expansion) and `genus_profile` counts the
@@ -111,6 +112,14 @@ def _haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _sample_rng(spec: EnsembleSpec, rng: np.random.Generator) -> np.ndarray:
+    """One draw of spec from rng.
+
+    A GUE takes one real N x N matrix g of N^2 normals and sets
+    h = ((g + g^T) + i (g - g^T)) / (2 sqrt(N)): the diagonal is real with
+    variance 1/N, and off the diagonal the real and imaginary parts are
+    independent with variance 1/(2N) each, the law in the module docstring.
+    h equals its conjugate transpose bit for bit.
+    """
     n = spec.N
     if spec.kind == "deterministic":
         return spec.payload.astype(np.complex128)
@@ -118,8 +127,14 @@ def _sample_rng(spec: EnsembleSpec, rng: np.random.Generator) -> np.ndarray:
         z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         return z / math.sqrt(2 * n)
     if spec.kind == "gue":
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        return (a + a.conj().T) / (2.0 * math.sqrt(n))
+        # h before g: the scratch g then sits above h on the heap, and its
+        # memory goes back when it is freed instead of leaving a hole below h
+        h = np.empty((n, n), dtype=np.complex128)
+        g = rng.standard_normal((n, n))
+        np.add(g, g.T, out=h.real)
+        np.subtract(g, g.T, out=h.imag)
+        h /= 2.0 * math.sqrt(n)
+        return h
     return _haar_unitary(rng, n)
 
 
@@ -361,7 +376,8 @@ def mc_word_moment(specs, word, trials: int, workers: int = 1) -> MCEstimate:
     samples every referenced spec from its own counter-based stream keyed by
     (spec seed, trial, spec position), so the estimate depends only on the
     specs, the word, and the trial count; per-trial values land in a
-    trial-indexed array and are reduced with a single pairwise sum.
+    trial-indexed array and are reduced with a single pairwise sum.  The
+    last letter is never multiplied in: tr(P M) = sum_ij P_ij M_ji.
     """
     specs = list(specs)
     letters = _normalize_word(word)
@@ -379,11 +395,14 @@ def mc_word_moment(specs, word, trials: int, workers: int = 1) -> MCEstimate:
 
     def run(trial: int):
         mats = {i: _sample_rng(specs[i], _rng(specs[i].seed, trial, i)) for i in used}
-        prod = None
-        for idx, adj in letters:
-            m = mats[idx].conj().T if adj else mats[idx]
-            prod = m if prod is None else prod @ m
-        vals[trial] = np.trace(prod) / n
+        factors = [mats[idx].conj().T if adj else mats[idx] for idx, adj in letters]
+        prod = factors[0]
+        for m in factors[1:-1]:
+            prod = prod @ m
+        if len(factors) == 1:
+            vals[trial] = np.trace(prod) / n
+        else:
+            vals[trial] = np.sum(prod * factors[-1].T) / n
 
     if workers <= 1:
         for t in range(trials):
@@ -489,14 +508,15 @@ def _rotated_diagonal_moments(q: np.ndarray, degree: int) -> np.ndarray:
 def _gue_pair_traces(x: np.ndarray, y: np.ndarray, degree: int) -> dict:
     """tr of the gue_gue words up to this degree, x and y Hermitian.
 
-    tr(xxyy) = ||xy||_F^2, because yx = (xy)*; the degree-4 and degree-6
-    words then need only the products xy and (xy)^2.
+    tr(ab) = sum_ij conj(a_ij) b_ij for Hermitian a, one vdot with no N x N
+    temporary; tr(xxyy) = ||xy||_F^2, because yx = (xy)*; the degree-4 and
+    degree-6 words then need only the products xy and (xy)^2.
     """
     vals = {
-        (0, 0): np.sum(x * x.T),
-        (0, 1): np.sum(x * y.T),
-        (1, 0): np.sum(y * x.T),
-        (1, 1): np.sum(y * y.T),
+        (0, 0): np.vdot(x, x),
+        (0, 1): np.vdot(x, y),
+        (1, 0): np.vdot(y, x),
+        (1, 1): np.vdot(y, y),
     }
     if degree >= 4:
         xy = x @ y

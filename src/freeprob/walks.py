@@ -3,19 +3,32 @@
 Three families of groups are covered: the integers Z, the lattices Z^d, and
 the free groups F_d, all walked with uniform steps on the 2d standard
 generators and their inverses.  Loop counts are exact big integers; return
-probabilities switch to log-domain floats where asymptotic exponents are
-being fitted rather than identities asserted.
+probabilities are floats where asymptotic exponents are being fitted rather
+than identities asserted.
+
+On Z^d both come from one recurrence.  The loop counts have the exponential
+generating function f^d with f = I_0(2x) = sum_k x^(2k)/k!^2, which solves
+x f'' + f' - 4x f = 0.  Put g_j = f^(d-j) (f')^j for j = 0..d; then
+x g_j' = (d-j) x g_(j+1) + 4j x g_(j-1) - j g_j, so e_j(n) = n! [x^n] g_j obeys
+
+    e_j(n) = n ((d-j) e_(j+1)(n-1) + 4j e_(j-1)(n-1)) / (n+j),  e(0) = (1, 0, ..., 0),
+
+and lambda_d(n) = e_0(n).  Every e_j(n) is an integer (g_j is a product of
+EGFs of integer sequences), so the division is exact.  Every coefficient
+and every term is non-negative, so the same recurrence in floats, on
+r_j(n) = e_j(n) / (2d)^n, has no cancellation: rho_d(n) = r_0(n) costs
+O(n d) for every d.
 
 For F_d the loop-generating function equals the moment generating function
 of the d-fold free additive convolution of the arcsine law; `kesten_loops`
 counts the loops directly, by a dynamic programme over the distance from the
 identity in the Cayley tree (the tests check it against that identity).
-`kesten_green` also
-evaluates a closed-form expression whose denominator (1 - 16 z^2) is
-specific to d = 2 while its numerator is written for general d; the two
-return values agree only at d = 2, and for other ranks the truncated series
-(built on the exact tree-distance DP) is the one to trust.
-Both are reported side by side rather than silently reconciling them.
+`kesten_green` also evaluates two closed forms.  `closed_form_value` has a
+denominator (1 - 16 z^2) specific to d = 2 while its numerator is written
+for general d, so it agrees with the truncated series (built on the exact
+tree-distance DP) only at d = 2; `general_closed_form_value` has the
+denominator 1 - 4 d^2 z^2 and agrees at every d.  All three are reported
+side by side rather than silently reconciling them.
 """
 
 from __future__ import annotations
@@ -117,70 +130,69 @@ def first_return(rho: Sequence) -> list:
     return phi
 
 
-def _central_binomials(n_max: int) -> list[int]:
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    lam = [0] * (n_max + 1)
-    for k in range(0, n_max // 2 + 1):
-        lam[2 * k] = math.comb(2 * k, k)
-    lam[0] = 1
-    return lam
-
-
 def loops_lattice(d: int, n_max: int) -> LoopCounts:
-    """Exact loop counts on Z^d by binomial shuffling of per-axis loops.
+    """Exact loop counts on Z^d by the Bessel-power recurrence.
 
-    lambda_d(n) = sum_k C(n, k) lambda_{d-1}(k) lambda_1(n-k): a loop is a
-    shuffle of loops along each axis.
+    Runs e_j(n) of the module docstring in Python ints; lambda_d(n) = e_0(n).
+    Only j <= min(n, d, n_max - n) is kept: a larger j cannot come back to 0
+    by n_max.
+
+    >>> loops_lattice(2, 6).values
+    (1, 0, 4, 0, 36, 0, 400)
+    >>> loops_lattice(3, 8).values
+    (1, 0, 6, 0, 90, 0, 1860, 0, 44730)
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    one = _central_binomials(n_max)
-    lam = one[:]
-    for _ in range(d - 1):
-        lam = [
-            sum(math.comb(n, k) * lam[k] * one[n - k] for k in range(0, n + 1, 2))
-            if n % 2 == 0
-            else 0
-            for n in range(n_max + 1)
-        ]
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    e = [1]
+    lam = [1]
+    for n in range(1, n_max + 1):
+        top = min(n, d, n_max - n)
+        nxt = [0] * (top + 1)
+        for j in range(n % 2, top + 1, 2):
+            acc = 4 * j * e[j - 1] if j else 0
+            if j + 1 < len(e):
+                acc += (d - j) * e[j + 1]
+            nxt[j] = n * acc // (n + j)
+        e = nxt
+        lam.append(e[0] if n % 2 == 0 else 0)
     label = "Z" if d == 1 else f"Z^{d}"
     return LoopCounts(group=label, rank=d, values=tuple(lam))
 
 
-def _logsumexp(t: np.ndarray) -> float:
-    """log sum exp(t), shifted by the maximum.  The maximal terms are split
-    off and the rest enters through log1p, which keeps full relative
-    precision when the maximum dominates (the arithmetic of
-    scipy.special.logsumexp, without its per-call overhead)."""
-    top = t.max()
-    hit = t == top
-    rest = np.exp(t - top)
-    rest[hit] = 0.0
-    count = float(np.count_nonzero(hit))
-    s = rest.sum() / count
-    return math.log1p(s) + math.log(count) + top
-
-
 def _log_return_probs_lattice(d: int, n_max: int) -> np.ndarray:
-    """log rho_d(n) for even n on Z^d, via log-domain EGF convolution.
+    """log rho_d(n) for n <= n_max on Z^d; odd entries are -inf.
 
-    The exponential generating function of lambda_1 has coefficients
-    1/(k!)^2 at x^{2k}; d-fold convolution then n! and (2d)^-n factors give
-    rho.  Odd entries are -inf.
+    Runs the recurrence of the module docstring in floats on
+    r_j(n) = e_j(n) / (2d)^n, so rho_d(n) = r_0(n).  The vector carries a
+    power-of-two scale: whenever its largest entry leaves [2^-64, 2^63) it is
+    multiplied back (exactly) and the exponent added to a running total,
+    which keeps large d from underflowing (log rho_1000(1000) is about -910).
     """
-    ns = np.arange(n_max + 1)
-    lc1 = np.full(n_max + 1, -np.inf)
-    ks = np.arange(0, n_max // 2 + 1)
-    lc1[2 * ks] = -2.0 * np.vectorize(math.lgamma)(ks + 1.0)
-    lcd = lc1.copy()
-    for _ in range(d - 1):
-        nxt = np.full(n_max + 1, -np.inf)
-        for n in range(0, n_max + 1, 2):
-            nxt[n] = _logsumexp(lcd[0 : n + 1 : 2] + lc1[n::-2])
-        lcd = nxt
-    lg_fact = np.vectorize(math.lgamma)(ns + 1.0)
-    return lg_fact + lcd - ns * math.log(2 * d)
+    log_rho = [-math.inf] * (n_max + 1)
+    log_rho[0] = 0.0
+    r = [1.0]
+    exp2 = 0
+    ln2 = math.log(2.0)
+    for n in range(1, n_max + 1):
+        top = min(n, d, n_max - n)
+        nxt = [0.0] * (top + 1)
+        step = n / (2 * d)
+        for j in range(n % 2, top + 1, 2):
+            acc = 4 * j * r[j - 1] if j else 0.0
+            if j + 1 < len(r):
+                acc += (d - j) * r[j + 1]
+            nxt[j] = acc * step / (n + j)
+        e = math.frexp(max(nxt))[1]
+        if not -64 < e < 64:
+            nxt = [math.ldexp(v, -e) for v in nxt]
+            exp2 += e
+        r = nxt
+        if n % 2 == 0:
+            log_rho[n] = math.log(r[0]) + exp2 * ln2
+    return np.array(log_rho)
 
 
 def polya_diagnostic(d: int, n_max: int) -> tuple[float, float]:
@@ -189,6 +201,8 @@ def polya_diagnostic(d: int, n_max: int) -> tuple[float, float]:
     Returns (sum_{n<=n_max} rho_d(n), slope of log rho_d(2k) against log k
     over the top half of the range).  The sum diverges with n_max for
     d <= 2 and converges for d >= 3; the slope estimates the -d/2 decay.
+    rho_d(n) comes from the Bessel-power recurrence of the module docstring,
+    run in floats with a running power-of-two scale, in O(n_max d) steps.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
@@ -240,19 +254,22 @@ class KestenGreen(NamedTuple):
     closed_form_value: complex
     series_value: complex
     decay_base: float
+    general_closed_form_value: complex
 
 
 _KESTEN_SERIES_ORDER = 64
 
 
 def kesten_green(d: int, z: complex) -> KestenGreen:
-    """Loop generating function of F_d at z, two ways, plus the decay base.
+    """Loop generating function of F_d at z, three ways, plus the decay base.
 
     closed_form_value evaluates
     (-(d-1) + d*sqrt(1 - 4(2d-1) z^2)) / (1 - 16 z^2) verbatim;
     series_value sums the exact loop counts through order 64.  The two agree
     for d = 2 only (see the module docstring); tests adjudicate with the
-    tree DP.  decay_base estimates lim rho_d(n)^{1/n} from the series by a
+    tree DP.  general_closed_form_value is Kesten's form for every d,
+    (-(d-1) + d*sqrt(1 - 4(2d-1) z^2)) / (1 - 4 d^2 z^2), which agrees with
+    series_value.  decay_base estimates lim rho_d(n)^{1/n} from the series by a
     Richardson-extrapolated even-term ratio, which strips the n^{-3/2}
     prefactor; the limit is sqrt(2d-1)/d.
     """
@@ -263,9 +280,9 @@ def kesten_green(d: int, z: complex) -> KestenGreen:
         raise ValueError(
             f"|z|={abs(z):.4f} outside the series radius guard {0.9 / (2 * d):.4f}"
         )
-    closed = (-(d - 1) + d * np.sqrt(1.0 - 4.0 * (2 * d - 1) * z * z)) / (
-        1.0 - 16.0 * z * z
-    )
+    numerator = -(d - 1) + d * np.sqrt(1.0 - 4.0 * (2 * d - 1) * z * z)
+    closed = numerator / (1.0 - 16.0 * z * z)
+    general = numerator / (1.0 - 4.0 * d * d * z * z)
     loops = kesten_loops(d, _KESTEN_SERIES_ORDER)
     series = complex(sum(lam * z**n for n, lam in enumerate(loops.values)))
     deg = 2 * d
@@ -279,4 +296,5 @@ def kesten_green(d: int, z: complex) -> KestenGreen:
         closed_form_value=complex(closed),
         series_value=series,
         decay_base=float(math.sqrt(extrapolated)),
+        general_closed_form_value=complex(general),
     )

@@ -400,3 +400,66 @@ def test_freeness_experiment_worker_count_is_invisible(kind):
     one = freeness_experiment(kind, 24, 9, 6, seed=12, workers=1)
     two = freeness_experiment(kind, 24, 9, 6, seed=12, workers=2)
     assert one.rows == two.rows
+
+
+@pytest.mark.parametrize("N", [1, 7, 40])
+def test_gue_draw_is_one_real_normal_matrix_symmetrised(N):
+    h = sample(EnsembleSpec("gue", N, seed=13), trial=2)
+    assert np.array_equal(h, h.conj().T)
+    rng = rmt._rng(13, 2)
+    g = rng.standard_normal((N, N))
+    assert np.array_equal(h, ((g + g.T) + 1j * (g - g.T)) / (2 * math.sqrt(N)))
+    # the draw used exactly N^2 normals: both streams continue alike
+    used = rmt._rng(13, 2)
+    rmt._sample_rng(EnsembleSpec("gue", N, seed=13), used)
+    assert used.standard_normal() == rng.standard_normal()
+
+
+def test_gue_entry_second_moments_match_the_law():
+    N, draws = 200, 20
+    hs = np.array([sample(EnsembleSpec("gue", N, seed=21), trial=t) for t in range(draws)])
+    iu = np.triu_indices(N, 1)
+    off = hs[:, iu[0], iu[1]].ravel() * math.sqrt(N)
+    diag = np.diagonal(hs, axis1=1, axis2=2).ravel() * math.sqrt(N)
+    assert np.all(diag.imag == 0.0)
+    # N x: real and imaginary parts variance 1/2 each, uncorrelated; diagonal 1
+    for values, mean, var in (
+        (off.real**2, 0.5, 0.5),
+        (off.imag**2, 0.5, 0.5),
+        (off.real * off.imag, 0.0, 0.25),
+        (diag.real**2, 1.0, 2.0),
+        (diag.real, 0.0, 1.0),
+    ):
+        assert abs(values.mean() - mean) < 5 * math.sqrt(var / values.size)
+
+
+def test_mc_word_moment_matches_multiplied_out_word():
+    N, trials = 12, 5
+    specs = [
+        EnsembleSpec("gue", N, seed=3),
+        EnsembleSpec("ginibre", N, seed=4),
+        EnsembleSpec("cue", N, seed=5),
+    ]
+    words = [
+        [0],
+        [(1, True)],
+        [0, 1],
+        [(1, False), (1, True)],
+        [0, (1, True), 2, 1],
+        [(2, True), 0, 0, (1, True), (2, False)],
+    ]
+    for word in words:
+        letters = [(w, False) if isinstance(w, int) else w for w in word]
+        vals = []
+        for t in range(trials):
+            mats = {i: rmt._sample_rng(specs[i], rmt._rng(specs[i].seed, t, i)) for i in range(3)}
+            prod = np.eye(N, dtype=np.complex128)
+            for idx, adj in letters:
+                prod = prod @ (mats[idx].conj().T if adj else mats[idx])
+            vals.append(np.trace(prod) / N)
+        vals = np.array(vals)
+        est = mc_word_moment(specs, word, trials)
+        mean = np.sum(vals) / trials
+        stderr = math.sqrt(float(np.sum(np.abs(vals - mean) ** 2)) / (trials - 1) / trials)
+        assert abs(est.mean - mean) <= 1e-12 * max(1.0, abs(mean))
+        assert abs(est.stderr - stderr) <= 1e-12 * max(1.0, stderr)

@@ -4,8 +4,10 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from freeprob import walks
 from freeprob.series import free_cumulants_from_moments, free_moments_from_cumulants
 from freeprob.walks import (
     ReturnProbabilities,
@@ -195,3 +197,108 @@ def test_kesten_loops_are_moments_of_free_arcsine_powers():
     for d in (2, 3, 4):
         moments = free_moments_from_cumulants([d * k for k in kappa])
         assert kesten_loops(d, 64).values == tuple([1] + [int(m) for m in moments])
+
+
+def shuffle_lattice_loops(d, n_max):
+    """lambda_d(n) = sum_k C(n, k) lambda_(d-1)(k) lambda_1(n-k): a loop on Z^d
+    is a shuffle of a loop on Z^(d-1) and one on the last axis."""
+    one = [math.comb(n, n // 2) if n % 2 == 0 else 0 for n in range(n_max + 1)]
+    lam = one[:]
+    for _ in range(d - 1):
+        lam = [
+            sum(math.comb(n, k) * lam[k] * one[n - k] for k in range(0, n + 1, 2))
+            if n % 2 == 0
+            else 0
+            for n in range(n_max + 1)
+        ]
+    return lam
+
+
+def logsumexp_lattice(d, n_max):
+    """log rho_d(n) by d-1 log-domain convolutions of the EGF of lambda_1,
+    whose coefficients are 1/k!^2 at x^(2k); odd entries are -inf."""
+
+    def logsumexp(t):
+        top = t.max()
+        hit = t == top
+        rest = np.exp(t - top)
+        rest[hit] = 0.0
+        count = float(np.count_nonzero(hit))
+        return math.log1p(rest.sum() / count) + math.log(count) + top
+
+    ns = np.arange(n_max + 1)
+    lc1 = np.full(n_max + 1, -np.inf)
+    ks = np.arange(0, n_max // 2 + 1)
+    lc1[2 * ks] = [-2.0 * math.lgamma(k + 1.0) for k in ks]
+    lcd = lc1.copy()
+    for _ in range(d - 1):
+        nxt = np.full(n_max + 1, -np.inf)
+        for n in range(0, n_max + 1, 2):
+            nxt[n] = logsumexp(lcd[0 : n + 1 : 2] + lc1[n::-2])
+        lcd = nxt
+    return np.array([math.lgamma(n + 1.0) for n in ns]) + lcd - ns * math.log(2 * d)
+
+
+def exact_log_rho(d, n_max):
+    lam = loops_lattice(d, n_max).values
+    return [math.log(lam[n]) - n * math.log(2 * d) for n in range(0, n_max + 1, 2)]
+
+
+def test_loop_recurrence_matches_binomial_shuffle():
+    for d in range(1, 7):
+        assert loops_lattice(d, 120).values == tuple(shuffle_lattice_loops(d, 120))
+    assert loops_lattice(4, 0).values == (1,)
+    with pytest.raises(ValueError):
+        loops_lattice(2, -1)
+
+
+def test_float_recurrence_matches_exact_counts():
+    for d in range(1, 7):
+        got = walks._log_return_probs_lattice(d, 400)
+        assert np.all(got[1::2] == -np.inf)
+        assert np.max(np.abs(got[::2] - exact_log_rho(d, 400))) < 1e-12
+
+
+def test_float_recurrence_matches_logsumexp_convolution():
+    for d in (1, 2, 3, 4):
+        got = walks._log_return_probs_lattice(d, 600)
+        want = logsumexp_lattice(d, 600)
+        assert np.all(got[1::2] == want[1::2])
+        assert np.max(np.abs(got[::2] - want[::2])) < 1e-11
+
+
+def test_d3_return_probabilities_match_a002893():
+    # lambda_3(2n) = C(2n, n) a_n with
+    # n^2 a_n = (10n^2 - 10n + 3) a_(n-1) - 9 (n-1)^2 a_(n-2)  (OEIS A002893)
+    got = walks._log_return_probs_lattice(3, 5000)
+    a = [1, 3]
+    for n in range(2, 2501):
+        num = (10 * n * n - 10 * n + 3) * a[-1] - 9 * (n - 1) ** 2 * a[-2]
+        assert num % (n * n) == 0
+        a.append(num // (n * n))
+    central = 1
+    worst = 0.0
+    for n in range(1, 2501):
+        central = central * (2 * n) * (2 * n - 1) // (n * n)
+        want = math.log(central * a[n]) - 2 * n * math.log(6)
+        worst = max(worst, abs(got[2 * n] - want))
+    assert worst < 5e-12
+
+
+def test_large_rank_return_probabilities_stay_finite():
+    got = walks._log_return_probs_lattice(1000, 1000)
+    assert np.all(np.isfinite(got[::2]))
+    assert got[1000] < -900  # far below the smallest double
+    assert np.max(np.abs(got[::2] - exact_log_rho(1000, 1000))) < 1e-11
+    total, slope = polya_diagnostic(1000, 1000)
+    assert math.isfinite(total) and math.isfinite(slope)
+
+
+def test_kesten_green_general_closed_form_matches_series():
+    assert kesten_green(3, 0.1).general_closed_form_value == 1.0676274578121059
+    for d in (2, 3, 4):
+        for z in (0.0, 0.5 / (2 * d), 0.03 + 0.02j, -0.8 / (2 * d)):
+            g = kesten_green(d, z)
+            assert abs(g.general_closed_form_value - g.series_value) < 1e-12
+    g = kesten_green(2, 0.1)
+    assert g.general_closed_form_value == g.closed_form_value
