@@ -26,8 +26,6 @@ from .partitions import Permutation
 
 __all__ = ["run", "main"]
 
-_LAWS = ("semicircle", "arcsine", "bernoulli", "marchenko_pastur", "sato_tate", "point")
-
 
 # ---------------------------------------------------------------------------
 # deterministic serialization
@@ -117,10 +115,11 @@ def _read_moments(source: str) -> list:
     return _parse_rationals(source)
 
 
-def _parse_law(text: str, grid_size: int):
+def _parse_law(text: str) -> tuple:
+    """A --law string such as ``semicircle:r=3`` as (tag, resolved parameters)."""
     name, _, rest = text.partition(":")
-    if name not in _LAWS:
-        raise _Usage(f"unknown law {name!r}; choose from {', '.join(_LAWS)}")
+    if name not in measures.NAMED_TAGS:
+        raise _Usage(f"unknown law {name!r}; choose from {', '.join(measures.NAMED_TAGS)}")
     params = {}
     if rest:
         for item in rest.split(","):
@@ -132,8 +131,8 @@ def _parse_law(text: str, grid_size: int):
             except ValueError:
                 raise _Usage(f"law parameter {item!r} has a non-numeric value")
     try:
-        return measures.make_named(name, grid_size=grid_size, **params)
-    except (TypeError, ValueError) as exc:
+        return name, measures.resolve_law(name, **params)
+    except ValueError as exc:
         raise _Usage(f"bad law {text!r}: {exc}")
 
 
@@ -297,18 +296,23 @@ def _cmd_freeconv(args) -> str:
                "grid-size", "eta"])
     result: dict = {}
     diagnostics: dict = {}
+    grid = max(args.grid_size, 64)
+    laws = [_parse_law(text) if text is not None else None
+            for text in (args.law_x, args.law_y)]
+    cells = [measures.make_named(tag, grid, **params) for tag, params in laws] \
+        if analytic_wanted else None
+
+    def law_moments(i: int) -> list:
+        tag, params = laws[i]
+        exact = measures.named_moments(tag, args.order, **params)
+        if exact is not None:
+            return exact
+        mu = cells[i] if cells else measures.make_named(tag, grid, **params)
+        return [float(v) for v in measures.moments(mu, args.order)]
 
     if args.route in ("moments", "both"):
-        if args.moments_x is not None:
-            mx = _read_moments(args.moments_x)
-        else:
-            mux = _parse_law(args.law_x, max(args.grid_size, 64))
-            mx = _exact_or_float_moments(args.law_x, mux, args.order)
-        if args.moments_y is not None:
-            my = _read_moments(args.moments_y)
-        else:
-            muy = _parse_law(args.law_y, max(args.grid_size, 64))
-            my = _exact_or_float_moments(args.law_y, muy, args.order)
+        mx = _read_moments(args.moments_x) if args.moments_x is not None else law_moments(0)
+        my = _read_moments(args.moments_y) if args.moments_y is not None else law_moments(1)
         if len(mx) != len(my):
             k = min(len(mx), len(my))
             mx, my = mx[:k], my[:k]
@@ -318,8 +322,7 @@ def _cmd_freeconv(args) -> str:
         )
 
     if analytic_wanted:
-        mux = _parse_law(args.law_x, max(args.grid_size, 64))
-        muy = _parse_law(args.law_y, max(args.grid_size, 64))
+        mux, muy = cells
         conv = freeconv.free_convolve_analytic(
             mux, muy, grid_size=args.grid_size, eta=args.eta,
             n_moments=min(args.order, 6))
@@ -342,41 +345,6 @@ def _cmd_freeconv(args) -> str:
     if args.format == "csv":
         raise _Usage("CSV needs the analytic route (it emits the density grid)")
     return _report(config, result, diagnostics)
-
-
-def _exact_or_float_moments(law_text: str, mu, order: int) -> list:
-    """Exact rational moments for the laws that have them; grid moments else."""
-    import math
-
-    from .series import free_moments_from_cumulants
-
-    name, _, rest = law_text.partition(":")
-    params = {}
-    for item in rest.split(","):
-        key, eq, val = item.partition("=")
-        if eq:
-            params[key] = float(val)
-    if name == "bernoulli":
-        return [Fraction(0 if n % 2 else 1) for n in range(1, order + 1)]
-    if name == "arcsine":
-        return [Fraction(0 if n % 2 else math.comb(n, n // 2))
-                for n in range(1, order + 1)]
-    if name == "point":
-        c = Fraction(params.get("c", 0.0))
-        return [c**n for n in range(1, order + 1)]
-    if name == "semicircle":
-        half = Fraction(params.get("r", 2.0)) / 2
-        return [
-            Fraction(0) if n % 2
-            else half**n * (math.comb(n, n // 2) // (n // 2 + 1))
-            for n in range(1, order + 1)
-        ]
-    if name == "marchenko_pastur":
-        lam = Fraction(params.get("lam", 1.0))
-        alpha = Fraction(params.get("alpha", 1.0))
-        return free_moments_from_cumulants(
-            [lam * alpha**n for n in range(1, order + 1)])
-    return [float(v) for v in measures.moments(mu, order)]
 
 
 def _measure_payload(mu) -> dict:
@@ -425,7 +393,8 @@ def _cmd_polya(args) -> str:
 def _cmd_flow(args) -> str:
     _require_json(args)
     config = _resolved_config(args, ["law", "z", "r", "h"])
-    mu = _parse_law(args.law, 512)
+    tag, params = _parse_law(args.law)
+    mu = measures.make_named(tag, 512, **params)
     z = _parse_complex(args.z)
     if z.imag <= 0:
         raise _Usage("--z must have positive imaginary part")

@@ -11,20 +11,18 @@ lattice,
 functional equation L(z) = K(zL(z)) solved by :mod:`freeprob.series`.  Both
 are O(n^2) coefficient recursions, exact when fed exact rationals.
 
-Multivariate mixed cumulants have no such shortcut and do enumerate: the
-moment of a word is the sum over lattice partitions (capped by
-``partitions.DEFAULT_CAPS``) of products of cumulants of the subwords cut out
-by the blocks, solved for the one-block term.
+Mixed cumulants of a word w split off the same first block B, over its
+2^(n-1) choices: kappa(w|B) times tau[w without B] (classical), or times the
+product of tau over the gaps of B, where the other non-crossing blocks sit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from itertools import combinations
 from math import comb
 
-from .partitions import enumerate_partitions
 from .series import free_cumulants_from_moments, free_moments_from_cumulants
 
 __all__ = [
@@ -36,13 +34,6 @@ __all__ = [
 ]
 
 LATTICES = ("classical", "free")
-
-
-@lru_cache(maxsize=None)
-def _block_profiles(n: int, lattice: str) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """All partitions of {1..n} in the lattice, as tuples of index blocks."""
-    family = "all" if lattice == "classical" else "non-crossing"
-    return tuple(p.blocks for p in enumerate_partitions(n, family))
 
 
 def _check_lattice(lattice: str):
@@ -153,15 +144,19 @@ def mixed_cumulant(f: MomentFunctional, word, lattice: str = "free"):
     if n == 0:
         raise ValueError("cumulant of the empty word is undefined")
     proper = 0
-    for blocks in _block_profiles(n, lattice):
-        if len(blocks) < 2:
-            continue
-        term = 1
-        for b in blocks:
-            term *= mixed_cumulant(f, tuple(word[i - 1] for i in b), lattice)
-            if term == 0:
-                break
-        proper += term
+    for size in range(n - 1):
+        for rest in combinations(range(1, n), size):
+            block = (0,) + rest
+            kappa = mixed_cumulant(f, tuple(word[i] for i in block), lattice)
+            if kappa == 0:
+                continue
+            if lattice == "classical":
+                inside = set(block)
+                proper += kappa * f.moment(w for i, w in enumerate(word) if i not in inside)
+            else:
+                for lo, hi in zip(block, rest + (n,)):
+                    kappa *= f.moment(word[lo + 1 : hi])
+                proper += kappa
     val = f.moment(word) - proper
     f._kappa_cache[key] = val
     return val

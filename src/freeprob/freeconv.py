@@ -271,26 +271,14 @@ def free_convolve_analytic(
         atoms=raw.atoms, support=raw.support, samples=raw.samples, edges=raw.edges, normalize=True
     )
 
-    mx = measure_moments(mu_x, n_moments) if _has_density(mu_x) else _atom_moments(mu_x, n_moments)
-    my = measure_moments(mu_y, n_moments) if _has_density(mu_y) else _atom_moments(mu_y, n_moments)
-    mom = free_convolve_moments(list(mx), list(my))
+    mom = free_convolve_moments(
+        list(measure_moments(mu_x, n_moments)), list(measure_moments(mu_y, n_moments)))
     return ConvolutionResult(
         moments=tuple(float(v) for v in mom),
         measure=measure,
         diagnostics=(tally.residual, tally.functional),
         solver=tally.counters(),
     )
-
-
-def _has_density(mu: Measure) -> bool:
-    return mu.support is not None
-
-
-def _atom_moments(mu: Measure, n_max: int) -> list:
-    out = []
-    for n in range(1, n_max + 1):
-        out.append(sum(m * loc**n for loc, m in mu.atoms))
-    return out
 
 
 def free_poisson(lam, alpha, n_copies: int, order: int) -> list:

@@ -10,8 +10,10 @@ trapezoid rule on a fractional power.  Interior cells use plain trapezoid
 weights for real integrals and an exact piecewise-linear formula for the
 Cauchy transform, which stays accurate for Im z far below the grid spacing.
 
-Named laws: semicircle(r), arcsine, bernoulli, marchenko_pastur(lam, alpha),
-sato_tate, point(c).
+Named laws, with their parameters and defaults in one table: semicircle(r=2),
+arcsine, bernoulli, marchenko_pastur(lam=1, alpha=1), sato_tate, point(c=0).
+`resolve_law` checks a law's parameters, `make_named` builds its gridded
+density and `named_moments` its exact Fraction moments.
 """
 
 from __future__ import annotations
@@ -20,18 +22,21 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, series
 
 __all__ = [
     "Measure",
-    "NamedLaw",
     "InversionError",
+    "NAMED_TAGS",
+    "resolve_law",
     "make_named",
+    "named_moments",
     "moments",
     "cauchy",
     "stieltjes_invert",
@@ -41,7 +46,17 @@ __all__ = [
     "support_radius",
 ]
 
-NAMED_TAGS = ("semicircle", "arcsine", "bernoulli", "marchenko_pastur", "sato_tate", "point")
+# Each named law's parameters and their defaults.
+_LAW_PARAMS = {
+    "semicircle": {"r": 2.0},
+    "arcsine": {},
+    "bernoulli": {},
+    "marchenko_pastur": {"lam": 1.0, "alpha": 1.0},
+    "sato_tate": {},
+    "point": {"c": 0.0},
+}
+_POSITIVE = ("r", "lam", "alpha")  # parameters that must exceed 0
+NAMED_TAGS = tuple(_LAW_PARAMS)
 
 _EMPTY = np.empty(0, dtype=np.float64)
 
@@ -49,17 +64,6 @@ _EMPTY = np.empty(0, dtype=np.float64)
 class InversionError(RuntimeError):
     """Stieltjes inversion produced a significantly negative density, or a
     measure that misses part of the unit mass."""
-
-
-@dataclass(frozen=True)
-class NamedLaw:
-    tag: str
-    params: Mapping[str, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.tag not in NAMED_TAGS:
-            raise ValueError(f"unknown law {self.tag!r}; expected one of {NAMED_TAGS}")
-        object.__setattr__(self, "params", dict(self.params))
 
 
 @dataclass
@@ -210,42 +214,51 @@ class Measure:
         return float(masses.sum()) + cont
 
 
-def make_named(law, grid_size: int = 2048, **params) -> Measure:
-    """Build a named law; `law` is a NamedLaw or a tag string with kwargs."""
-    if isinstance(law, NamedLaw):
-        tag, p = law.tag, dict(law.params)
-    else:
-        tag, p = str(law), dict(params)
+def resolve_law(law: str, **params) -> dict:
+    """A named law's parameters as floats, defaults filled in and checked.
+
+    >>> resolve_law("marchenko_pastur", lam=0.5)
+    {'lam': 0.5, 'alpha': 1.0}
+    """
+    defaults = _LAW_PARAMS.get(law)
+    if defaults is None:
+        raise ValueError(f"unknown law {law!r}; expected one of {NAMED_TAGS}")
+    extra = sorted(set(params) - set(defaults))
+    if extra:
+        raise ValueError(f"unexpected parameters for {law}: {extra}")
+    p = {key: float(params.get(key, default)) for key, default in defaults.items()}
+    for key, value in p.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{law} parameter {key} must be finite, got {value}")
+        if key in _POSITIVE and value <= 0:
+            raise ValueError(f"{law} parameter {key} must be positive, got {value}")
+    return p
+
+
+def make_named(law: str, grid_size: int = 2048, **params) -> Measure:
+    """A named law's density sampled on `grid_size` points, with its edge model."""
+    p = resolve_law(law, **params)
     if grid_size < 64:
         raise ValueError("grid_size must be at least 64")
 
-    if tag == "semicircle":
-        r = float(p.pop("r", 2.0))
-        _no_extra(tag, p)
-        if r <= 0:
-            raise ValueError("semicircle radius must be positive")
+    if law == "semicircle":
+        r = p["r"]
         t = np.linspace(-r, r, grid_size)
         dens = (2.0 / (math.pi * r * r)) * np.sqrt(np.maximum(r * r - t * t, 0.0))
         return Measure(support=(-r, r), samples=dens, edges=("sqrt", "sqrt"))
 
-    if tag == "arcsine":
-        _no_extra(tag, p)
+    if law == "arcsine":
         t = np.linspace(-2.0, 2.0, grid_size)
         dens = np.zeros_like(t)
         inner = slice(1, -1)
         dens[inner] = 1.0 / (math.pi * np.sqrt(4.0 - t[inner] ** 2))
         return Measure(support=(-2.0, 2.0), samples=dens, edges=("invsqrt", "invsqrt"))
 
-    if tag == "bernoulli":
-        _no_extra(tag, p)
+    if law == "bernoulli":
         return Measure(atoms=((-1.0, 0.5), (1.0, 0.5)))
 
-    if tag == "marchenko_pastur":
-        lam = float(p.pop("lam", p.pop("λ", 1.0)))
-        alpha = float(p.pop("alpha", p.pop("α", 1.0)))
-        _no_extra(tag, p)
-        if lam <= 0 or alpha <= 0:
-            raise ValueError("marchenko_pastur needs lam > 0 and alpha > 0")
+    if law == "marchenko_pastur":
+        lam, alpha = p["lam"], p["alpha"]
         t_lo = alpha * (1.0 - math.sqrt(lam)) ** 2
         t_hi = alpha * (1.0 + math.sqrt(lam)) ** 2
         t = np.linspace(t_lo, t_hi, grid_size)
@@ -262,23 +275,36 @@ def make_named(law, grid_size: int = 2048, **params) -> Measure:
             dens[0] = 0.0
         return Measure(atoms=atoms, support=(t_lo, t_hi), samples=dens, edges=(left, "sqrt"))
 
-    if tag == "sato_tate":
-        _no_extra(tag, p)
+    if law == "sato_tate":
         t = np.linspace(0.0, math.pi, grid_size)
         dens = (2.0 / math.pi) * np.sin(t) ** 2
         return Measure(support=(0.0, math.pi), samples=dens)
 
-    if tag == "point":
-        c = float(p.pop("c", 0.0))
-        _no_extra(tag, p)
-        return Measure(atoms=((c, 1.0),))
-
-    raise ValueError(f"unknown law {tag!r}; expected one of {NAMED_TAGS}")
+    return Measure(atoms=((p["c"], 1.0),))  # point
 
 
-def _no_extra(tag, p):
-    if p:
-        raise ValueError(f"unexpected parameters for {tag}: {sorted(p)}")
+def named_moments(law: str, order: int, **params) -> list | None:
+    """Exact moments m_1..m_order of a named law, as Fractions of its float
+    parameters; None for sato_tate, whose moments are not rational.
+
+    >>> [str(m) for m in named_moments("arcsine", 6)]
+    ['0', '2', '0', '6', '0', '20']
+    """
+    p = resolve_law(law, **params)
+    ns = range(1, order + 1)
+    if law == "bernoulli":
+        return [Fraction(0 if n % 2 else 1) for n in ns]
+    if law == "arcsine":
+        return [Fraction(0 if n % 2 else math.comb(n, n // 2)) for n in ns]
+    if law == "point":
+        return [Fraction(p["c"]) ** n for n in ns]
+    if law == "semicircle":
+        half = Fraction(p["r"]) / 2
+        return [Fraction(0) if n % 2 else half**n * (math.comb(n, n // 2) // (n // 2 + 1)) for n in ns]
+    if law == "marchenko_pastur":
+        lam, alpha = Fraction(p["lam"]), Fraction(p["alpha"])
+        return series.free_moments_from_cumulants([lam * alpha**n for n in ns])
+    return None  # sato_tate
 
 
 def moments(mu: Measure, n_max: int) -> np.ndarray:

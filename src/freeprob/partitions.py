@@ -178,6 +178,29 @@ def _iter_all_partitions(n: int):
     yield from place(1)
 
 
+def _iter_nc_partitions(n: int):
+    """Yield the non-crossing partitions of {1..n}, in restricted-growth order.
+
+    Element k joins an open block, closing the blocks opened after it, or
+    opens a new one.
+    """
+    blocks: list[list[int]] = []
+
+    def place(k: int, open_: list):
+        if k > n:
+            yield tuple(map(tuple, blocks))
+            return
+        for depth, i in enumerate(open_):
+            blocks[i].append(k)
+            yield from place(k + 1, open_[: depth + 1])
+            blocks[i].pop()
+        blocks.append([k])
+        yield from place(k + 1, open_ + [len(blocks) - 1])
+        blocks.pop()
+
+    yield from place(1, [])
+
+
 def _iter_pairings(elements: tuple[int, ...]):
     """Yield all perfect matchings of ``elements`` as lists of pairs."""
     if not elements:
@@ -228,22 +251,15 @@ def enumerate_partitions(n: int, family: str = "all", cap: int | None = None) ->
         )
     if family in ("pairings", "nc-pairings") and n % 2 == 1:
         return []
-    out: list[Partition] = []
+    if family == "non-crossing":
+        return [Partition(n, blocks) for blocks in _iter_nc_partitions(n)]
     if family == "all":
-        for blocks in _iter_all_partitions(n):
-            out.append(Partition.from_blocks(n, blocks))
-    elif family == "non-crossing":
-        for blocks in _iter_all_partitions(n):
-            p = Partition.from_blocks(n, blocks)
-            if not is_crossing(p):
-                out.append(p)
+        found = _iter_all_partitions(n)
     elif family == "pairings":
-        for pairs in _iter_pairings(tuple(range(1, n + 1))):
-            out.append(Partition.from_blocks(n, pairs))
+        found = _iter_pairings(tuple(range(1, n + 1)))
     else:
-        for pairs in _iter_nc_pairings(tuple(range(1, n + 1))):
-            out.append(Partition.from_blocks(n, pairs))
-    return out
+        found = _iter_nc_pairings(tuple(range(1, n + 1)))
+    return [Partition.from_blocks(n, blocks) for blocks in found]
 
 
 def _blocks_cross(a: tuple[int, ...], b: tuple[int, ...]) -> bool:

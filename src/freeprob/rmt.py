@@ -41,6 +41,7 @@ from fractions import Fraction
 import numpy as np
 
 from .freeconv import free_convolve_moments
+from .measures import named_moments
 from .partitions import Permutation, is_geodesic
 
 __all__ = [
@@ -549,10 +550,10 @@ def freeness_experiment(
 
     gue_gue: mixed words of two independent GUEs against the colour-respecting
     non-crossing pairing counts.  gue_deterministic: spectral moments of
-    X + D for a balanced +-1 diagonal D against the exact free-convolution
-    moments of semicircle and Bernoulli.  rotated_diagonal: moments of
-    U D U* + D, U Haar, against the arcsine (Bernoulli boxplus Bernoulli)
-    moments.
+    X + D for a balanced +-1 diagonal D against the exact moments of
+    semicircle boxplus Bernoulli.  rotated_diagonal: moments of U D U* + D,
+    U Haar, against the exact arcsine moments (arcsine = Bernoulli boxplus
+    Bernoulli).  The exact law moments come from `measures.named_moments`.
 
     Each trial computes its traces by exact identities, so every estimate is
     the same random variable as the multiplied-out word.  rotated_diagonal
@@ -592,17 +593,12 @@ def freeness_experiment(
         runner = run_gg
     else:
         diag = _bernoulli_diag(N)
-        bern = [Fraction(0 if k % 2 else 1) for k in range(1, degree + 1)]
         if kind == "gue_deterministic":
-            catalan = [
-                Fraction(math.comb(k, k // 2) - (math.comb(k, k // 2 - 1) if k >= 2 else 0))
-                if k % 2 == 0
-                else Fraction(0)
-                for k in range(1, degree + 1)
-            ]
-            pred = [float(v) for v in free_convolve_moments(catalan, bern)]
+            pred = free_convolve_moments(
+                named_moments("semicircle", degree), named_moments("bernoulli", degree))
         else:
-            pred = [float(v) for v in free_convolve_moments(bern, bern)]
+            pred = named_moments("arcsine", degree)
+        pred = [float(v) for v in pred]
         labels = [f"m{k}" for k in range(1, degree + 1)]
         samples = np.empty((trials, degree))
 

@@ -289,3 +289,22 @@ def test_cli_import_leaves_scipy_unloaded():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["freeconv", "--law-x", "point:c=inf", "--law-y", "bernoulli", "--route", "moments"],
+    ["flow", "--law", "point:c=nan"],
+    ["freeconv", "--law-x", "point:c=inf", "--law-y", "bernoulli", "--route", "analytic"],
+])
+def test_non_finite_law_parameter_is_a_usage_error(capsys, argv):
+    assert cli.run(argv) == 2
+    err = capsys.readouterr().err
+    assert "bad law" in err
+    assert "Traceback" not in err
+
+
+def test_law_parameters_have_one_spelling(capsys):
+    argv = ["freeconv", "--law-x", "marchenko_pastur:λ=0.5", "--law-y", "bernoulli",
+            "--route", "both", "--order", "4", "--grid-size", "256"]
+    assert cli.run(argv) == 2
+    assert "unexpected parameters" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Moment/cumulant transforms on both partition lattices, mixed cumulants."""
 
+import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -159,3 +160,39 @@ def test_recursions_match_partition_sums(lattice):
             (cumulants_to_moments([float(v) for v in seq], lattice=lattice), moments),
         ):
             assert all(abs(g - float(e)) <= 1e-12 * abs(float(e)) for g, e in zip(got, exact))
+
+
+# ---------------------------------------------------------------------------
+# Partition-sum oracle for the first-block recursion of mixed cumulants.
+
+
+def partition_sum_mixed_cumulant(f, word, lattice, cache):
+    """tau[word] minus the sum over lattice partitions with two or more blocks
+    of the product of the cumulants of the subwords the blocks cut out."""
+    if word not in cache:
+        proper = 0
+        for p in lattice_partitions(len(word), lattice):
+            if p.block_count < 2:
+                continue
+            term = 1
+            for b in p.blocks:
+                sub = tuple(word[i - 1] for i in b)
+                term *= partition_sum_mixed_cumulant(f, sub, lattice, cache)
+            proper += term
+        cache[word] = f.moment(word) - proper
+    return cache[word]
+
+
+@pytest.mark.parametrize("lattice", ["classical", "free"])
+def test_mixed_cumulant_recursion_matches_partition_sum(lattice):
+    rng = random.Random(1205)
+    for _ in range(3):
+        table = {
+            w: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+            for d in range(1, 7)
+            for w in itertools.product("xy", repeat=d)
+        }
+        f = MomentFunctional("xy", table, 6)
+        cache = {}
+        for w in table:
+            assert mixed_cumulant(f, w, lattice) == partition_sum_mixed_cumulant(f, w, lattice, cache)

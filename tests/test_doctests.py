@@ -25,4 +25,4 @@ def test_doctest_examples_are_found():
     attempted = {
         name: doctest.testmod(importlib.import_module(name)).attempted for name in MODULES
     }
-    assert all(attempted[f"freeprob.{name}"] for name in ("cumulants", "partitions", "series", "walks"))
+    assert all(attempted[f"freeprob.{name}"] for name in ("cumulants", "measures", "partitions", "series", "walks"))

@@ -15,6 +15,8 @@ from freeprob.measures import (
     from_json,
     make_named,
     moments,
+    named_moments,
+    resolve_law,
     stieltjes_invert,
     support_radius,
     to_csv,
@@ -43,6 +45,41 @@ def test_named_laws_have_unit_mass():
 def test_unknown_law_rejected():
     with pytest.raises(ValueError):
         make_named("lorentzian")
+
+
+@pytest.mark.parametrize("law,params", [
+    ("semicircle", {}),
+    ("semicircle", {"r": 3.0}),
+    ("arcsine", {}),
+    ("bernoulli", {}),
+    ("point", {"c": 1.5}),
+    ("marchenko_pastur", {"lam": 1.0}),
+    ("marchenko_pastur", {"lam": 0.5}),
+    ("marchenko_pastur", {"lam": 2.0, "alpha": 0.5}),
+])
+def test_density_and_exact_moments_describe_one_law(law, params):
+    grid = moments(make_named(law, 4096, **params), 6)
+    exact = named_moments(law, 6, **params)
+    for got, m in zip(grid, exact):
+        assert abs(got - float(m)) <= 1e-5 * max(1.0, abs(float(m)))
+
+
+def test_sato_tate_has_no_exact_moments():
+    assert named_moments("sato_tate", 4) is None
+
+
+@pytest.mark.parametrize("law,params,message", [
+    ("marchenko_pastur", {"λ": 0.5}, "unexpected parameters"),
+    ("point", {"c": math.inf}, "must be finite"),
+    ("semicircle", {"r": math.nan}, "must be finite"),
+    ("semicircle", {"r": 0.0}, "must be positive"),
+    ("marchenko_pastur", {"alpha": -1.0}, "must be positive"),
+])
+def test_resolver_rejects_bad_laws(law, params, message):
+    with pytest.raises(ValueError, match=message):
+        resolve_law(law, **params)
+    with pytest.raises(ValueError, match=message):
+        make_named(law, **params)
 
 
 def test_semicircle_moments_are_catalans():

@@ -154,3 +154,11 @@ def test_partition_validation():
         Partition.from_blocks(3, ((1, 2), (2, 3)))  # overlap
     # from_blocks canonicalizes unordered input
     assert Partition.from_blocks(4, [[4, 2], [3, 1]]).blocks == ((1, 3), (2, 4))
+
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_non_crossing_generation_matches_filter(n):
+    # oracle: every set partition in restricted-growth order, crossings dropped
+    every = enumerate_partitions(n, "all")
+    assert enumerate_partitions(n, "non-crossing") == [p for p in every if not is_crossing(p)]
