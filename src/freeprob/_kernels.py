@@ -20,6 +20,9 @@ precision at any distance, where a direct formula loses a factor |z|/h.
 
 Points are processed in blocks so that no points-by-cells temporary holds
 more than ``_BLOCK_ELEMS`` values, whatever the grid size.
+
+`pole_sum` on its own is the whole evaluator of a named law made of atoms
+(`measures.named_cauchy`), so such inputs keep the kernel's arithmetic.
 """
 
 from __future__ import annotations
@@ -79,14 +82,20 @@ def _cells_far(z, tc, fc, h, m):
     return g, np.einsum("ij,j->i", lg, m)
 
 
+def pole_sum(z, nodes, weights):
+    """(G(z), G'(z)) of point masses ``weights`` at ``nodes``, z a 1-d array."""
+    inv = 1.0 / (z[:, None] - nodes)
+    return np.einsum("ij,j->i", inv, weights), -np.einsum("ij,ij,j->i", inv, inv, weights)
+
+
 def _g_block(z, locs, masses, t, f, lo, hi, S, W):
     g = np.zeros(z.shape, dtype=np.complex128)
     gp = np.zeros(z.shape, dtype=np.complex128)
     for nodes, weights in ((locs, masses), (S, W)):
         if nodes.size:
-            inv = 1.0 / (z[:, None] - nodes)
-            g += np.einsum("ij,j->i", inv, weights)
-            gp -= np.einsum("ij,ij,j->i", inv, inv, weights)
+            pg, pgp = pole_sum(z, nodes, weights)
+            g += pg
+            gp += pgp
     if hi > lo:
         tc = t[lo : hi + 1]
         fc = f[lo : hi + 1]

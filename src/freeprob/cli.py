@@ -14,11 +14,13 @@ variable (seed only) < --config key=value file < explicit flags.
 from __future__ import annotations
 
 import argparse
+import functools
+import math
 import os
 import sys
 from fractions import Fraction
 
-from . import freeconv, measures, rmt, walks
+from . import freeconv, measures, rmt, series, walks
 from .cumulants import moments_to_cumulants
 from .freeconv import ContinuationError
 from .measures import InversionError
@@ -171,13 +173,16 @@ def _load_config_file(path: str) -> list:
     return pairs
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on first use and then reused; it holds no
+    per-call state, since the seed's environment default is read after
+    parsing (`_default_seed`)."""
     parser = _Parser(prog="freeprob", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int,
-                       default=int(os.environ.get("FREEPROB_SEED", "0")),
+        p.add_argument("--seed", type=int, default=None,
                        help="master seed (default: FREEPROB_SEED or 0)")
         p.add_argument("--output", default="-", help="output path, - for stdout")
         p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -246,6 +251,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _default_seed() -> int:
+    text = os.environ.get("FREEPROB_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise _Usage(f"FREEPROB_SEED must be an integer, got {text!r}")
+
+
 def _resolved_config(args, keys: list) -> dict:
     cfg = {"command": args.command}
     for key in keys:
@@ -283,6 +296,19 @@ def _cmd_cumulants(args) -> str:
     return _report(config, result, {"order": len(moms)})
 
 
+# moments m_1..m_n of the analytic route's output measure that it reports
+_OUTPUT_MOMENTS = 6
+
+
+def _worst_relative_error(got: list, exact: list) -> float:
+    """max |a - b|/max(1, |b|) over floats a and Fractions b, in exact
+    arithmetic, since b need not fit a float; inf if some a is not finite."""
+    if not all(math.isfinite(a) for a in got):
+        return math.inf
+    worst = max(abs(Fraction(a) - b) / max(1, abs(b)) for a, b in zip(got, exact))
+    return float(worst) if worst < sys.float_info.max else math.inf
+
+
 def _cmd_freeconv(args) -> str:
     if (args.law_x is None) == (args.moments_x is None):
         raise _Usage("give exactly one of --law-x / --moments-x (same for y)")
@@ -291,6 +317,8 @@ def _cmd_freeconv(args) -> str:
     analytic_wanted = args.route in ("analytic", "both")
     if analytic_wanted and (args.law_x is None or args.law_y is None):
         raise _Usage("the analytic route needs named laws, not moment files")
+    if args.order < 1:
+        raise _Usage(f"--order must be at least 1, got {args.order}")
     config = _resolved_config(
         args, ["law-x", "law-y", "moments-x", "moments-y", "route", "order",
                "grid-size", "eta"])
@@ -302,6 +330,16 @@ def _cmd_freeconv(args) -> str:
     cells = [measures.make_named(tag, grid, **params) for tag, params in laws] \
         if analytic_wanted else None
 
+    def summed_moments(order: int) -> list | None:
+        """Exact moments of X boxplus Y from the sum of the laws' free
+        cumulants; None unless both sides are laws that have them."""
+        if None in laws:
+            return None
+        kappas = [measures.named_cumulants(tag, order, **params) for tag, params in laws]
+        if None in kappas:
+            return None
+        return series.free_moments_from_cumulants([a + b for a, b in zip(*kappas)])
+
     def law_moments(i: int) -> list:
         tag, params = laws[i]
         exact = measures.named_moments(tag, args.order, **params)
@@ -311,21 +349,27 @@ def _cmd_freeconv(args) -> str:
         return [float(v) for v in measures.moments(mu, args.order)]
 
     if args.route in ("moments", "both"):
-        mx = _read_moments(args.moments_x) if args.moments_x is not None else law_moments(0)
-        my = _read_moments(args.moments_y) if args.moments_y is not None else law_moments(1)
-        if len(mx) != len(my):
-            k = min(len(mx), len(my))
-            mx, my = mx[:k], my[:k]
-        result["moments"] = freeconv.free_convolve_moments(mx, my)
-        result["moments_provenance"] = (
-            "exact" if all(isinstance(v, Fraction) for v in mx + my) else "quadrature"
-        )
+        summed = summed_moments(args.order)
+        if summed is not None:
+            result["moments"] = summed
+            result["moments_provenance"] = "exact"
+        else:
+            mx = _read_moments(args.moments_x) if args.moments_x is not None else law_moments(0)
+            my = _read_moments(args.moments_y) if args.moments_y is not None else law_moments(1)
+            if len(mx) != len(my):
+                k = min(len(mx), len(my))
+                mx, my = mx[:k], my[:k]
+            result["moments"] = freeconv.free_convolve_moments(mx, my)
+            result["moments_provenance"] = (
+                "exact" if all(isinstance(v, Fraction) for v in mx + my) else "quadrature"
+            )
 
     if analytic_wanted:
         mux, muy = cells
+        cauchy_x, cauchy_y = [measures.named_cauchy(tag, **params) for tag, params in laws]
         conv = freeconv.free_convolve_analytic(
             mux, muy, grid_size=args.grid_size, eta=args.eta,
-            n_moments=min(args.order, 6))
+            n_moments=min(args.order, 6), cauchy_x=cauchy_x, cauchy_y=cauchy_y)
         diagnostics["continuation_residual"] = conv.diagnostics[0]
         diagnostics["functional_residual"] = conv.diagnostics[1]
         diagnostics["iterations"] = conv.solver.iterations
@@ -334,7 +378,12 @@ def _cmd_freeconv(args) -> str:
         if args.format == "csv":
             header = _csv_header(config)
             return header + measures.to_csv(conv.measure)
+        output = [float(m) for m in measures.moments(conv.measure, _OUTPUT_MOMENTS)]
+        exact = summed_moments(_OUTPUT_MOMENTS)
+        diagnostics["output_moment_error"] = (
+            None if exact is None else _worst_relative_error(output, exact))
         result["moments_quadrature"] = [float(m) for m in conv.moments]
+        result["moments_output"] = output
         result["density"] = _measure_payload(conv.measure)
         result["density_provenance"] = "quadrature"
         if "moments" in result:
@@ -533,6 +582,8 @@ def run(argv) -> int:
             injected = _load_config_file(argv[at + 1])
             argv = argv[:1] + injected + argv[1:]
         args = parser.parse_args(argv)
+        if args.seed is None:
+            args.seed = _default_seed()
         text = _COMMANDS[args.command](args)
         _emit(text, args.output)
         return 0

@@ -21,6 +21,12 @@ G_X(omega_1) = G_Y(omega_2), which the functional residual measures.
 Stieltjes inversion of the resulting boundary values produces the output
 measure.
 
+The solver reads each input only through a (G, G') evaluator (see
+`measures`): by default the cell kernel on the input measure
+(`measures.cauchy_evaluator`), or one handed in, such as the closed forms of
+`measures.named_cauchy`, which cost a few operations per point where the
+kernel sums every grid cell.
+
 The semicircle flow f_mu(s) = mu boxplus (semicircle of variance s) satisfies
 the complex inviscid Burgers equation d_s G + G d_z G = 0 in the variance
 variable s; parametrizing by the radius instead leaves a nonzero residual
@@ -36,8 +42,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import _kernels
-from .measures import InversionError, Measure, cauchy, make_named
+from .measures import InversionError, Measure, cauchy_evaluator, make_named
 from .measures import moments as measure_moments
 from .measures import stieltjes_invert
 from .series import free_cumulants_from_moments, free_moments_from_cumulants
@@ -114,9 +119,10 @@ def _bounds(mu: Measure) -> tuple:
     return lo, hi
 
 
-def _subordinate(z: np.ndarray, xparts, yparts, tally: "_Tally", after: int = 0) -> np.ndarray:
+def _subordinate(z: np.ndarray, cauchy_x, cauchy_y, tally: "_Tally", after: int = 0) -> np.ndarray:
     """G of X boxplus Y at every point of z (Im z > 0), solved together.
 
+    ``cauchy_x`` and ``cauchy_y`` are the (G, G') evaluators of X and Y.
     Returns G_X(w), w the fixed point of T(w) = z + h_Y(z + h_X(w)) with
     h = 1/G - id, iterated from w = z.  Each round evaluates every point
     still iterating at its trial iterate:
@@ -157,9 +163,9 @@ def _subordinate(z: np.ndarray, xparts, yparts, tally: "_Tally", after: int = 0)
     stall = np.zeros(n, dtype=np.int64)  # rounds since it was reached
     for rounds in range(1, MAX_ROUNDS + 1):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            gx, gxp = _kernels.cauchy_many(w, xparts)
+            gx, gxp = cauchy_x(w)
             u = zs + 1.0 / gx - w
-            gy, gyp = _kernels.cauchy_many(u, yparts)
+            gy, gyp = cauchy_y(u)
             tw = zs + 1.0 / gy - u
             dhx = -gxp / (gx * gx) - 1.0  # h_X'(w)
             dhy = -gyp / (gy * gy) - 1.0  # h_Y'(u)
@@ -188,7 +194,7 @@ def _subordinate(z: np.ndarray, xparts, yparts, tally: "_Tally", after: int = 0)
             out[idx[done]] = gx[done]
         keep = ~done
         if not after and stuck.any():
-            out[idx[stuck]] = _subordinate(zs[stuck], yparts, xparts, tally, after=rounds)
+            out[idx[stuck]] = _subordinate(zs[stuck], cauchy_y, cauchy_x, tally, after=rounds)
             keep &= ~stuck
         if rounds == MAX_ROUNDS or not keep.any():
             break
@@ -237,7 +243,8 @@ def convolved_cauchy(mu_x: Measure, mu_y: Measure, z) -> complex:
     z = complex(z)
     if z.imag <= 0:
         raise ValueError("convolved_cauchy needs Im z > 0")
-    return complex(_subordinate(np.array([z]), mu_x._parts, mu_y._parts, _Tally())[0])
+    solved = _subordinate(np.array([z]), cauchy_evaluator(mu_x), cauchy_evaluator(mu_y), _Tally())
+    return complex(solved[0])
 
 
 def free_convolve_analytic(
@@ -246,8 +253,16 @@ def free_convolve_analytic(
     grid_size: int = 512,
     eta: float = 1e-3,
     n_moments: int = 6,
+    cauchy_x=None,
+    cauchy_y=None,
 ) -> ConvolutionResult:
-    """Voiculescu's algorithm on measures; returns moments, measure, residuals."""
+    """Voiculescu's algorithm on measures; returns moments, measure, residuals.
+
+    The solve reads X through ``cauchy_x``, a (G, G') evaluator of the same
+    law as ``mu_x`` (`measures.named_cauchy` gives the named laws' closed
+    forms); None takes the cell kernel on ``mu_x``.  Likewise for Y.  The
+    measures themselves give the support hint and the quadrature moments.
+    """
     for mu in (mu_x, mu_y):
         if mu.support is None and not mu.atoms:
             raise ValueError("input measure is empty")
@@ -256,9 +271,11 @@ def free_convolve_analytic(
     a, b = ax + ay, bx + by
     pad = 0.1 * max(b - a, 1.0)
     tally = _Tally()
+    cauchy_x = cauchy_x or cauchy_evaluator(mu_x)
+    cauchy_y = cauchy_y or cauchy_evaluator(mu_y)
 
     def transform(zs: np.ndarray) -> np.ndarray:
-        return _subordinate(zs, mu_x._parts, mu_y._parts, tally).reshape(zs.shape)
+        return _subordinate(zs, cauchy_x, cauchy_y, tally).reshape(zs.shape)
 
     raw = stieltjes_invert(transform, (a - pad, b + pad), grid_size=grid_size, eps=eta)
     missing = 1.0 - sum(m for _, m in raw.atoms)

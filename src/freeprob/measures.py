@@ -12,8 +12,23 @@ Cauchy transform, which stays accurate for Im z far below the grid spacing.
 
 Named laws, with their parameters and defaults in one table: semicircle(r=2),
 arcsine, bernoulli, marchenko_pastur(lam=1, alpha=1), sato_tate, point(c=0).
-`resolve_law` checks a law's parameters, `make_named` builds its gridded
-density and `named_moments` its exact Fraction moments.
+`resolve_law` checks a law's parameters.  The table's other columns are:
+
+* `make_named`: the gridded cell density and its edge model;
+* `named_moments`: the exact Fraction moments;
+* `named_cumulants`: the exact Fraction free cumulants;
+* `named_cauchy`: a (G, G') evaluator.  Semicircle, arcsine and
+  Marchenko-Pastur have closed forms in the root s = sqrt(z - a) sqrt(z - b)
+  of their support [a, b], a product of principal roots, so the cut is the
+  support and s ~ z at infinity.  Each is written so that nothing cancels far
+  from the support: semicircle G = 2/(z + s), arcsine G = 1/s, and
+  Marchenko-Pastur G = 2/(z + alpha(1 - lam) + s) (or its conjugate form near
+  its atom at 0).  Bernoulli and point masses take the kernel's exact pole
+  sum.  Sato-Tate has no elementary G, so it has no evaluator and no
+  rational moments or cumulants.
+
+Any measure's own evaluator is `cauchy_evaluator`, the cell kernel on its
+parts.  An evaluator maps a 1-d complex array z to the arrays (G(z), G'(z)).
 """
 
 from __future__ import annotations
@@ -37,8 +52,11 @@ __all__ = [
     "resolve_law",
     "make_named",
     "named_moments",
+    "named_cumulants",
+    "named_cauchy",
     "moments",
     "cauchy",
+    "cauchy_evaluator",
     "stieltjes_invert",
     "to_json",
     "from_json",
@@ -56,6 +74,9 @@ _LAW_PARAMS = {
     "point": {"c": 0.0},
 }
 _POSITIVE = ("r", "lam", "alpha")  # parameters that must exceed 0
+# ... and lie in this range: far outside it the cell densities under- or
+# overflow (r = 1e-300 squares to 0; at r = 1e-150 the edge bands overflow)
+_RANGE = (1e-100, 1e100)
 NAMED_TAGS = tuple(_LAW_PARAMS)
 
 _EMPTY = np.empty(0, dtype=np.float64)
@@ -232,7 +253,15 @@ def resolve_law(law: str, **params) -> dict:
             raise ValueError(f"{law} parameter {key} must be finite, got {value}")
         if key in _POSITIVE and value <= 0:
             raise ValueError(f"{law} parameter {key} must be positive, got {value}")
+        if key in _POSITIVE and not _RANGE[0] <= value <= _RANGE[1]:
+            raise ValueError(f"{law} parameter {key} must lie in [{_RANGE[0]:g}, {_RANGE[1]:g}], "
+                             f"got {value}")
     return p
+
+
+def _mp_support(lam: float, alpha: float) -> tuple:
+    """Ends of the Marchenko-Pastur density's support."""
+    return alpha * (1.0 - math.sqrt(lam)) ** 2, alpha * (1.0 + math.sqrt(lam)) ** 2
 
 
 def make_named(law: str, grid_size: int = 2048, **params) -> Measure:
@@ -259,8 +288,7 @@ def make_named(law: str, grid_size: int = 2048, **params) -> Measure:
 
     if law == "marchenko_pastur":
         lam, alpha = p["lam"], p["alpha"]
-        t_lo = alpha * (1.0 - math.sqrt(lam)) ** 2
-        t_hi = alpha * (1.0 + math.sqrt(lam)) ** 2
+        t_lo, t_hi = _mp_support(lam, alpha)
         t = np.linspace(t_lo, t_hi, grid_size)
         rad = 4.0 * lam * alpha * alpha - (t - alpha * (1.0 + lam)) ** 2
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -302,9 +330,87 @@ def named_moments(law: str, order: int, **params) -> list | None:
         half = Fraction(p["r"]) / 2
         return [Fraction(0) if n % 2 else half**n * (math.comb(n, n // 2) // (n // 2 + 1)) for n in ns]
     if law == "marchenko_pastur":
-        lam, alpha = Fraction(p["lam"]), Fraction(p["alpha"])
-        return series.free_moments_from_cumulants([lam * alpha**n for n in ns])
+        return series.free_moments_from_cumulants(named_cumulants(law, order, **p))
     return None  # sato_tate
+
+
+def named_cumulants(law: str, order: int, **params) -> list | None:
+    """Exact free cumulants kappa_1..kappa_order of a named law, as Fractions
+    of its float parameters; None for sato_tate.
+
+    Bernoulli has kappa_2n = (-1)^(n-1) Cat(n-1) and no odd cumulants, and
+    arcsine = Bernoulli boxplus Bernoulli has twice those.
+
+    >>> [str(k) for k in named_cumulants("bernoulli", 8)]
+    ['0', '1', '0', '-1', '0', '2', '0', '-5']
+    """
+    p = resolve_law(law, **params)
+    ns = range(1, order + 1)
+    zero = Fraction(0)
+    if law in ("bernoulli", "arcsine"):
+        scale = 2 if law == "arcsine" else 1
+        return [zero if n % 2 else
+                Fraction(scale * (-1) ** (n // 2 - 1) * math.comb(n - 2, n // 2 - 1) // (n // 2))
+                for n in ns]
+    if law == "point":
+        return [Fraction(p["c"]) if n == 1 else zero for n in ns]
+    if law == "semicircle":
+        return [(Fraction(p["r"]) / 2) ** 2 if n == 2 else zero for n in ns]
+    if law == "marchenko_pastur":
+        lam, alpha = Fraction(p["lam"]), Fraction(p["alpha"])
+        return [lam * alpha**n for n in ns]
+    return None  # sato_tate
+
+
+def _edge_root(z, a: float, b: float):
+    """sqrt(z - a) sqrt(z - b) with principal roots: cut on [a, b], ~ z at infinity."""
+    return np.sqrt(z - a) * np.sqrt(z - b)
+
+
+def named_cauchy(law: str, **params) -> Callable | None:
+    """A named law's (G, G') evaluator, exact up to rounding; None for sato_tate.
+
+    The evaluator takes a 1-d complex array z off the support and returns
+    the arrays (G(z), G'(z)); see the module docstring for the forms.
+    """
+    p = resolve_law(law, **params)
+    if law in ("bernoulli", "point"):
+        locs, masses = make_named(law, **p)._parts[:2]
+        return lambda z: _kernels.pole_sum(z, locs, masses)
+
+    if law == "semicircle":
+        r = p["r"]
+
+        def evaluate(z):
+            s = _edge_root(z, -r, r)
+            g = 2.0 / (z + s)
+            return g, -g / s
+
+    elif law == "arcsine":
+
+        def evaluate(z):
+            g = 1.0 / _edge_root(z, -2.0, 2.0)
+            return g, -z * g**3
+
+    elif law == "marchenko_pastur":
+        lam, alpha = p["lam"], p["alpha"]
+        a, b = _mp_support(lam, alpha)
+        shift = alpha * (1.0 - lam)
+
+        def evaluate(z):
+            # G = (q - s)/(2 alpha z) = 2/(q + s), as (q - s)(q + s) = 4 alpha z;
+            # take the form whose denominator does not cancel (q - s near the
+            # atom at 0 when lam < 1, q + s elsewhere)
+            s = _edge_root(z, a, b)
+            q = z + shift
+            plus, minus = q + s, q - s
+            with np.errstate(divide="ignore", invalid="ignore"):
+                g = np.where(np.abs(plus) >= np.abs(minus), 2.0 / plus, minus / (2.0 * alpha * z))
+            return g, g * (alpha * g - 1.0) / s
+
+    else:
+        return None  # sato_tate
+    return evaluate
 
 
 def moments(mu: Measure, n_max: int) -> np.ndarray:
@@ -344,6 +450,13 @@ def cauchy(mu: Measure, z):
     if zs.ndim == 0:
         return complex(vals[0])
     return vals.reshape(zs.shape)
+
+
+def cauchy_evaluator(mu: Measure) -> Callable:
+    """The (G, G') evaluator of a measure's own quadrature: the cell kernel
+    on its parts."""
+    parts = mu._parts
+    return lambda z: _kernels.cauchy_many(z, parts)
 
 
 def cauchy_with_derivative(mu: Measure, z) -> tuple:

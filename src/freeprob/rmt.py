@@ -40,9 +40,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .freeconv import free_convolve_moments
-from .measures import named_moments
+from .measures import named_cumulants, named_moments
 from .partitions import Permutation, is_geodesic
+from .series import free_moments_from_cumulants
 
 __all__ = [
     "EnsembleSpec",
@@ -553,7 +553,8 @@ def freeness_experiment(
     X + D for a balanced +-1 diagonal D against the exact moments of
     semicircle boxplus Bernoulli.  rotated_diagonal: moments of U D U* + D,
     U Haar, against the exact arcsine moments (arcsine = Bernoulli boxplus
-    Bernoulli).  The exact law moments come from `measures.named_moments`.
+    Bernoulli).  The exact predictions come from the law table in
+    `measures`: summed free cumulants, or the arcsine moments.
 
     Each trial computes its traces by exact identities, so every estimate is
     the same random variable as the multiplied-out word.  rotated_diagonal
@@ -594,8 +595,8 @@ def freeness_experiment(
     else:
         diag = _bernoulli_diag(N)
         if kind == "gue_deterministic":
-            pred = free_convolve_moments(
-                named_moments("semicircle", degree), named_moments("bernoulli", degree))
+            kappas = zip(named_cumulants("semicircle", degree), named_cumulants("bernoulli", degree))
+            pred = free_moments_from_cumulants([a + b for a, b in kappas])
         else:
             pred = named_moments("arcsine", degree)
         pred = [float(v) for v in pred]

@@ -6,11 +6,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import freeprob
 import freeprob.cli as cli
-from freeprob.freeconv import ContinuationError
+from freeprob import _kernels, measures
+from freeprob.freeconv import ContinuationError, free_convolve_moments
 
 
 def run_json(capsys, argv):
@@ -308,3 +310,100 @@ def test_law_parameters_have_one_spelling(capsys):
             "--route", "both", "--order", "4", "--grid-size", "256"]
     assert cli.run(argv) == 2
     assert "unexpected parameters" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("route", ["moments", "analytic", "both"])
+def test_radius_that_squares_to_zero_is_a_usage_error(capsys, route):
+    argv = ["freeconv", "--law-x", "semicircle:r=1e-300", "--law-y", "bernoulli",
+            "--route", route]
+    assert cli.run(argv) == 2
+    err = capsys.readouterr().err
+    assert "must lie in [1e-100, 1e+100]" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("sources,route", [
+    (["--law-x", "bernoulli", "--law-y", "bernoulli"], "moments"),
+    (["--law-x", "sato_tate", "--law-y", "bernoulli"], "moments"),
+    (["--moments-x", "0,1", "--moments-y", "0,1"], "moments"),
+    (["--law-x", "bernoulli", "--law-y", "bernoulli"], "both"),
+    (["--law-x", "bernoulli", "--law-y", "bernoulli"], "analytic"),
+])
+def test_order_below_one_is_a_usage_error(capsys, sources, route):
+    argv = ["freeconv", *sources, "--route", route, "--order", "0", "--grid-size", "64"]
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--order must be at least 1, got 0" in captured.err
+
+
+@pytest.mark.parametrize(
+    "law_x,law_y", list(itertools.combinations_with_replacement(NAMED_LAWS, 2)))
+def test_moment_route_equals_extracted_cumulants(capsys, law_x, law_y):
+    doc = run_json(capsys, ["freeconv", "--law-x", law_x, "--law-y", law_y,
+                            "--route", "moments", "--order", "12"])
+    sides = [cli._parse_law(text) for text in (law_x, law_y)]
+    mx, my = [measures.named_moments(tag, 12, **params) for tag, params in sides]
+    if mx is None or my is None:
+        assert doc["result"]["moments_provenance"] == "quadrature"
+    else:
+        assert doc["result"]["moments"] == [str(m) for m in free_convolve_moments(mx, my)]
+        assert doc["result"]["moments_provenance"] == "exact"
+
+
+def test_output_moments_are_those_of_the_emitted_measure(capsys):
+    doc = run_json(capsys, ["freeconv", "--law-x", "semicircle", "--law-y", "semicircle",
+                            "--route", "analytic", "--grid-size", "256"])
+    d = doc["result"]["density"]
+    mu = measures.Measure(atoms=d["atoms"], support=d["support"], samples=d["samples"],
+                          edges=d["edges"], normalize=False)
+    got = doc["result"]["moments_output"]
+    assert np.allclose(got, measures.moments(mu, 6), rtol=1e-14, atol=1e-15)
+    # semicircle(2) boxplus semicircle(2) is the semicircle of variance 2
+    exact = [0, 2, 0, 8, 0, 40]
+    err = max(abs(a - b) / max(1, abs(b)) for a, b in zip(got, exact))
+    assert doc["diagnostics"]["output_moment_error"] == pytest.approx(err, rel=1e-9)
+    assert err < 1e-2
+
+
+def test_output_moment_error_records_the_point_arcsine_defect(capsys):
+    # The output is a shifted arcsine.  At fixed eta its inverse-square-root
+    # edges lose mass, which normalisation hides; the error does not fall
+    # with the grid.  A fix should turn this bound around.
+    doc = run_json(capsys, ["freeconv", "--law-x", "point:c=1.5", "--law-y", "arcsine",
+                            "--route", "analytic", "--grid-size", "256"])
+    assert doc["diagnostics"]["output_moment_error"] > 1e-2
+
+
+def test_output_moment_error_is_null_without_exact_moments(capsys):
+    doc = run_json(capsys, ["freeconv", "--law-x", "sato_tate", "--law-y", "bernoulli",
+                            "--route", "analytic", "--grid-size", "128"])
+    assert doc["diagnostics"]["output_moment_error"] is None
+    assert len(doc["result"]["moments_output"]) == 6
+
+
+@pytest.mark.parametrize("law_x,law_y,uses_kernel", [
+    ("semicircle", "arcsine", False),
+    ("bernoulli", "sato_tate", True),
+])
+def test_named_laws_enter_the_solver_in_closed_form(capsys, monkeypatch, law_x, law_y,
+                                                    uses_kernel):
+    calls = []
+    kernel = _kernels.cauchy_many
+
+    def counted(z, parts):
+        calls.append(np.size(z))
+        return kernel(z, parts)
+
+    monkeypatch.setattr(_kernels, "cauchy_many", counted)
+    run_json(capsys, ["freeconv", "--law-x", law_x, "--law-y", law_y,
+                      "--route", "analytic", "--grid-size", "128"])
+    assert bool(calls) == uses_kernel
+
+
+def test_seed_environment_is_read_on_every_call(capsys, monkeypatch):
+    for seed in (5, 6):
+        monkeypatch.setenv("FREEPROB_SEED", str(seed))
+        doc = run_json(capsys, ["kesten", "--d", "2", "--nmax", "4"])
+        assert doc["config"]["seed"] == seed
+    assert cli._build_parser() is cli._build_parser()

@@ -20,7 +20,7 @@ from freeprob.freeconv import (
     free_poisson,
     semicircle_flow_residual,
 )
-from freeprob.measures import make_named, moments
+from freeprob.measures import make_named, moments, named_cauchy
 
 BERN = [Fraction(0), Fraction(1)] * 3
 
@@ -253,3 +253,14 @@ def test_subordination_in_a_gap_is_linear_in_eta():
         g3 = convolved_cauchy(mu_x, mu_y, math.pi / 2 + 1e-3j)
         g4 = convolved_cauchy(mu_x, mu_y, math.pi / 2 + 1e-4j)
         assert abs(g4 / g3 - 0.1) < 1e-5
+
+
+def test_closed_form_inputs_give_the_summed_semicircle():
+    sc = make_named("semicircle", 256)
+    g = named_cauchy("semicircle")
+    res = free_convolve_analytic(sc, sc, grid_size=512, eta=1e-3, cauchy_x=g, cauchy_y=g)
+    r = 2.0 * math.sqrt(2.0)
+    t = res.measure.grid
+    exact = 2.0 / (math.pi * r * r) * np.sqrt(np.maximum(r * r - t * t, 0.0))
+    assert np.max(np.abs(res.measure.samples - exact)) < 1e-4
+    assert res.diagnostics[0] < 1e-8

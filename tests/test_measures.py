@@ -2,19 +2,24 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from freeprob import _kernels, series
 from freeprob.measures import (
     InversionError,
     Measure,
     cauchy,
+    cauchy_evaluator,
     cauchy_with_derivative,
     from_json,
     make_named,
     moments,
+    named_cauchy,
+    named_cumulants,
     named_moments,
     resolve_law,
     stieltjes_invert,
@@ -237,3 +242,114 @@ def test_measure_normalizes_samples():
     mu = Measure(support=(-1.0, 1.0), samples=raw, normalize=True)
     assert abs(mu.total_mass() - 1) < 1e-9
     assert len(mu.grid) == 501
+
+
+CLOSED_FORM_LAWS = [
+    ("semicircle", {}),
+    ("semicircle", {"r": 3.0}),
+    ("arcsine", {}),
+    ("marchenko_pastur", {"lam": 1.0}),
+    ("marchenko_pastur", {"lam": 0.5}),  # atom of mass 0.5 at 0
+    ("marchenko_pastur", {"lam": 2.0, "alpha": 0.5}),
+]
+
+
+@pytest.mark.parametrize("law,params", CLOSED_FORM_LAWS)
+def test_closed_form_cauchy_matches_cell_kernel(law, params):
+    mu = make_named(law, 4096, **params)
+    closed, cells = named_cauchy(law, **params), cauchy_evaluator(mu)
+    a, b = mu.support
+    x = np.linspace(a - 0.5, b + 0.5, 401)
+    for eta in (1e-2, 0.1, 1.0):
+        z = x + 1j * eta
+        g, g_cells = closed(z)[0], cells(z)[0]
+        assert np.max(np.abs(g - g_cells) / np.abs(g_cells)) < 1e-4
+
+
+@pytest.mark.parametrize("law,params", CLOSED_FORM_LAWS)
+def test_closed_form_derivative_matches_centred_difference(law, params):
+    closed = named_cauchy(law, **params)
+    a, b = make_named(law, 64, **params).support
+    z = np.linspace(a - 1.0, b + 1.0, 201) + 0.3j
+    h = 1e-5
+    fd = (closed(z + h)[0] - closed(z - h)[0]) / (2 * h)
+    assert np.max(np.abs(closed(z)[1] - fd) / np.abs(fd)) < 1e-8
+
+
+@pytest.mark.parametrize("law,params", CLOSED_FORM_LAWS)
+def test_closed_form_cauchy_matches_moment_series(law, params):
+    z = 1e3 * np.exp(1j * np.linspace(0.01, math.pi - 0.01, 40))
+    m = [1.0] + [float(v) for v in named_moments(law, 12, **params)]
+    series_sum = sum(mk / z ** (k + 1) for k, mk in reversed(list(enumerate(m))))
+    g = named_cauchy(law, **params)(z)[0]
+    assert np.max(np.abs(g - series_sum) / np.abs(series_sum)) <= 1e-13
+
+
+@pytest.mark.parametrize("law,params", CLOSED_FORM_LAWS)
+def test_closed_form_cauchy_maps_upper_half_plane_down(law, params):
+    a, b = make_named(law, 64, **params).support
+    x, y = np.meshgrid(np.linspace(a - 3.0, b + 3.0, 241), np.geomspace(1e-10, 1e4, 57))
+    g = named_cauchy(law, **params)((x + 1j * y).ravel())[0]
+    assert np.all(g.imag < 0)
+
+
+def test_marchenko_pastur_closed_form_keeps_precision_at_its_atom():
+    # lam = 0.5 puts mass 0.5 at 0, where z + alpha(1 - lam) + s cancels.
+    # The kernel sums that atom as an exact pole, so beside G ~ 0.5/z the two
+    # differ only by the cell error of the density's part, about 1e-6.
+    z = np.array([1e-9j, 1e-6 + 1e-9j, -1e-7 + 1e-8j])
+    g = named_cauchy("marchenko_pastur", lam=0.5)(z)[0]
+    g_cells = cauchy_evaluator(make_named("marchenko_pastur", 4096, lam=0.5))(z)[0]
+    assert np.max(np.abs(g - g_cells)) < 1e-5
+
+
+@pytest.mark.parametrize("law,params", [("bernoulli", {}), ("point", {"c": 1.5})])
+def test_atom_laws_evaluate_by_the_kernel_pole_sum(law, params):
+    z = np.array([0.3 + 0.9j, -1.0 + 1e-6j, 1.5 + 1e-3j, 40.0 + 2.0j])
+    g, gp = named_cauchy(law, **params)(z)
+    g_cells, gp_cells = _kernels.cauchy_many(z, make_named(law, **params)._parts)
+    assert np.array_equal(g, g_cells) and np.array_equal(gp, gp_cells)
+
+
+def test_sato_tate_has_no_closed_forms():
+    assert named_cauchy("sato_tate") is None
+    assert named_cumulants("sato_tate", 4) is None
+
+
+@pytest.mark.parametrize("law,params", [
+    ("semicircle", {}),
+    ("semicircle", {"r": 3.0}),
+    ("arcsine", {}),
+    ("bernoulli", {}),
+    ("point", {"c": 1.5}),
+    ("marchenko_pastur", {"lam": 0.5}),
+    ("marchenko_pastur", {"lam": 2.0, "alpha": 0.5}),
+])
+def test_cumulant_column_equals_extracted_cumulants(law, params):
+    kappa = named_cumulants(law, 40, **params)
+    assert kappa == series.free_cumulants_from_moments(named_moments(law, 40, **params))
+    assert all(isinstance(k, Fraction) for k in kappa)
+
+
+@pytest.mark.parametrize("law,params", [
+    ("semicircle", {"r": 1e-300}),
+    ("semicircle", {"r": 1e200}),
+    ("marchenko_pastur", {"alpha": 1e-150}),
+    ("marchenko_pastur", {"lam": 1e101}),
+])
+def test_parameter_outside_the_representable_range_is_rejected(law, params):
+    with pytest.raises(ValueError, match=r"must lie in \[1e-100, 1e\+100\]"):
+        resolve_law(law, **params)
+    with pytest.raises(ValueError, match="must lie in"):
+        make_named(law, **params)
+
+
+@pytest.mark.parametrize("law,params", [
+    ("semicircle", {"r": 1e-100}),
+    ("semicircle", {"r": 1e100}),
+    ("marchenko_pastur", {"alpha": 1e-100}),
+    ("marchenko_pastur", {"alpha": 1e100}),
+])
+def test_range_ends_build_a_unit_mass(law, params):
+    mu = make_named(law, 256, **params)
+    assert abs(mu.total_mass() - 1.0) < 1e-9
