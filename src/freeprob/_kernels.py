@@ -1,14 +1,15 @@
 """Cauchy transform of a decomposed measure, vectorised over points in numpy.
 
-A measure enters this kernel decomposed into three parts:
+A measure enters `cauchy_many`, the one entry point, in the form that
+`measures.Measure` builds for it:
 
-* atoms: point masses (exact pole sums),
-* a piecewise-linear density on a uniform grid (cells [lo, hi) of the grid),
-  whose Cauchy transform is evaluated by the exact per-cell log formula --
-  this stays accurate arbitrarily close to the real axis, where a plain
-  weighted pole sum with node spacing h fails for Im z < a few h,
-* extra weighted nodes (S, W): fine sub-cell quadrature clouds used for
-  inverse-square-root edge bands, already folded into point-mass form.
+* point masses ``weights`` at ``poles`` (its atoms, then the sub-cell
+  quadrature nodes of its singular edge bands), summed as exact poles;
+* a piecewise-linear density through the nodes ``t``, ``f`` of a uniform grid
+  (empty without a density), whose Cauchy transform is evaluated by the
+  exact per-cell log formula -- this stays accurate arbitrarily close to the
+  real axis, where a plain weighted pole sum with node spacing h fails for
+  Im z < a few h.
 
 Near the support the per-cell logarithm log((z - t_k)/(z - t_{k+1})) is
 computed as log1p(h/(z - t_{k+1})) from the exact cell width h, in real
@@ -20,15 +21,13 @@ precision at any distance, where a direct formula loses a factor |z|/h.
 
 Points are processed in blocks so that no points-by-cells temporary holds
 more than ``_BLOCK_ELEMS`` values, whatever the grid size.
-
-`pole_sum` on its own is the whole evaluator of a named law made of atoms
-(`measures.named_cauchy`), so such inputs keep the kernel's arithmetic.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+# The only backend; perfbench/passrun.py reads it into every pass it records.
 BACKEND = "numpy"
 
 # Largest points-by-cells temporary, in values (1 MB of float64).
@@ -88,44 +87,35 @@ def pole_sum(z, nodes, weights):
     return np.einsum("ij,j->i", inv, weights), -np.einsum("ij,ij,j->i", inv, inv, weights)
 
 
-def _g_block(z, locs, masses, t, f, lo, hi, S, W):
-    g = np.zeros(z.shape, dtype=np.complex128)
-    gp = np.zeros(z.shape, dtype=np.complex128)
-    for nodes, weights in ((locs, masses), (S, W)):
-        if nodes.size:
-            pg, pgp = pole_sum(z, nodes, weights)
-            g += pg
-            gp += pgp
-    if hi > lo:
-        tc = t[lo : hi + 1]
-        fc = f[lo : hi + 1]
-        h = np.diff(tc)
-        m = np.diff(fc) / h
-        outside = np.maximum(np.maximum(tc[0] - z.real, z.real - tc[-1]), 0.0)
+def _g_block(z, poles, weights, t, f):
+    if poles.size:
+        g, gp = pole_sum(z, poles, weights)
+    else:
+        g = np.zeros(z.shape, dtype=np.complex128)
+        gp = np.zeros(z.shape, dtype=np.complex128)
+    if t.size:
+        h = np.diff(t)
+        m = np.diff(f) / h
+        outside = np.maximum(np.maximum(t[0] - z.real, z.real - t[-1]), 0.0)
         far = np.hypot(outside, z.imag) >= _FAR * h.max()
         for sel, cells in ((far, _cells_far), (~far, _cells_near)):
             if sel.any():
-                gs, ms = cells(z[sel], tc, fc, h, m)
+                gs, ms = cells(z[sel], t, f, h, m)
                 g[sel] += gs
                 gp[sel] += ms
         # derivative: sum of m log(za/zb) plus f_k/za - f_{k+1}/zb, which telescopes
-        gp += fc[0] / (z - tc[0]) - fc[-1] / (z - tc[-1])
+        gp += f[0] / (z - t[0]) - f[-1] / (z - t[-1])
     return g, gp
 
 
-def _g_many_np(z, locs, masses, t, f, lo, hi, S, W):
-    """(G(z), G'(z)) of a decomposed measure for a 1-d array of points z."""
+def cauchy_many(z, poles, weights, t, f):
+    """(G(z), G'(z)) of point masses ``weights`` at ``poles`` plus the
+    piecewise-linear density through (``t``, ``f``), for an array of points z."""
     z = np.ascontiguousarray(np.asarray(z, dtype=np.complex128).ravel())
-    cells = locs.shape[0] + max(hi - lo, 0) + 1 + S.shape[0]
-    step = max(1, _BLOCK_ELEMS // cells)
+    step = max(1, _BLOCK_ELEMS // max(1, poles.size + t.size))
     g = np.empty(z.shape, dtype=np.complex128)
     gp = np.empty(z.shape, dtype=np.complex128)
     for start in range(0, z.size, step):
         block = slice(start, start + step)
-        g[block], gp[block] = _g_block(z[block], locs, masses, t, f, lo, hi, S, W)
+        g[block], gp[block] = _g_block(z[block], poles, weights, t, f)
     return g, gp
-
-
-def cauchy_many(z, parts):
-    """(G(z), G'(z)) for an array of points z; ``parts`` as `Measure._parts`."""
-    return _g_many_np(z, *parts)

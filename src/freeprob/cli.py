@@ -300,12 +300,14 @@ def _cmd_cumulants(args) -> str:
 _OUTPUT_MOMENTS = 6
 
 
-def _worst_relative_error(got: list, exact: list) -> float:
-    """max |a - b|/max(1, |b|) over floats a and Fractions b, in exact
-    arithmetic, since b need not fit a float; inf if some a is not finite."""
+def _worst_error(got: list, exact: list, relative: bool) -> float:
+    """max |a - b|, over max(1, |b|) if ``relative``, over floats a and
+    Fractions b, in exact arithmetic, since b need not fit a float; inf if
+    some a is not finite or the result does not fit a float."""
     if not all(math.isfinite(a) for a in got):
         return math.inf
-    worst = max(abs(Fraction(a) - b) / max(1, abs(b)) for a, b in zip(got, exact))
+    worst = max(abs(Fraction(a) - b) / (max(1, abs(b)) if relative else 1)
+                for a, b in zip(got, exact))
     return float(worst) if worst < sys.float_info.max else math.inf
 
 
@@ -330,39 +332,26 @@ def _cmd_freeconv(args) -> str:
     cells = [measures.make_named(tag, grid, **params) for tag, params in laws] \
         if analytic_wanted else None
 
-    def summed_moments(order: int) -> list | None:
-        """Exact moments of X boxplus Y from the sum of the laws' free
-        cumulants; None unless both sides are laws that have them."""
-        if None in laws:
-            return None
-        kappas = [measures.named_cumulants(tag, order, **params) for tag, params in laws]
-        if None in kappas:
-            return None
-        return series.free_moments_from_cumulants([a + b for a, b in zip(*kappas)])
-
-    def law_moments(i: int) -> list:
+    def cumulants(i: int, order: int) -> list:
+        """Free cumulants kappa_1.. of side i: its law's own up to ``order``,
+        else those extracted from its quadrature moments, or from its moment
+        file, which sets its own order."""
+        if laws[i] is None:
+            return series.free_cumulants_from_moments(
+                _read_moments((args.moments_x, args.moments_y)[i]))
         tag, params = laws[i]
-        exact = measures.named_moments(tag, args.order, **params)
+        exact = measures.named_cumulants(tag, order, **params)
         if exact is not None:
             return exact
         mu = cells[i] if cells else measures.make_named(tag, grid, **params)
-        return [float(v) for v in measures.moments(mu, args.order)]
+        return series.free_cumulants_from_moments(
+            [float(v) for v in measures.moments(mu, order)])
 
     if args.route in ("moments", "both"):
-        summed = summed_moments(args.order)
-        if summed is not None:
-            result["moments"] = summed
-            result["moments_provenance"] = "exact"
-        else:
-            mx = _read_moments(args.moments_x) if args.moments_x is not None else law_moments(0)
-            my = _read_moments(args.moments_y) if args.moments_y is not None else law_moments(1)
-            if len(mx) != len(my):
-                k = min(len(mx), len(my))
-                mx, my = mx[:k], my[:k]
-            result["moments"] = freeconv.free_convolve_moments(mx, my)
-            result["moments_provenance"] = (
-                "exact" if all(isinstance(v, Fraction) for v in mx + my) else "quadrature"
-            )
+        kappas = [cumulants(i, args.order) for i in (0, 1)]
+        result["moments"] = freeconv.free_convolve_cumulants(*kappas)
+        exact = all(isinstance(k, Fraction) for side in kappas for k in side)
+        result["moments_provenance"] = "exact" if exact else "quadrature"
 
     if analytic_wanted:
         mux, muy = cells
@@ -379,18 +368,17 @@ def _cmd_freeconv(args) -> str:
             header = _csv_header(config)
             return header + measures.to_csv(conv.measure)
         output = [float(m) for m in measures.moments(conv.measure, _OUTPUT_MOMENTS)]
-        exact = summed_moments(_OUTPUT_MOMENTS)
-        diagnostics["output_moment_error"] = (
-            None if exact is None else _worst_relative_error(output, exact))
+        kappas = [measures.named_cumulants(tag, _OUTPUT_MOMENTS, **params)
+                  for tag, params in laws]
+        diagnostics["output_moment_error"] = None if None in kappas else _worst_error(
+            output, freeconv.free_convolve_cumulants(*kappas), relative=True)
         result["moments_quadrature"] = [float(m) for m in conv.moments]
         result["moments_output"] = output
         result["density"] = _measure_payload(conv.measure)
         result["density_provenance"] = "quadrature"
         if "moments" in result:
-            diagnostics["route_agreement"] = max(
-                abs(float(a) - b)
-                for a, b in zip(result["moments"], result["moments_quadrature"])
-            )
+            diagnostics["route_agreement"] = _worst_error(
+                result["moments_quadrature"], result["moments"], relative=False)
     if args.format == "csv":
         raise _Usage("CSV needs the analytic route (it emits the density grid)")
     return _report(config, result, diagnostics)

@@ -51,6 +51,7 @@ __all__ = [
     "ConvolutionResult",
     "ContinuationError",
     "SolverCounters",
+    "free_convolve_cumulants",
     "free_convolve_moments",
     "free_convolve_analytic",
     "convolved_cauchy",
@@ -98,13 +99,18 @@ class ConvolutionResult:
     solver: SolverCounters
 
 
+def free_convolve_cumulants(kx, ky) -> list:
+    """Moments of X boxplus Y from the free cumulants of X and Y, which add,
+    up to the shorter order (exact on rationals)."""
+    return free_moments_from_cumulants([a + b for a, b in zip(kx, ky)])
+
+
 def free_convolve_moments(mx, my) -> list:
     """Moments of X boxplus Y from the moments of X and Y (exact on rationals)."""
     if len(mx) != len(my):
         raise ValueError(f"moment sequences differ in length: {len(mx)} vs {len(my)}")
-    kx = free_cumulants_from_moments(mx)
-    ky = free_cumulants_from_moments(my)
-    return free_moments_from_cumulants([a + b for a, b in zip(kx, ky)])
+    return free_convolve_cumulants(
+        free_cumulants_from_moments(mx), free_cumulants_from_moments(my))
 
 
 def _bounds(mu: Measure) -> tuple:

@@ -23,12 +23,18 @@ arcsine, bernoulli, marchenko_pastur(lam=1, alpha=1), sato_tate, point(c=0).
   support and s ~ z at infinity.  Each is written so that nothing cancels far
   from the support: semicircle G = 2/(z + s), arcsine G = 1/s, and
   Marchenko-Pastur G = 2/(z + alpha(1 - lam) + s) (or its conjugate form near
-  its atom at 0).  Bernoulli and point masses take the kernel's exact pole
-  sum.  Sato-Tate has no elementary G, so it has no evaluator and no
-  rational moments or cumulants.
+  its atom at 0).  Bernoulli and point masses have none: their own
+  `cauchy_evaluator` is already an exact pole sum.  Sato-Tate has no
+  elementary G, so it has no evaluator and no rational moments or cumulants.
 
-Any measure's own evaluator is `cauchy_evaluator`, the cell kernel on its
-parts.  An evaluator maps a 1-d complex array z to the arrays (G(z), G'(z)).
+A `Measure` is built once into the one form that its Cauchy transform,
+moments and mass are read from: point masses ``_weights`` at ``_poles`` (the
+atoms, then the nodes of the singular edge bands), the density's nodes
+``_t``, ``_f`` between the bands (empty without a density) and their
+trapezoid weights ``_tw``.  Any measure's
+own evaluator is `cauchy_evaluator`, the kernel `_kernels.cauchy_many` on
+that form.  An evaluator maps a 1-d complex array z to the arrays
+(G(z), G'(z)).
 """
 
 from __future__ import annotations
@@ -79,7 +85,12 @@ _POSITIVE = ("r", "lam", "alpha")  # parameters that must exceed 0
 _RANGE = (1e-100, 1e100)
 NAMED_TAGS = tuple(_LAW_PARAMS)
 
-_EMPTY = np.empty(0, dtype=np.float64)
+# Largest relative gap between a density's mass on its grid's actual cells,
+# which the Cauchy kernel integrates over, and its mass on cells of the
+# nominal width (b - a)/(G - 1), which `moments` and `total_mass` read.  A
+# support narrow next to its distance from 0 holds few floats, so its grid
+# points round unevenly or coincide.
+_MASS_RTOL = 1e-9
 
 
 class InversionError(RuntimeError):
@@ -91,7 +102,7 @@ class InversionError(RuntimeError):
 class Measure:
     """Atoms plus an optional uniform-grid density on [a, b].
 
-    ``edges`` marks each side of the support as "regular" or "invsqrt".
+    ``edges`` marks each side of the support as "regular", "sqrt" or "invsqrt".
     With ``normalize=True`` the density samples are rescaled so the measure's
     own quadrature rule integrates to exactly 1 - (atom mass); inversion
     output skips this so that mass defects stay visible to the caller.
@@ -128,64 +139,72 @@ class Measure:
         self.edges = tuple(self.edges)
         self._build()
 
-    # -- integration tables -------------------------------------------------
+    # -- the decomposed form ------------------------------------------------
 
     def _build(self):
+        """Point masses ``_weights`` at ``_poles`` (the atoms, then the edge
+        bands' nodes), the density's nodes ``_t``, ``_f`` between the bands
+        and their trapezoid weights ``_tw``."""
         locs = np.array([l for l, _ in self.atoms], dtype=np.float64)
         masses = np.array([m for _, m in self.atoms], dtype=np.float64)
         atom_mass = float(masses.sum())
+        S = W = t = f = tw = np.empty(0)
         if self.samples is None:
             if self.normalize and abs(atom_mass - 1.0) > 1e-9:
                 raise ValueError(f"atom masses sum to {atom_mass}, not 1")
-            self._parts = (locs, masses, _EMPTY, _EMPTY, 0, 0, _EMPTY, _EMPTY)
-            return
-
-        a, b = self.support
-        G = self.samples.size
-        h = (b - a) / (G - 1)
-        t = np.linspace(a, b, G)
-        f = self.samples.copy()
-
-        n_band = max(8, G // 128)
-        n_band = min(n_band, (G - 1) // 3)
-        lo, hi = 0, G - 1
-        bands = []
-        if self.edges[0] != "regular":
-            lo = n_band
-            bands.append(self._band_nodes(a, h, n_band, f[: n_band + 1], +1.0, self.edges[0]))
-        if self.edges[1] != "regular":
-            hi = G - 1 - n_band
-            bands.append(self._band_nodes(b, h, n_band, f[::-1][: n_band + 1], -1.0, self.edges[1]))
-        if bands:
-            S = np.concatenate([s for s, _ in bands])
-            W = np.concatenate([w for _, w in bands])
         else:
-            S, W = _EMPTY.copy(), _EMPTY.copy()
+            a, b = self.support
+            G = self.samples.size
+            h = (b - a) / (G - 1)
+            t = np.linspace(a, b, G)
+            if not np.diff(t).min() > 0.0:
+                raise ValueError(f"support [{a!r}, {b!r}] is too narrow for {G} distinct "
+                                 "grid points")
+            f = self.samples.copy()
 
-        cell_f = 0.5 * h * (f[lo:hi] + f[lo + 1 : hi + 1])
-        cont_mass = float(cell_f.sum() + W.sum())
-        if self.normalize:
-            target = 1.0 - atom_mass
-            if target < -1e-12:
-                raise ValueError("atom masses exceed 1")
-            target = max(target, 0.0)
-            if cont_mass > 0.0:
-                scale = target / cont_mass
-                f *= scale
-                W *= scale
-                self.samples = f
-            elif abs(target) > 1e-9:
-                raise ValueError("zero density cannot carry the remaining mass")
-        self._parts = (
-            locs,
-            masses,
-            np.ascontiguousarray(t),
-            np.ascontiguousarray(f),
-            lo,
-            hi,
-            np.ascontiguousarray(S),
-            np.ascontiguousarray(W),
-        )
+            n_band = max(8, G // 128)
+            n_band = min(n_band, (G - 1) // 3)
+            lo, hi = 0, G - 1
+            bands = []
+            if self.edges[0] != "regular":
+                lo = n_band
+                bands.append(self._band_nodes(a, h, n_band, f[: n_band + 1], +1.0, self.edges[0]))
+            if self.edges[1] != "regular":
+                hi = G - 1 - n_band
+                bands.append(self._band_nodes(b, h, n_band, f[::-1][: n_band + 1], -1.0,
+                                              self.edges[1]))
+            if bands:
+                S = np.concatenate([s for s, _ in bands])
+                W = np.concatenate([w for _, w in bands])
+
+            cell_f = 0.5 * h * (f[lo:hi] + f[lo + 1 : hi + 1])
+            cont_mass = float(cell_f.sum() + W.sum())
+            if self.normalize:
+                target = 1.0 - atom_mass
+                if target < -1e-12:
+                    raise ValueError("atom masses exceed 1")
+                target = max(target, 0.0)
+                if cont_mass > 0.0:
+                    scale = target / cont_mass
+                    f *= scale
+                    W *= scale
+                    self.samples = f
+                elif abs(target) > 1e-9:
+                    raise ValueError("zero density cannot carry the remaining mass")
+            t, f = t[lo : hi + 1], f[lo : hi + 1]
+            tw = h * f
+            tw[[0, -1]] *= 0.5
+            # the kernel integrates over the cells that linspace gives, which
+            # round unevenly where the support is narrow next to its distance
+            # from 0; their widths still telescope to the support's
+            cont_mass = float(tw.sum() + W.sum())
+            kernel_mass = float(np.sum(0.5 * np.diff(t) * (f[:-1] + f[1:])) + W.sum())
+            if not abs(kernel_mass - cont_mass) <= _MASS_RTOL * (abs(atom_mass) + abs(cont_mass)):
+                raise ValueError(f"support [{a!r}, {b!r}] is too narrow for {G} grid points: "
+                                 f"their cells hold mass {kernel_mass!r}, not {cont_mass!r}")
+        self._poles = np.concatenate([locs, S])
+        self._weights = np.concatenate([masses, W])
+        self._t, self._f, self._tw = t, f, tw
 
     @staticmethod
     def _band_nodes(edge, h, n_band, f_side, orient, model):
@@ -226,13 +245,8 @@ class Measure:
             return None
         return np.linspace(self.support[0], self.support[1], self.samples.size)
 
-    def total_mass(self):
-        locs, masses, t, f, lo, hi, S, W = self._parts
-        cont = 0.0
-        if self.samples is not None:
-            h = t[1] - t[0]
-            cont = float(np.sum(0.5 * h * (f[lo:hi] + f[lo + 1 : hi + 1])) + W.sum())
-        return float(masses.sum()) + cont
+    def total_mass(self) -> float:
+        return float(self._weights.sum()) + float(self._tw.sum())
 
 
 def resolve_law(law: str, **params) -> dict:
@@ -368,16 +382,14 @@ def _edge_root(z, a: float, b: float):
 
 
 def named_cauchy(law: str, **params) -> Callable | None:
-    """A named law's (G, G') evaluator, exact up to rounding; None for sato_tate.
+    """A named law's closed-form (G, G') evaluator, exact up to rounding.
 
     The evaluator takes a 1-d complex array z off the support and returns
-    the arrays (G(z), G'(z)); see the module docstring for the forms.
+    the arrays (G(z), G'(z)); see the module docstring for the forms.  None
+    for bernoulli and point, whose own `cauchy_evaluator` is exact, and for
+    sato_tate, which has no elementary G.
     """
     p = resolve_law(law, **params)
-    if law in ("bernoulli", "point"):
-        locs, masses = make_named(law, **p)._parts[:2]
-        return lambda z: _kernels.pole_sum(z, locs, masses)
-
     if law == "semicircle":
         r = p["r"]
 
@@ -409,7 +421,7 @@ def named_cauchy(law: str, **params) -> Callable | None:
             return g, g * (alpha * g - 1.0) / s
 
     else:
-        return None  # sato_tate
+        return None  # bernoulli, point, sato_tate
     return evaluate
 
 
@@ -417,19 +429,9 @@ def moments(mu: Measure, n_max: int) -> np.ndarray:
     """Moments m_1..m_n_max (index i holds m_{i+1})."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    locs, masses, t, f, lo, hi, S, W = mu._parts
-    out = np.empty(n_max, dtype=np.float64)
-    if mu.samples is not None:
-        h = t[1] - t[0]
-        cw = np.zeros_like(f)
-        np.add.at(cw, np.arange(lo, hi), 0.5 * h * f[lo:hi])
-        np.add.at(cw, np.arange(lo + 1, hi + 1), 0.5 * h * f[lo + 1 : hi + 1])
-    for n in range(1, n_max + 1):
-        val = float(np.sum(masses * locs**n))
-        if mu.samples is not None:
-            val += float(np.sum(cw * t**n)) + float(np.sum(W * S**n))
-        out[n - 1] = val
-    return out
+    p, w, t, tw = mu._poles, mu._weights, mu._t, mu._tw
+    return np.array([float(np.sum(w * p**n)) + float(np.sum(tw * t**n))
+                     for n in range(1, n_max + 1)])
 
 
 def cauchy(mu: Measure, z):
@@ -446,23 +448,17 @@ def cauchy(mu: Measure, z):
                 a, b = mu.support
                 if a - 1e-12 <= x <= b + 1e-12:
                     raise ValueError(f"z = {x} lies on the support [{a}, {b}]")
-    vals, _ = _kernels.cauchy_many(zs.ravel(), mu._parts)
+    vals, _ = cauchy_evaluator(mu)(zs.ravel())
     if zs.ndim == 0:
         return complex(vals[0])
     return vals.reshape(zs.shape)
 
 
 def cauchy_evaluator(mu: Measure) -> Callable:
-    """The (G, G') evaluator of a measure's own quadrature: the cell kernel
-    on its parts."""
-    parts = mu._parts
-    return lambda z: _kernels.cauchy_many(z, parts)
-
-
-def cauchy_with_derivative(mu: Measure, z) -> tuple:
-    """(G(z), G'(z)) at a single complex point."""
-    g, gp = _kernels.cauchy_many([complex(z)], mu._parts)
-    return complex(g[0]), complex(gp[0])
+    """The (G, G') evaluator of a measure's own quadrature: the kernel on its
+    decomposed form."""
+    form = mu._poles, mu._weights, mu._t, mu._f
+    return lambda z: _kernels.cauchy_many(z, *form)
 
 
 def support_radius(mu: Measure) -> float:
@@ -475,20 +471,19 @@ def support_radius(mu: Measure) -> float:
 
 
 def _eval_transform(G: Callable, zs: np.ndarray) -> np.ndarray:
-    """Evaluate a callable Cauchy transform on an array, tolerating scalar-only callables."""
-    try:
-        vals = np.asarray(G(zs), dtype=np.complex128)
-        if vals.shape == zs.shape:
-            return vals
-    except TypeError:
-        pass  # scalar-only callable; fall through to the loop
-    return np.array([complex(G(complex(z))) for z in zs], dtype=np.complex128)
+    """A vectorised Cauchy transform G on the array zs."""
+    vals = np.asarray(G(zs), dtype=np.complex128)
+    if vals.shape != zs.shape:
+        raise ValueError(f"the transform gave shape {vals.shape} on points of shape {zs.shape}; "
+                         "it must map an array of points to an array of values")
+    return vals
 
 
 def stieltjes_invert(G: Callable, support_hint, grid_size: int = 2048, eps: float = 1e-3) -> Measure:
     """Recover a measure from its Cauchy transform.
 
-    Density via -Im G(t + i*eps)/pi with Richardson extrapolation between eps
+    G maps a 1-d complex array to the array of its values there.  Density
+    via -Im G(t + i*eps)/pi with Richardson extrapolation between eps
     and eps/2.  Atoms are flagged where eps*|Im G| exceeds 0.1*sqrt(eps) and
     the two-level mass estimates agree (a pole's estimate is eps-independent,
     a bounded density's halves), then located by a parabolic fit to the

@@ -322,6 +322,47 @@ def test_radius_that_squares_to_zero_is_a_usage_error(capsys, route):
     assert "Traceback" not in err
 
 
+def test_route_agreement_beyond_the_float_range_reads_infinity(capsys):
+    # the exact m2 is 2.5e199 and m4 does not fit a float
+    argv = ["freeconv", "--law-x", "semicircle:r=1e100", "--law-y", "bernoulli",
+            "--route", "both", "--grid-size", "128"]
+    assert cli.run(argv) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.out)["diagnostics"]["route_agreement"] == "Infinity"
+
+
+@pytest.mark.parametrize("route,code", [("analytic", 2), ("both", 2), ("moments", 0)])
+def test_marchenko_pastur_too_narrow_for_its_grid(capsys, route, code):
+    # at lam = 1e30 the support is a few float spacings wide around 1e30, so
+    # only the routes that build its cell density fail
+    argv = ["freeconv", "--law-x", "marchenko_pastur:lam=1e30", "--law-y", "bernoulli",
+            "--route", route, "--grid-size", "256"]
+    assert cli.run(argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert ("too narrow" in err) == (code == 2)
+
+
+def test_point_mass_far_from_zero_runs_at_the_default_grid(capsys):
+    # the output support is narrow next to its distance from 0, so its grid
+    # cells round unevenly, yet they still carry the whole mass
+    doc = run_json(capsys, ["freeconv", "--law-x", "point:c=1e6", "--law-y", "semicircle",
+                            "--route", "analytic"])
+    assert doc["diagnostics"]["output_moment_error"] < 1e-8
+
+
+@pytest.mark.parametrize("law_y", ["semicircle", "sato_tate"])
+def test_moment_file_enters_the_moment_route_as_its_law(capsys, tmp_path, law_y):
+    path = tmp_path / "bernoulli.txt"
+    path.write_text("0, 1, 0, 1, 0, 1, 0, 1\n")
+    by_file = run_json(capsys, ["freeconv", "--moments-x", f"@{path}", "--law-y", law_y,
+                                "--route", "moments"])
+    by_law = run_json(capsys, ["freeconv", "--law-x", "bernoulli", "--law-y", law_y,
+                               "--route", "moments"])
+    assert by_file["result"] == by_law["result"]
+
+
 @pytest.mark.parametrize("sources,route", [
     (["--law-x", "bernoulli", "--law-y", "bernoulli"], "moments"),
     (["--law-x", "sato_tate", "--law-y", "bernoulli"], "moments"),
@@ -391,9 +432,9 @@ def test_named_laws_enter_the_solver_in_closed_form(capsys, monkeypatch, law_x, 
     calls = []
     kernel = _kernels.cauchy_many
 
-    def counted(z, parts):
+    def counted(z, poles, weights, t, f):
         calls.append(np.size(z))
-        return kernel(z, parts)
+        return kernel(z, poles, weights, t, f)
 
     monkeypatch.setattr(_kernels, "cauchy_many", counted)
     run_json(capsys, ["freeconv", "--law-x", law_x, "--law-y", law_y,

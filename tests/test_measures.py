@@ -14,7 +14,6 @@ from freeprob.measures import (
     Measure,
     cauchy,
     cauchy_evaluator,
-    cauchy_with_derivative,
     from_json,
     make_named,
     moments,
@@ -170,16 +169,22 @@ def test_cauchy_maps_upper_half_plane_down(z):
 def test_cauchy_derivative_matches_finite_difference():
     sc = make_named("semicircle")
     z = 1.1 + 0.8j
-    g, dg = cauchy_with_derivative(sc, z)
+    g, dg = (v[0] for v in cauchy_evaluator(sc)(np.array([z])))
     assert g == cauchy(sc, z)
     h = 1e-6
     fd = (cauchy(sc, z + h) - cauchy(sc, z - h)) / (2 * h)
     assert abs(dg - fd) < 1e-7
 
 
-@pytest.mark.parametrize("law", ["semicircle", "sato_tate", "arcsine"])
-def test_cauchy_far_from_support_matches_moment_series(law):
-    mu = make_named(law, 512)
+@pytest.mark.parametrize("law,params", [
+    ("semicircle", {}),
+    ("sato_tate", {}),
+    ("arcsine", {}),
+    ("marchenko_pastur", {"lam": 0.5}),
+    ("bernoulli", {}),
+], ids=["semicircle", "sato_tate", "arcsine", "marchenko_pastur-lam0.5", "bernoulli"])
+def test_cauchy_far_from_support_matches_moment_series(law, params):
+    mu = make_named(law, 512, **params)
     z = 1e4 + 3j
     m = moments(mu, 6)
     series = 1 / z + sum(m[k - 1] / z ** (k + 1) for k in range(1, 7))
@@ -202,6 +207,11 @@ def test_stieltjes_invert_recovers_atoms():
     assert len(locs) == 2
     assert abs(locs[0] + 1) < 1e-6 and abs(locs[1] - 1) < 1e-6
     assert all(abs(w - 0.5) < 1e-5 for w in ws)
+
+
+def test_stieltjes_invert_needs_a_vectorised_transform():
+    with pytest.raises(ValueError, match="must map an array of points"):
+        stieltjes_invert(lambda w: complex(np.sum(1 / w)), (-1, 1))
 
 
 def test_stieltjes_invert_rejects_non_herglotz_input():
@@ -305,9 +315,13 @@ def test_marchenko_pastur_closed_form_keeps_precision_at_its_atom():
 
 @pytest.mark.parametrize("law,params", [("bernoulli", {}), ("point", {"c": 1.5})])
 def test_atom_laws_evaluate_by_the_kernel_pole_sum(law, params):
+    # they have no closed form beside their own measure's evaluator
+    assert named_cauchy(law, **params) is None
     z = np.array([0.3 + 0.9j, -1.0 + 1e-6j, 1.5 + 1e-3j, 40.0 + 2.0j])
-    g, gp = named_cauchy(law, **params)(z)
-    g_cells, gp_cells = _kernels.cauchy_many(z, make_named(law, **params)._parts)
+    mu = make_named(law, **params)
+    g, gp = cauchy_evaluator(mu)(z)
+    locs, masses = np.array(mu.atoms).T
+    g_cells, gp_cells = _kernels.pole_sum(z, locs, masses)
     assert np.array_equal(g, g_cells) and np.array_equal(gp, gp_cells)
 
 
@@ -353,3 +367,27 @@ def test_parameter_outside_the_representable_range_is_rejected(law, params):
 def test_range_ends_build_a_unit_mass(law, params):
     mu = make_named(law, 256, **params)
     assert abs(mu.total_mass() - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("grid", [256, 2048])
+def test_marchenko_pastur_at_large_lam_keeps_its_mass_or_raises(grid):
+    # the support narrows next to its distance from 0 as lam grows, until its
+    # grid points round unevenly and then coincide; the Cauchy kernel, which
+    # integrates over the cells as they round, must see the same unit mass
+    raised = []
+    z = 1e45j  # |z| >> lam, so z G(z) = mass to rounding
+    for k in range(31):
+        try:
+            mu = make_named("marchenko_pastur", grid, lam=10.0**k)
+        except ValueError as exc:
+            assert "too narrow" in str(exc)
+            raised.append(k)
+            continue
+        assert abs(mu.total_mass() - 1.0) < 1e-9, k
+        assert abs(z * cauchy(mu, z) - 1.0) < 1e-9, k
+    assert 30 in raised and 0 not in raised
+
+
+def test_grid_of_coincident_points_is_rejected():
+    with pytest.raises(ValueError, match="too narrow for 64 distinct"):
+        Measure(support=(1.0, 1.0 + 1e-14), samples=np.ones(64))
