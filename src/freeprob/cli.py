@@ -364,6 +364,7 @@ def _cmd_freeconv(args) -> str:
         diagnostics["iterations"] = conv.solver.iterations
         diagnostics["safeguarded_steps"] = conv.solver.safeguarded_steps
         diagnostics["worst_z"] = conv.solver.worst_z
+        diagnostics["mass_defect"] = conv.mass_defect
         if args.format == "csv":
             header = _csv_header(config)
             return header + measures.to_csv(conv.measure)

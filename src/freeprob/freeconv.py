@@ -97,6 +97,8 @@ class ConvolutionResult:
     #  worst |G_X(omega_1) - G_Y(omega_2)|/|G|)
     diagnostics: tuple
     solver: SolverCounters
+    # 1 minus the inverted measure's total mass before it is normalised
+    mass_defect: float
 
 
 def free_convolve_cumulants(kx, ky) -> list:
@@ -262,7 +264,8 @@ def free_convolve_analytic(
     cauchy_x=None,
     cauchy_y=None,
 ) -> ConvolutionResult:
-    """Voiculescu's algorithm on measures; returns moments, measure, residuals.
+    """Voiculescu's algorithm on measures; returns moments, measure, residuals
+    and the inverted measure's mass defect before normalisation.
 
     The solve reads X through ``cauchy_x``, a (G, G') evaluator of the same
     law as ``mu_x`` (`measures.named_cauchy` gives the named laws' closed
@@ -301,6 +304,7 @@ def free_convolve_analytic(
         measure=measure,
         diagnostics=(tally.residual, tally.functional),
         solver=tally.counters(),
+        mass_defect=1.0 - raw.total_mass(),
     )
 
 

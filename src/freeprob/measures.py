@@ -430,8 +430,19 @@ def moments(mu: Measure, n_max: int) -> np.ndarray:
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     p, w, t, tw = mu._poles, mu._weights, mu._t, mu._tw
-    return np.array([float(np.sum(w * p**n)) + float(np.sum(tw * t**n))
-                     for n in range(1, n_max + 1)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.array([float(np.sum(w * p**n)) + float(np.sum(tw * t**n))
+                        for n in range(1, n_max + 1)])
+        # a power that overflows gives inf, and 0 * inf or inf - inf gives
+        # NaN: recompute those moments as s^n sum w (p/s)^n, s = max |p|
+        bad = np.flatnonzero(~np.isfinite(out))
+        if bad.size:
+            s = max(np.abs(p).max(initial=0.0), np.abs(t).max(initial=0.0))
+            for i in bad:
+                n = i + 1
+                scaled = float(np.sum(w * (p / s) ** n)) + float(np.sum(tw * (t / s) ** n))
+                out[i] = np.float64(s) ** n * scaled if scaled else 0.0
+    return out
 
 
 def cauchy(mu: Measure, z):

@@ -26,9 +26,16 @@ each trace by an exact identity rather than by multiplying out the word.
 For U D U* + D with D = +-1 (N/2 each) the spectrum is +-2 cos(theta_i),
 theta_i the principal angles between a Haar N/2-subspace and a coordinate
 N/2-subspace (Halmos, "Two subspaces", Trans. AMS 144, 1969), so a trial
-needs only the N/2 x N/2 Gram matrix W whose eigenvalues are cos^2(theta_i),
-a Jacobi matrix with the arcsine limit law (Collins, PTRF 133, 2005).  The
-other traces pair stored powers: tr h^(a+b) = sum_ij (h^a)_ij (h^b)_ji.
+needs only the traces of the N/2 x N/2 matrix W whose eigenvalues are
+cos^2(theta_i), a Jacobi matrix with the arcsine limit law (Collins, PTRF
+133, 2005).  W is the Gram matrix of an orthonormal basis, but it is similar
+to M = C^-1 A for any basis of the subspace, A the Gram matrix of its
+coordinate rows and C that of the whole basis (Bjorck & Golub, Math. Comp.
+27, 1973), so one linear solve replaces the orthonormalisation.  The solve
+loses the small angles' relative accuracy, which only an angle itself would
+need: the traces are sums of cos^(2j)(theta_i) <= 1, accurate to rounding
+in their sum.  The other traces pair stored powers:
+tr h^(a+b) = sum_ij (h^a)_ij (h^b)_ji.
 """
 
 from __future__ import annotations
@@ -102,12 +109,20 @@ def _rng(seed: int, trial: int = 0, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _complex_normal(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """standard_normal(shape) + 1j * standard_normal(shape), bit for bit and
+    with the same draws, filled in place instead of through two temporaries."""
+    z = np.empty(shape, dtype=np.complex128)
+    z.real[...] = rng.standard_normal(shape)
+    z.imag[...] = rng.standard_normal(shape)
+    return z
+
+
 def _haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     """QR of a complex Ginibre, each column of Q multiplied by the phase of
     R's diagonal entry there: that makes R's diagonal positive, which is what
     makes the law Haar (Mezzadri, math-ph/0609050)."""
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(a)
+    q, r = np.linalg.qr(_complex_normal(rng, (n, n)))
     d = np.diagonal(r)
     return q * (d / np.abs(d))
 
@@ -125,8 +140,7 @@ def _sample_rng(spec: EnsembleSpec, rng: np.random.Generator) -> np.ndarray:
     if spec.kind == "deterministic":
         return spec.payload.astype(np.complex128)
     if spec.kind == "ginibre":
-        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        return z / math.sqrt(2 * n)
+        return _complex_normal(rng, (n, n)) / math.sqrt(2 * n)
     if spec.kind == "gue":
         # h before g: the scratch g then sits above h on the heap, and its
         # memory goes back when it is freed instead of leaving a hole below h
@@ -134,7 +148,9 @@ def _sample_rng(spec: EnsembleSpec, rng: np.random.Generator) -> np.ndarray:
         g = rng.standard_normal((n, n))
         np.add(g, g.T, out=h.real)
         np.subtract(g, g.T, out=h.imag)
-        h /= 2.0 * math.sqrt(n)
+        # numpy divides a complex array by a real as a product with the
+        # reciprocal; scaling the float view the same way skips complex division
+        h.view(np.float64)[...] *= 1.0 / (2.0 * math.sqrt(n))
         return h
     return _haar_unitary(rng, n)
 
@@ -473,12 +489,13 @@ def _bernoulli_diag(n: int) -> np.ndarray:
     return d
 
 
-def _power_traces(h: np.ndarray, degree: int) -> np.ndarray:
-    """tr h^k for k = 1..degree, h Hermitian, from the powers up to ceil(degree/2).
+def _power_traces(h: np.ndarray, degree: int, hermitian: bool = True) -> np.ndarray:
+    """tr h^k for k = 1..degree, from the powers of h up to ceil(degree/2).
 
-    tr h^(a+b) = sum_ij (h^a)_ij (h^b)_ji, and (h^b)_ji is the conjugate of
-    (h^b)_ij because h^b is Hermitian, so each trace is one inner product of
-    two stored powers with a = ceil(k/2), b = floor(k/2).
+    tr h^(a+b) = sum_ij (h^a)_ij (h^b)_ji, so each trace pairs two stored
+    powers with a = ceil(k/2), b = floor(k/2).  For Hermitian h, (h^b)_ji is
+    the conjugate of (h^b)_ij, and the pairing is one inner product with no
+    temporary; otherwise it is the sum of h^a times the transpose of h^b.
     """
     powers = [None, h]
     for _ in range(2, (degree + 1) // 2 + 1):
@@ -486,23 +503,29 @@ def _power_traces(h: np.ndarray, degree: int) -> np.ndarray:
     out = np.empty(degree)
     out[0] = np.trace(h).real
     for k in range(2, degree + 1):
-        out[k - 1] = np.vdot(powers[k // 2], powers[(k + 1) // 2]).real
+        low, high = powers[k // 2], powers[(k + 1) // 2]
+        out[k - 1] = (np.vdot(low, high) if hermitian else np.sum(high * low.T)).real
     return out
 
 
-def _rotated_diagonal_moments(q: np.ndarray, degree: int) -> np.ndarray:
+def _rotated_diagonal_moments(g: np.ndarray, degree: int) -> np.ndarray:
     """tr(m^k)/N for k = 1..degree, m = U D U* + D, D = diag(1, -1, 1, ...).
 
-    q holds the columns of U where D = +1 (any orthonormal basis of their
-    span gives the same m).  With W = qe* qe, qe the rows of q where D = +1,
-    tr(m^(2j)) = 2 4^j tr(W^j) and every odd moment is 0: the spectrum of m
-    is +-2 cos(theta_i), where cos^2(theta_i) are the eigenvalues of W.
+    g is any basis (N x N/2, full rank) of the span of U's columns where
+    D = +1; m depends only on that span.  With ge, go the rows of g where
+    D = +1, -1, A = ge* ge and C = g* g = A + go* go: an orthonormal basis
+    q = g R^-1 (C = R* R) has W = qe* qe = R^-* A R^-1, which is similar to
+    M = C^-1 A, so tr W^j = tr M^j without orthonormalising.  The spectrum
+    of m is +-2 cos(theta_i), cos^2(theta_i) the eigenvalues of W, so
+    tr(m^(2j)) = 2 4^j tr(M^j) and every odd moment is exactly 0.
     """
-    n = q.shape[0]
-    qe = q[::2]
+    n = g.shape[0]
+    ge, go = g[::2], g[1::2]
+    a = ge.conj().T @ ge
+    c = a + go.conj().T @ go
+    traces = _power_traces(np.linalg.solve(c, a), degree // 2, hermitian=False)
     out = np.zeros(degree)
-    half = degree // 2
-    out[1::2] = 2.0 * 4.0 ** np.arange(1, half + 1) * _power_traces(qe.conj().T @ qe, half) / n
+    out[1::2] = 2.0 * 4.0 ** np.arange(1, degree // 2 + 1) * traces / n
     return out
 
 
@@ -558,12 +581,16 @@ def freeness_experiment(
 
     Each trial computes its traces by exact identities, so every estimate is
     the same random variable as the multiplied-out word.  rotated_diagonal
-    draws only the N/2 columns of U where D = +1 (a thin QR of an N x N/2
-    Ginibre) and reads the moments off the N/2 x N/2 Gram matrix of their
-    rows where D = +1, by the principal angles between the two subspaces
-    (Halmos, Trans. AMS 144, 1969; its limit law is the arcsine, Collins,
-    PTRF 133, 2005); the odd moments are exactly 0.  gue_deterministic pairs
-    stored powers of X + D, and gue_gue uses tr(xxyy) = ||xy||_F^2.
+    draws only a basis g (an N x N/2 complex Ginibre) of the span of the N/2
+    columns of U where D = +1, and never orthonormalises it: with A the Gram
+    matrix of g's rows where D = +1 and C = g* g, the Gram matrix W of an
+    orthonormal basis's rows where D = +1 is similar to C^-1 A, so one
+    `np.linalg.solve(C, A)` gives tr W^j, the sums of cos^(2j) of the
+    principal angles between the two subspaces (Halmos, Trans. AMS 144,
+    1969; its limit law is the arcsine, Collins, PTRF 133, 2005).  Traces
+    need no small-angle accuracy, which is what orthonormalising would buy.
+    The odd moments are exactly 0.  gue_deterministic pairs stored powers of
+    X + D, and gue_gue uses tr(xxyy) = ||xy||_F^2.
     """
     if kind not in ("gue_gue", "gue_deterministic", "rotated_diagonal"):
         raise ValueError(f"unknown experiment kind {kind!r}")
@@ -609,8 +636,7 @@ def freeness_experiment(
                 x = _sample_rng(EnsembleSpec("gue", N, seed), rng)
                 samples[t] = _power_traces(x + np.diag(diag), degree) / N
             else:
-                g = rng.standard_normal((N, N // 2)) + 1j * rng.standard_normal((N, N // 2))
-                samples[t] = _rotated_diagonal_moments(np.linalg.qr(g)[0], degree)
+                samples[t] = _rotated_diagonal_moments(_complex_normal(rng, (N, N // 2)), degree)
 
         runner = run_det
 

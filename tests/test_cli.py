@@ -416,6 +416,14 @@ def test_output_moment_error_records_the_point_arcsine_defect(capsys):
     assert doc["diagnostics"]["output_moment_error"] > 1e-2
 
 
+def test_mass_defect_records_the_point_arcsine_mass_loss(capsys):
+    # The mass that the inversion's output lacks before normalisation: the
+    # loss at the inverse-square-root edges behind the defect above.
+    doc = run_json(capsys, ["freeconv", "--law-x", "point:c=1.5", "--law-y", "arcsine",
+                            "--route", "analytic", "--grid-size", "256"])
+    assert doc["diagnostics"]["mass_defect"] > 1e-2
+
+
 def test_output_moment_error_is_null_without_exact_moments(capsys):
     doc = run_json(capsys, ["freeconv", "--law-x", "sato_tate", "--law-y", "bernoulli",
                             "--route", "analytic", "--grid-size", "128"])

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -391,3 +392,15 @@ def test_marchenko_pastur_at_large_lam_keeps_its_mass_or_raises(grid):
 def test_grid_of_coincident_points_is_rejected():
     with pytest.raises(ValueError, match="too narrow for 64 distinct"):
         Measure(support=(1.0, 1.0 + 1e-14), samples=np.ones(64))
+
+
+def test_overflowing_moments_are_infinite_not_nan():
+    mu = make_named("semicircle", 128, r=1e100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = moments(mu, 6)
+    assert m[3] == math.inf and m[5] == math.inf
+    assert not np.any(np.isnan(m))
+    # the entries that fit a float keep the plain sum's bits
+    p, w, t, tw = mu._poles, mu._weights, mu._t, mu._tw
+    assert m[1] == float(np.sum(w * p**2)) + float(np.sum(tw * t**2))

@@ -351,19 +351,51 @@ def test_half_rank_reduction_matches_power_loop(N):
     for seed, trial in ((0, 0), (5, 2), (31, 7)):
         u = rmt._haar_unitary(rmt._rng(seed, trial), N)
         direct = direct_power_moments((u * d) @ u.conj().T + np.diag(d), 8)
-        reduced = rmt._rotated_diagonal_moments(u[:, ::2], 8)
-        assert np.all(np.abs(reduced - direct) <= 1e-12 * np.maximum(1.0, np.abs(direct)))
-        assert np.all(reduced[0::2] == 0.0)
+        # any basis of the span will do: the orthonormal one, and a skewed one
+        r = rmt._complex_normal(rmt._rng(seed, trial, 1), (N // 2, N // 2))
+        for basis in (u[:, ::2], u[:, ::2] @ r):
+            reduced = rmt._rotated_diagonal_moments(basis, 8)
+            assert np.all(np.abs(reduced - direct) <= 1e-12 * np.maximum(1.0, np.abs(direct)))
+            assert np.all(reduced[0::2] == 0.0)
+
+
+@pytest.mark.parametrize("N", [20, 50])
+def test_rotated_diagonal_trials_match_orthonormalised_draws(N):
+    # the thin QR of each trial's own draw is the reference: U D U* = 2 q q* - I
+    seed, trials, degree = 3, 6, 8
+    d = rmt._bernoulli_diag(N)
+    rows = []
+    for t in range(trials):
+        g = rmt._complex_normal(rmt._rng(seed, t, 0), (N, N // 2))
+        q = np.linalg.qr(g)[0]
+        want = direct_power_moments(2.0 * q @ q.conj().T - np.eye(N) + np.diag(d), degree)
+        got = rmt._rotated_diagonal_moments(g, degree)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+        rows.append(got)
+    rep = freeness_experiment("rotated_diagonal", N, trials, degree, seed=seed)
+    assert np.allclose([row.empirical for row in rep.rows], np.mean(rows, axis=0),
+                       rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("shape", [(1,), (7, 3), (40, 20)])
+def test_complex_normal_fills_the_two_draws_in_place(shape):
+    rng, ref = rmt._rng(9, 4), rmt._rng(9, 4)
+    z = rmt._complex_normal(rng, shape)
+    assert np.array_equal(z, ref.standard_normal(shape) + 1j * ref.standard_normal(shape))
+    assert rng.standard_normal() == ref.standard_normal()
 
 
 def test_power_traces_match_matrix_power():
     N = 30
     x = sample(EnsembleSpec("gue", N, seed=2))
     h = x + np.diag(rmt._bernoulli_diag(N))
-    for degree in (1, 2, 5, 8):
-        got = rmt._power_traces(h, degree)
-        want = [np.trace(np.linalg.matrix_power(h, k)).real for k in range(1, degree + 1)]
-        assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * N)
+    # a product of two Hermitian matrices has real traces but is not Hermitian
+    m = h @ (x @ x)
+    for mat, hermitian in ((h, True), (m, False)):
+        for degree in (1, 2, 5, 8):
+            got = rmt._power_traces(mat, degree, hermitian=hermitian)
+            want = [np.trace(np.linalg.matrix_power(mat, k)).real for k in range(1, degree + 1)]
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * N)
 
 
 def test_gue_pair_traces_match_products():
