@@ -303,8 +303,8 @@ _OUTPUT_MOMENTS = 6
 def _worst_error(got: list, exact: list, relative: bool) -> float:
     """max |a - b|, over max(1, |b|) if ``relative``, over floats a and
     Fractions b, in exact arithmetic, since b need not fit a float; inf if
-    some a is not finite or the result does not fit a float."""
-    if not all(math.isfinite(a) for a in got):
+    some a is None or not finite, or the result does not fit a float."""
+    if not all(a is not None and math.isfinite(a) for a in got):
         return math.inf
     worst = max(abs(Fraction(a) - b) / (max(1, abs(b)) if relative else 1)
                 for a, b in zip(got, exact))
@@ -359,8 +359,8 @@ def _cmd_freeconv(args) -> str:
         conv = freeconv.free_convolve_analytic(
             mux, muy, grid_size=args.grid_size, eta=args.eta,
             n_moments=min(args.order, 6), cauchy_x=cauchy_x, cauchy_y=cauchy_y)
-        diagnostics["continuation_residual"] = conv.diagnostics[0]
-        diagnostics["functional_residual"] = conv.diagnostics[1]
+        diagnostics["continuation_residual"] = conv.solver.residual
+        diagnostics["functional_residual"] = conv.solver.functional
         diagnostics["iterations"] = conv.solver.iterations
         diagnostics["safeguarded_steps"] = conv.solver.safeguarded_steps
         diagnostics["worst_z"] = conv.solver.worst_z
@@ -373,7 +373,8 @@ def _cmd_freeconv(args) -> str:
                   for tag, params in laws]
         diagnostics["output_moment_error"] = None if None in kappas else _worst_error(
             output, freeconv.free_convolve_cumulants(*kappas), relative=True)
-        result["moments_quadrature"] = [float(m) for m in conv.moments]
+        # an entry the float recursion could not determine (NaN) is null
+        result["moments_quadrature"] = [None if math.isnan(m) else m for m in conv.moments]
         result["moments_output"] = output
         result["density"] = _measure_payload(conv.measure)
         result["density_provenance"] = "quadrature"

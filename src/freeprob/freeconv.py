@@ -80,22 +80,32 @@ class ContinuationError(RuntimeError):
         self.z = z
 
 
-@dataclass(frozen=True)
+@dataclass
 class SolverCounters:
-    """Deterministic step counts of the subordination solve."""
+    """Deterministic residuals and step counts of the subordination solve,
+    filled in by the solve over every point of one convolution."""
 
-    iterations: int  # most rounds any point took, both orders counted
-    safeguarded_steps: int  # damped or plain steps, summed over points
-    worst_z: complex | None  # the point with the largest fixed-point residual
+    # worst relative fixed-point residual (|w - T(w)| + rounding)/(1 + |w|)
+    residual: float = 0.0
+    functional: float = 0.0  # worst |G_X(omega_1) - G_Y(omega_2)|/|G|
+    iterations: int = 0  # most rounds any point took, both orders counted
+    safeguarded_steps: int = 0  # damped or plain steps, summed over points
+    worst_z: complex | None = None  # the point with the largest fixed-point residual
+
+    def add(self, zs, residual, functional, rounds):
+        """Take in the points ``zs`` that finished after ``rounds`` rounds."""
+        k = int(np.argmax(residual))
+        if self.worst_z is None or residual[k] > self.residual:
+            self.residual = float(residual[k])
+            self.worst_z = complex(zs[k])
+        self.functional = max(self.functional, float(functional.max()))
+        self.iterations = max(self.iterations, rounds)
 
 
 @dataclass(frozen=True)
 class ConvolutionResult:
     moments: tuple
     measure: Measure | None
-    # (worst relative fixed-point residual (|w - T(w)| + rounding)/(1 + |w|),
-    #  worst |G_X(omega_1) - G_Y(omega_2)|/|G|)
-    diagnostics: tuple
     solver: SolverCounters
     # 1 minus the inverted measure's total mass before it is normalised
     mass_defect: float
@@ -127,13 +137,16 @@ def _bounds(mu: Measure) -> tuple:
     return lo, hi
 
 
-def _subordinate(z: np.ndarray, cauchy_x, cauchy_y, tally: "_Tally", after: int = 0) -> np.ndarray:
+def _subordinate(
+    z: np.ndarray, cauchy_x, cauchy_y, solver: SolverCounters, after: int = 0
+) -> np.ndarray:
     """G of X boxplus Y at every point of z (Im z > 0), solved together.
 
     ``cauchy_x`` and ``cauchy_y`` are the (G, G') evaluators of X and Y.
     Returns G_X(w), w the fixed point of T(w) = z + h_Y(z + h_X(w)) with
-    h = 1/G - id, iterated from w = z.  Each round evaluates every point
-    still iterating at its trial iterate:
+    h = 1/G - id, iterated from w = z, and adds its residuals and step counts
+    to ``solver``.  Each round evaluates every point still iterating at its
+    trial iterate:
 
     * Steps.  The trial after an accepted one is the full Newton step on
       F(w) = w - T(w).  For ``FREE_ROUNDS`` rounds every trial is accepted:
@@ -198,11 +211,11 @@ def _subordinate(z: np.ndarray, cauchy_x, cauchy_y, tally: "_Tally", after: int 
                 )
         if done.any():
             functional = np.abs(gx[done] - gy[done]) / np.abs(gx[done])
-            tally.add(zs[done], r[done], functional, after + rounds)
+            solver.add(zs[done], r[done], functional, after + rounds)
             out[idx[done]] = gx[done]
         keep = ~done
         if not after and stuck.any():
-            out[idx[stuck]] = _subordinate(zs[stuck], cauchy_y, cauchy_x, tally, after=rounds)
+            out[idx[stuck]] = _subordinate(zs[stuck], cauchy_y, cauchy_x, solver, after=rounds)
             keep &= ~stuck
         if rounds == MAX_ROUNDS or not keep.any():
             break
@@ -217,33 +230,11 @@ def _subordinate(z: np.ndarray, cauchy_x, cauchy_y, tally: "_Tally", after: int 
             trial = base + lam * delta
         plain = ~(np.isfinite(trial) & (trial.imag > 0.0)) | (lam < LAMBDA_MIN)
         w = np.where(plain, t_base, trial)
-        tally.safeguarded += int(np.count_nonzero(keep & (plain | (lam < 1.0))))
+        solver.safeguarded_steps += int(np.count_nonzero(keep & (plain | (lam < 1.0))))
         idx, zs, w, base, t_base = idx[keep], zs[keep], w[keep], base[keep], t_base[keep]
         delta, f_base, lam, plain = delta[keep], f_base[keep], lam[keep], plain[keep]
         r_low, stall = r_low[keep], stall[keep]
     return out
-
-
-class _Tally:
-    """Worst residuals and step counts over the solves of one convolution."""
-
-    def __init__(self):
-        self.residual = 0.0
-        self.functional = 0.0
-        self.iterations = 0
-        self.safeguarded = 0
-        self.worst_z = None
-
-    def add(self, zs, residual, functional, rounds):
-        k = int(np.argmax(residual))
-        if self.worst_z is None or residual[k] > self.residual:
-            self.residual = float(residual[k])
-            self.worst_z = complex(zs[k])
-        self.functional = max(self.functional, float(functional.max()))
-        self.iterations = max(self.iterations, rounds)
-
-    def counters(self) -> SolverCounters:
-        return SolverCounters(self.iterations, self.safeguarded, self.worst_z)
 
 
 def convolved_cauchy(mu_x: Measure, mu_y: Measure, z) -> complex:
@@ -251,7 +242,8 @@ def convolved_cauchy(mu_x: Measure, mu_y: Measure, z) -> complex:
     z = complex(z)
     if z.imag <= 0:
         raise ValueError("convolved_cauchy needs Im z > 0")
-    solved = _subordinate(np.array([z]), cauchy_evaluator(mu_x), cauchy_evaluator(mu_y), _Tally())
+    solved = _subordinate(
+        np.array([z]), cauchy_evaluator(mu_x), cauchy_evaluator(mu_y), SolverCounters())
     return complex(solved[0])
 
 
@@ -264,8 +256,9 @@ def free_convolve_analytic(
     cauchy_x=None,
     cauchy_y=None,
 ) -> ConvolutionResult:
-    """Voiculescu's algorithm on measures; returns moments, measure, residuals
-    and the inverted measure's mass defect before normalisation.
+    """Voiculescu's algorithm on measures; returns moments, measure, the
+    solve's residuals and step counts, and the inverted measure's mass defect
+    before normalisation.
 
     The solve reads X through ``cauchy_x``, a (G, G') evaluator of the same
     law as ``mu_x`` (`measures.named_cauchy` gives the named laws' closed
@@ -279,12 +272,12 @@ def free_convolve_analytic(
     ay, by = _bounds(mu_y)
     a, b = ax + ay, bx + by
     pad = 0.1 * max(b - a, 1.0)
-    tally = _Tally()
+    solver = SolverCounters()
     cauchy_x = cauchy_x or cauchy_evaluator(mu_x)
     cauchy_y = cauchy_y or cauchy_evaluator(mu_y)
 
     def transform(zs: np.ndarray) -> np.ndarray:
-        return _subordinate(zs, cauchy_x, cauchy_y, tally).reshape(zs.shape)
+        return _subordinate(zs, cauchy_x, cauchy_y, solver).reshape(zs.shape)
 
     raw = stieltjes_invert(transform, (a - pad, b + pad), grid_size=grid_size, eps=eta)
     missing = 1.0 - sum(m for _, m in raw.atoms)
@@ -297,13 +290,15 @@ def free_convolve_analytic(
         atoms=raw.atoms, support=raw.support, samples=raw.samples, edges=raw.edges, normalize=True
     )
 
-    mom = free_convolve_moments(
-        list(measure_moments(mu_x, n_moments)), list(measure_moments(mu_y, n_moments)))
+    # moments beyond the float range overflow the recursion, whose entries
+    # from then on are inf or an undetermined inf - inf = NaN, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        mom = free_convolve_moments(
+            list(measure_moments(mu_x, n_moments)), list(measure_moments(mu_y, n_moments)))
     return ConvolutionResult(
         moments=tuple(float(v) for v in mom),
         measure=measure,
-        diagnostics=(tally.residual, tally.functional),
-        solver=tally.counters(),
+        solver=solver,
         mass_defect=1.0 - raw.total_mass(),
     )
 

@@ -127,31 +127,36 @@ def _haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def _sample_rng(spec: EnsembleSpec, rng: np.random.Generator) -> np.ndarray:
-    """One draw of spec from rng.
+def _gue(rng: np.random.Generator, n: int) -> np.ndarray:
+    """One n x n GUE draw from rng.
 
-    A GUE takes one real N x N matrix g of N^2 normals and sets
-    h = ((g + g^T) + i (g - g^T)) / (2 sqrt(N)): the diagonal is real with
-    variance 1/N, and off the diagonal the real and imaginary parts are
-    independent with variance 1/(2N) each, the law in the module docstring.
+    It takes one real n x n matrix g of n^2 normals and sets
+    h = ((g + g^T) + i (g - g^T)) / (2 sqrt(n)): the diagonal is real with
+    variance 1/n, and off the diagonal the real and imaginary parts are
+    independent with variance 1/(2n) each, the law in the module docstring.
     h equals its conjugate transpose bit for bit.
     """
+    # h before g: the scratch g then sits above h on the heap, and its
+    # memory goes back when it is freed instead of leaving a hole below h
+    h = np.empty((n, n), dtype=np.complex128)
+    g = rng.standard_normal((n, n))
+    np.add(g, g.T, out=h.real)
+    np.subtract(g, g.T, out=h.imag)
+    # numpy divides a complex array by a real as a product with the
+    # reciprocal; scaling the float view the same way skips complex division
+    h.view(np.float64)[...] *= 1.0 / (2.0 * math.sqrt(n))
+    return h
+
+
+def _sample_rng(spec: EnsembleSpec, rng: np.random.Generator) -> np.ndarray:
+    """One draw of spec from rng."""
     n = spec.N
     if spec.kind == "deterministic":
         return spec.payload.astype(np.complex128)
     if spec.kind == "ginibre":
         return _complex_normal(rng, (n, n)) / math.sqrt(2 * n)
     if spec.kind == "gue":
-        # h before g: the scratch g then sits above h on the heap, and its
-        # memory goes back when it is freed instead of leaving a hole below h
-        h = np.empty((n, n), dtype=np.complex128)
-        g = rng.standard_normal((n, n))
-        np.add(g, g.T, out=h.real)
-        np.subtract(g, g.T, out=h.imag)
-        # numpy divides a complex array by a real as a product with the
-        # reciprocal; scaling the float view the same way skips complex division
-        h.view(np.float64)[...] *= 1.0 / (2.0 * math.sqrt(n))
-        return h
+        return _gue(rng, n)
     return _haar_unitary(rng, n)
 
 
@@ -373,6 +378,30 @@ class MCEstimate:
             raise ValueError("stderr must be non-negative")
 
 
+def _run_trials(run, trials: int, workers: int):
+    """run(t) for every trial t, in order or on a pool of ``workers`` threads.
+
+    Each trial writes its values into its own row of a trial-indexed array,
+    so the result does not depend on the order the trials finish in.
+    """
+    if workers <= 1:
+        for t in range(trials):
+            run(t)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run, range(trials)))
+
+
+def _mean_stderr(vals: np.ndarray) -> tuple:
+    """Mean of per-trial values, as one pairwise sum, and its standard error
+    (0 for a single trial), as Python scalars."""
+    trials = len(vals)
+    mean = (np.sum(vals) / trials).item()
+    if trials == 1:
+        return mean, 0.0
+    return mean, math.sqrt(float(np.sum(np.abs(vals - mean) ** 2)) / (trials - 1) / trials)
+
+
 def _normalize_word(word) -> list[tuple[int, bool]]:
     out = []
     for item in word:
@@ -421,19 +450,8 @@ def mc_word_moment(specs, word, trials: int, workers: int = 1) -> MCEstimate:
         else:
             vals[trial] = np.sum(prod * factors[-1].T) / n
 
-    if workers <= 1:
-        for t in range(trials):
-            run(t)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, range(trials)))
-    mean = complex(np.sum(vals) / trials)
-    if trials == 1:
-        stderr = 0.0
-    else:
-        stderr = float(
-            math.sqrt(float(np.sum(np.abs(vals - mean) ** 2)) / (trials - 1) / trials)
-        )
+    _run_trials(run, trials, workers)
+    mean, stderr = _mean_stderr(vals)
     return MCEstimate(mean=mean, stderr=stderr, trials=trials, seed=specs[0].seed)
 
 
@@ -551,21 +569,6 @@ def _gue_pair_traces(x: np.ndarray, y: np.ndarray, degree: int) -> dict:
     return vals
 
 
-def _rows_from_trials(labels, pred, samples, trials) -> tuple:
-    rows = []
-    for j, label in enumerate(labels):
-        col = samples[:, j]
-        mean = float(np.sum(col) / trials)
-        if trials > 1:
-            err = math.sqrt(float(np.sum((col - mean) ** 2)) / (trials - 1) / trials)
-        else:
-            err = 0.0
-        rows.append(
-            FreenessRow(label, mean, err, float(pred[j]), _zscore(mean, float(pred[j]), err))
-        )
-    return tuple(rows)
-
-
 def freeness_experiment(
     kind: str, N: int, trials: int, degree: int, seed: int = 0, workers: int = 1
 ) -> FreenessReport:
@@ -612,8 +615,8 @@ def freeness_experiment(
         samples = np.empty((trials, len(words)))
 
         def run_gg(t: int):
-            x = _sample_rng(EnsembleSpec("gue", N, seed), _rng(seed, t, 0))
-            y = _sample_rng(EnsembleSpec("gue", N, seed), _rng(seed, t, 1))
+            x = _gue(_rng(seed, t, 0), N)
+            y = _gue(_rng(seed, t, 1), N)
             vals = _gue_pair_traces(x, y, degree)
             for j, w in enumerate(words):
                 samples[t, j] = vals[w].real / N
@@ -633,42 +636,31 @@ def freeness_experiment(
         def run_det(t: int):
             rng = _rng(seed, t, 0)
             if kind == "gue_deterministic":
-                x = _sample_rng(EnsembleSpec("gue", N, seed), rng)
+                x = _gue(rng, N)
                 samples[t] = _power_traces(x + np.diag(diag), degree) / N
             else:
                 samples[t] = _rotated_diagonal_moments(_complex_normal(rng, (N, N // 2)), degree)
 
         runner = run_det
 
-    if workers <= 1:
-        for t in range(trials):
-            runner(t)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(runner, range(trials)))
-    rows = _rows_from_trials(labels, pred, samples, trials)
-    return FreenessReport(kind=kind, N=N, trials=trials, degree=degree, rows=rows)
+    _run_trials(runner, trials, workers)
+    rows = []
+    for j, label in enumerate(labels):
+        mean, err = _mean_stderr(samples[:, j])
+        rows.append(FreenessRow(label, mean, err, pred[j], _zscore(mean, pred[j], err)))
+    return FreenessReport(kind=kind, N=N, trials=trials, degree=degree, rows=tuple(rows))
 
 
-def _interp_poly(xs, ys) -> list[Fraction]:
-    """Exact Lagrange interpolation; coefficients ascending in N."""
-    k = len(xs)
-    coeffs = [Fraction(0)] * k
-    for i in range(k):
-        num = [Fraction(1)]
-        den = Fraction(1)
-        for j in range(k):
-            if j == i:
-                continue
-            num = [
-                (num[m - 1] if m else Fraction(0)) - xs[j] * (num[m] if m < len(num) else 0)
-                for m in range(len(num) + 1)
-            ]
-            den *= xs[i] - xs[j]
-        w = Fraction(ys[i]) / den
-        for m, c in enumerate(num):
-            coeffs[m] += w * c
-    return coeffs
+def _contraction_cycles(rho: Permutation, sigma: Permutation) -> list[int]:
+    """Lengths of the cycles whose traces make up the index contraction of the
+    gluing (rho, sigma) in E tr[(U D U* D)^2].
+
+    The row gluing rho ties the indices of D around the cycles of rho gamma,
+    gamma the trace 2-cycle, and the column gluing sigma ties them around the
+    cycles of sigma, so the contraction is T(N) = prod_k tr D^k over these
+    lengths k.
+    """
+    return [len(c) for c in (rho * Permutation.full_cycle(2)).cycles() + sigma.cycles()]
 
 
 def geodesic_order_assembly() -> tuple:
@@ -677,48 +669,34 @@ def geodesic_order_assembly() -> tuple:
     D is the diagonal alternating 1, 2 (deliberately non-centred so every
     order-N^0 term is non-zero).  The unitary expectation expands over row
     and column gluings (rho, sigma) in S(2) x S(2); each pair contributes an
-    index-contraction polynomial T(N) (interpolated exactly from brute-force
-    sums at five small dimensions, as T can reach degree 4) times the
-    leading Weingarten weight a(sigma rho^{-1}) N^{-2-|sigma rho^{-1}|},
-    with one more 1/N from the normalized trace.  Returns the order-N^0 sum
-    over all pairs and the same sum restricted to pairs on a Cayley geodesic
-    id -> sigma -> rho -> gamma^{-1}, gamma the trace 2-cycle.  The two
-    agree: off-geodesic pairs only enter at negative powers.  (Both equal
-    99/16, the free-product value tau(abab) = m2 m1^2 + m1^2 m2 - m1^4 at
-    m1 = 3/2, m2 = 5/2.)
+    index-contraction polynomial
+
+        T(N) = prod_{c in cyc(rho gamma)} t_|c|(N) prod_{c in cyc(sigma)} t_|c|(N),
+
+    t_k(N) = tr D^k = N (1 + 2^k)/2 at even N, so T has degree
+    #cyc(rho gamma) + #cyc(sigma) and leading coefficient the product of the
+    (1 + 2^|c|)/2.  It is multiplied by the leading Weingarten weight
+    a(sigma rho^{-1}) N^{-2-|sigma rho^{-1}|}, with one more 1/N from the
+    normalized trace.  Returns the order-N^0 sum over all pairs and the same
+    sum restricted to pairs on a Cayley geodesic id -> sigma -> rho ->
+    gamma^{-1}, gamma the trace 2-cycle.  The two agree: off-geodesic pairs
+    only enter at negative powers.  (Both equal 99/16, the free-product value
+    tau(abab) = m2 m1^2 + m1^2 m2 - m1^4 at m1 = 3/2, m2 = 5/2.)
     """
     perms = [Permutation.identity(2), Permutation.transposition(2, 1, 2)]
     gamma_inv = Permutation.full_cycle(2).inverse()
-    probes = [4, 6, 8, 10, 12]
     total_all = Fraction(0)
     total_geo = Fraction(0)
     for rho in perms:
         for sig in perms:
-            ts = []
-            for nn in probes:
-                dvec = [1 + (i % 2) for i in range(nn)]
-                acc = 0
-                for a in range(nn):
-                    for c in range(nn):
-                        k = (c, a)
-                        if a != k[rho(1) - 1] or c != k[rho(2) - 1]:
-                            continue
-                        for b in range(nn):
-                            for bp in range(nn):
-                                ell = (b, bp)
-                                if b != ell[sig(1) - 1] or bp != ell[sig(2) - 1]:
-                                    continue
-                                acc += dvec[a] * dvec[b] * dvec[c] * dvec[bp]
-                ts.append(acc)
-            poly = _interp_poly([Fraction(p) for p in probes], ts)
-            deg_t = max((m for m, cf in enumerate(poly) if cf), default=0)
+            lengths = _contraction_cycles(rho, sig)
             wg_pi = sig * rho.inverse()
-            order = deg_t - (2 + wg_pi.cayley_distance) - 1
+            order = len(lengths) - (2 + wg_pi.cayley_distance) - 1
             if order > 0:
                 raise AssertionError("contraction exceeds order N^0; wiring bug")
             if order == 0:
-                a_pi = weingarten_series(wg_pi).leading
-                term = poly[deg_t] * a_pi
+                lead = math.prod(Fraction(1 + 2**k, 2) for k in lengths)
+                term = lead * weingarten_series(wg_pi).leading
                 total_all += term
                 if is_geodesic(sig, rho, gamma_inv):
                     total_geo += term

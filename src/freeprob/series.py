@@ -5,6 +5,9 @@ throughout the package: ordinary moment series and their cumulant companions
 under both the exponential formula M(z) = exp(C(z)) and its free analogue
 L(z) = K(zL(z)), plus the Laurent-series pair G (moment series at infinity)
 and V (its compositional inverse, a simple pole at zero) with V(G(z)) = z.
+The coefficients of V after its leading 1 are the free cumulants and those of
+G the moments, so V(G(z)) = z is L(z) = K(zL(z)) again, and inverting a
+Laurent series is the same coefficient recursion.
 
 All coefficients are exact ``fractions.Fraction`` values unless the caller
 feeds floats, in which case the same recursions run in floating point.
@@ -295,88 +298,24 @@ class LaurentSeries:
         return len(self.coeffs) - 1
 
 
-def _newton_solve(phi, dphi, order: int):
-    """Solve phi(M) = 0 for a power series M with M(0) = 1 by Newton iteration.
-
-    phi/dphi map a TruncatedSeries to a TruncatedSeries; the correct order of
-    the iterate doubles each step, so the working truncation does too.
-    """
-    m = TruncatedSeries.from_coeffs([1], order=0)
-    correct = 0
-    while correct < order:
-        correct = min(2 * correct + 1, order)
-        m = TruncatedSeries.from_coeffs(m.coeffs, order=correct)
-        residual = phi(m)
-        update = residual * dphi(m).reciprocal()
-        m = m - update
-    return m
-
-
 def laurent_invert(series: LaurentSeries) -> LaurentSeries:
-    """Compositional inverse across the V-form/G-form pair, by Newton iteration.
+    """Compositional inverse across the V-form/G-form pair.
 
-    A V-form input (simple pole of residue one at zero) returns the G-form
-    series with V(G(z)) = z; a G-form input returns the V-form series.
-    Applying the operation twice returns the original series.
+    V(w) = 1/w + kappa_1 + kappa_2 w + ... has the free cumulants as its
+    coefficients after the leading 1, and G(z) = 1/z + m_1/z^2 + ... the
+    moments, so V(G(z)) = z is the free functional equation L = K(zL) and
+    each direction is one coefficient recursion: a V-form input returns the
+    G-form (1, *free_moments_from_cumulants(kappa)), a G-form input the
+    V-form (1, *free_cumulants_from_moments(m)).  Applying the operation
+    twice returns the original series.
     """
     if not series.coeffs or series.coeffs[0] != 1:
         raise ValueError("leading coefficient must be 1 (simple pole of residue one)")
-    order = series.order
-
-    def one(k):
-        return TruncatedSeries.from_coeffs([1], order=k)
-
-    def var(k):
-        return TruncatedSeries.from_coeffs([0, 1], order=k)
-
-    # Padding with zeros below is sound: every padded series enters only via a
-    # shifted composition whose top padded coefficient falls beyond the
-    # truncation order of the result.
-
+    tail = series.coeffs[1:]
     if series.leading_index == -1:
-        # V = 1/w + kappa_1 + kappa_2 w + ...; seek G(z) = u M(u), u = 1/z,
-        # M(0) = 1.  V(G) = z becomes  1/M + u R(uM) - 1 = 0  with
-        # R(w) = kappa_1 + kappa_2 w + ....
-        kappas = series.coeffs[1:]
-
-        def phi(m):
-            k = m.order
-            um = var(k) * m
-            r_k = TruncatedSeries.from_coeffs(kappas, order=k)
-            return m.reciprocal() + r_k.compose(um).shift(1) - one(k)
-
-        def dphi(m):
-            k = m.order
-            um = var(k) * m
-            rp = TruncatedSeries.from_coeffs(kappas, order=k).derivative()
-            rp_k = TruncatedSeries.from_coeffs(rp.coeffs, order=k)
-            return rp_k.compose(um).shift(2) - (m * m).reciprocal()
-
-        m = _newton_solve(phi, dphi, order)
-        return LaurentSeries(1, m.coeffs)
-
+        return LaurentSeries.from_coeffs(1, [1, *free_moments_from_cumulants(tail)])
     if series.leading_index == 1:
-        # G = u M(u); seek V(w) = P(w)/w with P(0) = 1.  G(V(w)) = w becomes
-        # M(w/P) / P - 1 = 0.
-        mom = series.coeffs
-
-        def phi(p):
-            k = p.order
-            mom_k = TruncatedSeries.from_coeffs(mom, order=k)
-            wp = var(k) * p.reciprocal()
-            return mom_k.compose(wp) * p.reciprocal() - one(k)
-
-        def dphi(p):
-            k = p.order
-            mom_k = TruncatedSeries.from_coeffs(mom, order=k)
-            pinv = p.reciprocal()
-            wp = var(k) * pinv
-            md = TruncatedSeries.from_coeffs(mom_k.derivative().coeffs, order=k)
-            return (md.compose(wp).shift(1) * pinv + mom_k.compose(wp)).scale(-1) * (pinv * pinv)
-
-        p = _newton_solve(phi, dphi, order)
-        return LaurentSeries(-1, p.coeffs)
-
+        return LaurentSeries.from_coeffs(-1, [1, *free_cumulants_from_moments(tail)])
     raise ValueError(
         f"wrong pole structure: leading_index must be -1 (V-form) or +1 (G-form), got {series.leading_index}"
     )

@@ -109,18 +109,13 @@ def first_return(rho: Sequence) -> list:
     """First-return sequence phi from the return sequence rho.
 
     Inverts rho(n) = sum_{k<=n} phi(k) rho(n-k) coefficient by coefficient
-    (the generating-function identity R - 1 = F R).  Exact when rho is exact;
-    a float ndarray input runs the same recursion vectorized in doubles.
+    (the generating-function identity R - 1 = F R), in the arithmetic of the
+    entries: exact when rho is exact, in doubles for floats or a float ndarray.
     """
     if len(rho) == 0:
         raise ValueError("rho must contain at least rho(0)")
     if rho[0] != 1:
         raise ValueError(f"rho(0) must equal 1, got {rho[0]}")
-    if isinstance(rho, np.ndarray) and rho.dtype.kind == "f":
-        phi = np.zeros_like(rho)
-        for n in range(1, len(rho)):
-            phi[n] = rho[n] - phi[1:n] @ rho[n - 1:0:-1]
-        return list(phi)
     phi = [rho[0] * 0]
     for n in range(1, len(rho)):
         acc = rho[n]

@@ -329,7 +329,11 @@ def test_route_agreement_beyond_the_float_range_reads_infinity(capsys):
     assert cli.run(argv) == 0
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
-    assert json.loads(captured.out)["diagnostics"]["route_agreement"] == "Infinity"
+    doc = json.loads(captured.out)
+    assert doc["diagnostics"]["route_agreement"] == "Infinity"
+    # the float recursion cannot determine m4..m6: they read null, not "NaN"
+    assert "NaN" not in doc["result"]["moments_quadrature"]
+    assert doc["result"]["moments_quadrature"][3:] == [None, None, None]
 
 
 @pytest.mark.parametrize("route,code", [("analytic", 2), ("both", 2), ("moments", 0)])

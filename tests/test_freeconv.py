@@ -120,8 +120,7 @@ def test_analytic_route_matches_moment_route():
     res = free_convolve_analytic(b, b, grid_size=256)
     exact = free_convolve_moments(BERN, BERN)
     assert np.allclose(res.moments, [float(v) for v in exact], atol=1e-6)
-    cont_resid, func_resid = res.diagnostics
-    assert cont_resid < 1e-7 and func_resid < 1e-7
+    assert res.solver.residual < 1e-7 and res.solver.functional < 1e-7
     assert abs(res.measure.total_mass() - 1) < 1e-6
 
 
@@ -263,4 +262,4 @@ def test_closed_form_inputs_give_the_summed_semicircle():
     t = res.measure.grid
     exact = 2.0 / (math.pi * r * r) * np.sqrt(np.maximum(r * r - t * t, 0.0))
     assert np.max(np.abs(res.measure.samples - exact)) < 1e-4
-    assert res.diagnostics[0] < 1e-8
+    assert res.solver.residual < 1e-8

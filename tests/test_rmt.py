@@ -218,9 +218,38 @@ def test_freeness_experiment_validation():
 
 
 def test_geodesic_order_assembly_sums_match():
-    geo, full = geodesic_order_assembly()
-    assert geo == Fraction(99, 16)
+    full, geo = geodesic_order_assembly()
     assert full == Fraction(99, 16)
+    assert geo == Fraction(99, 16)
+
+
+def brute_contraction(rho, sig, nn):
+    """Index sum of the gluing (rho, sigma) in E tr[(U D U* D)^2] at dimension
+    nn, D = diag(1, 2, 1, 2, ...), by running over all four indices."""
+    dvec = [1 + (i % 2) for i in range(nn)]
+    acc = 0
+    for a in range(nn):
+        for c in range(nn):
+            k = (c, a)
+            if a != k[rho(1) - 1] or c != k[rho(2) - 1]:
+                continue
+            for b in range(nn):
+                for bp in range(nn):
+                    ell = (b, bp)
+                    if b != ell[sig(1) - 1] or bp != ell[sig(2) - 1]:
+                        continue
+                    acc += dvec[a] * dvec[b] * dvec[c] * dvec[bp]
+    return acc
+
+
+@pytest.mark.parametrize("nn", [4, 6])
+def test_contraction_is_a_product_of_traces_over_cycles(nn):
+    perms = [Permutation.identity(2), Permutation.transposition(2, 1, 2)]
+    for rho in perms:
+        for sig in perms:
+            # tr D^k = nn (1 + 2^k) / 2 for even nn
+            traces = [Fraction(nn * (1 + 2**k), 2) for k in rmt._contraction_cycles(rho, sig)]
+            assert brute_contraction(rho, sig, nn) == math.prod(traces)
 
 
 # ---------------------------------------------------------------------------

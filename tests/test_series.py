@@ -126,6 +126,21 @@ def test_laurent_invert_is_involution():
     assert again.coeffs[: len(V.coeffs)] == V.coeffs
 
 
+@pytest.mark.parametrize("leading_index", [-1, 1])
+def test_laurent_invert_round_trips_on_floats(leading_index):
+    rnd = random.Random(7)
+    for order in range(13):
+        coeffs = (1.0,) + tuple(rnd.uniform(-2.0, 2.0) for _ in range(order))
+        inverse = laurent_invert(LaurentSeries(leading_index, coeffs))
+        again = laurent_invert(inverse)
+        assert again.leading_index == leading_index
+        # the degree-n terms summed on the way back are as large as the
+        # inverse's coefficients through degree n, so rounding scales with them
+        for n, (a, b) in enumerate(zip(again.coeffs, coeffs)):
+            scale = max(abs(c) for c in inverse.coeffs[: n + 1])
+            assert abs(a - b) <= 1e-12 * scale
+
+
 @settings(max_examples=40)
 @given(st.lists(rationals, min_size=2, max_size=6))
 def test_laurent_round_trip_property(tail):

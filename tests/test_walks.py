@@ -134,6 +134,14 @@ def test_first_return_renewal_identity():
     assert phi[0] == 0
 
 
+def test_first_return_renewal_identity_on_a_float_ndarray():
+    rho = np.array([float(v) for v in ReturnProbabilities.from_loops(loops_lattice(2, 40)).values])
+    phi = first_return(rho)
+    for n in range(1, len(rho)):
+        assert abs(rho[n] - sum(phi[k] * rho[n - k] for k in range(1, n + 1))) < 1e-12
+    assert phi[0] == 0
+
+
 def test_first_return_requires_unit_start():
     with pytest.raises(ValueError):
         first_return([Fraction(0), Fraction(1, 2)])
