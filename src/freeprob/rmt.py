@@ -22,20 +22,24 @@ Monte Carlo: `mc_word_moment` estimates (E tr) of matrix words with
 counter-based per-trial RNG streams, so results are bit-identical for any
 worker count; `freeness_experiment` packages the standard asymptotic
 freeness checks with exact predictions and z-scores.  Its trials compute
-each trace by an exact identity rather than by multiplying out the word.
-For U D U* + D with D = +-1 (N/2 each) the spectrum is +-2 cos(theta_i),
-theta_i the principal angles between a Haar N/2-subspace and a coordinate
-N/2-subspace (Halmos, "Two subspaces", Trans. AMS 144, 1969), so a trial
-needs only the traces of the N/2 x N/2 matrix W whose eigenvalues are
-cos^2(theta_i), a Jacobi matrix with the arcsine limit law (Collins, PTRF
-133, 2005).  W is the Gram matrix of an orthonormal basis, but it is similar
-to M = C^-1 A for any basis of the subspace, A the Gram matrix of its
-coordinate rows and C that of the whole basis (Bjorck & Golub, Math. Comp.
-27, 1973), so one linear solve replaces the orthonormalisation.  The solve
-loses the small angles' relative accuracy, which only an angle itself would
-need: the traces are sums of cos^(2j)(theta_i) <= 1, accurate to rounding
-in their sum.  The other traces pair stored powers:
-tr h^(a+b) = sum_ij (h^a)_ij (h^b)_ji.
+each trace by an exact identity rather than by multiplying out the word,
+and draw from tridiagonal matrix models wherever only the joint law of
+unitarily invariant traces matters.  For U D U* + D with D = +-1 (N/2 each)
+the spectrum is +-2 cos(theta_i), theta_i the principal angles between a
+Haar N/2-subspace and a coordinate N/2-subspace (Halmos, "Two subspaces",
+Trans. AMS 144, 1969), so a trial needs only the traces of the N/2 x N/2
+matrix W whose eigenvalues are cos^2(theta_i), a Jacobi matrix with the
+arcsine limit law (Collins, PTRF 133, 2005).  The cos(theta_i) have the
+law of the singular values of the upper bidiagonal B of the beta = 2,
+a = b = 0 Jacobi matrix model, whose entries are products of independent
+Beta square roots (Edelman & Sutton, Found. Comput. Math. 8, 2008), so a
+trial draws O(N) Betas and reads the traces off the tridiagonal W = B^T B.
+A GUE x has the law of Q T Q* with T its Householder tridiagonal form:
+independent N(0, 1/N) diagonal and chi-distributed off-diagonal entries
+(Dumitriu & Edelman, J. Math. Phys. 43, 2002), and Q* y Q is again a GUE
+independent of T for an independent GUE y, so every trace of a word in x
+and y is that of the same word in T and y.  The other traces pair stored
+powers: tr h^(a+b) = sum_ij (h^a)_ij (h^b)_ji.
 """
 
 from __future__ import annotations
@@ -507,13 +511,13 @@ def _bernoulli_diag(n: int) -> np.ndarray:
     return d
 
 
-def _power_traces(h: np.ndarray, degree: int, hermitian: bool = True) -> np.ndarray:
-    """tr h^k for k = 1..degree, from the powers of h up to ceil(degree/2).
+def _power_traces(h: np.ndarray, degree: int) -> np.ndarray:
+    """tr h^k for k = 1..degree, h Hermitian, from the powers of h up to
+    ceil(degree/2).
 
     tr h^(a+b) = sum_ij (h^a)_ij (h^b)_ji, so each trace pairs two stored
-    powers with a = ceil(k/2), b = floor(k/2).  For Hermitian h, (h^b)_ji is
-    the conjugate of (h^b)_ij, and the pairing is one inner product with no
-    temporary; otherwise it is the sum of h^a times the transpose of h^b.
+    powers with a = ceil(k/2), b = floor(k/2); (h^b)_ji is the conjugate of
+    (h^b)_ij, and the pairing is one inner product with no temporary.
     """
     powers = [None, h]
     for _ in range(2, (degree + 1) // 2 + 1):
@@ -521,51 +525,87 @@ def _power_traces(h: np.ndarray, degree: int, hermitian: bool = True) -> np.ndar
     out = np.empty(degree)
     out[0] = np.trace(h).real
     for k in range(2, degree + 1):
-        low, high = powers[k // 2], powers[(k + 1) // 2]
-        out[k - 1] = (np.vdot(low, high) if hermitian else np.sum(high * low.T)).real
+        out[k - 1] = np.vdot(powers[k // 2], powers[(k + 1) // 2]).real
     return out
 
 
-def _rotated_diagonal_moments(g: np.ndarray, degree: int) -> np.ndarray:
-    """tr(m^k)/N for k = 1..degree, m = U D U* + D, D = diag(1, -1, 1, ...).
+def _jacobi_bidiagonal(rng: np.random.Generator, n: int) -> tuple:
+    """Diagonal and superdiagonal of the upper bidiagonal B of the beta = 2,
+    a = b = 0 Jacobi matrix model (Edelman & Sutton, Found. Comput. Math. 8,
+    2008), whose n singular values have the law of the cosines of the
+    principal angles between a Haar n-subspace of C^2n and a coordinate one.
 
-    g is any basis (N x N/2, full rank) of the span of U's columns where
-    D = +1; m depends only on that span.  With ge, go the rows of g where
-    D = +1, -1, A = ge* ge and C = g* g = A + go* go: an orthonormal basis
-    q = g R^-1 (C = R* R) has W = qe* qe = R^-* A R^-1, which is similar to
-    M = C^-1 A, so tr W^j = tr M^j without orthonormalising.  The spectrum
-    of m is +-2 cos(theta_i), cos^2(theta_i) the eigenvalues of W, so
-    tr(m^(2j)) = 2 4^j tr(M^j) and every odd moment is exactly 0.
+    With c_k^2 ~ Beta(k, k) for k = n..1 and c'_k^2 ~ Beta(k, k+1) for
+    k = n-1..1, all independent, s = sqrt(1 - c^2) and s' likewise, B has
+    diagonal (c_n, c_(n-1) s'_(n-1), ..., c_1 s'_1) and superdiagonal
+    (-s_n c'_(n-1), ..., -s_2 c'_1).
     """
-    n = g.shape[0]
-    ge, go = g[::2], g[1::2]
-    a = ge.conj().T @ ge
-    c = a + go.conj().T @ go
-    traces = _power_traces(np.linalg.solve(c, a), degree // 2, hermitian=False)
+    k = np.arange(n, 0, -1, dtype=float)
+    c2 = rng.beta(k, k)
+    cp2 = rng.beta(k[1:], k[1:] + 1.0)
+    diag = np.sqrt(c2)
+    diag[1:] *= np.sqrt(1.0 - cp2)
+    sup = -np.sqrt(1.0 - c2[:-1]) * np.sqrt(cp2)
+    return diag, sup
+
+
+def _bidiagonal_moments(diag: np.ndarray, sup: np.ndarray, degree: int) -> np.ndarray:
+    """tr(m^k)/N for k = 1..degree, m = U D U* + D, D = diag(1, -1, 1, ...),
+    N = 2 len(diag), from the bidiagonal B that `_jacobi_bidiagonal` draws.
+
+    The spectrum of m is +-2 cos(theta_i), cos(theta_i) the singular values
+    of B, whose squares are the eigenvalues of the tridiagonal W = B^T B, so
+    tr(m^(2j)) = 2 4^j tr(W^j) and every odd moment is exactly 0.
+    """
+    n = len(diag)
+    w_diag = diag * diag
+    w_diag[1:] += sup * sup
+    w_off = diag[:-1] * sup
+    w = np.diag(w_diag) + np.diag(w_off, 1) + np.diag(w_off, -1)
     out = np.zeros(degree)
-    out[1::2] = 2.0 * 4.0 ** np.arange(1, degree // 2 + 1) * traces / n
+    traces = _power_traces(w, degree // 2)
+    out[1::2] = 2.0 * 4.0 ** np.arange(1, degree // 2 + 1) * traces / (2 * n)
     return out
 
 
-def _gue_pair_traces(x: np.ndarray, y: np.ndarray, degree: int) -> dict:
-    """tr of the gue_gue words up to this degree, x and y Hermitian.
+def _gue_tridiagonal(rng: np.random.Generator, n: int) -> tuple:
+    """Diagonal d and off-diagonal e of the Householder tridiagonal form T of
+    one n x n GUE draw (Dumitriu & Edelman, J. Math. Phys. 43, 2002).
 
-    tr(ab) = sum_ij conj(a_ij) b_ij for Hermitian a, one vdot with no N x N
-    temporary; tr(xxyy) = ||xy||_F^2, because yx = (xy)*; the degree-4 and
-    degree-6 words then need only the products xy and (xy)^2.
+    Step k reduces the first column of the trailing (n-k+1) x (n-k+1)
+    block, again a GUE with the same entry law by unitary invariance; it
+    leaves that column's diagonal entry and the norm of the n - k entries
+    below it, a sum of n - k independent Exp(1/n) moduli squared:
+    d_k ~ N(0, 1/n) and e_k^2 ~ Gamma(n - k, 1)/n, all independent.
     """
+    d = rng.standard_normal(n) * (1.0 / math.sqrt(n))
+    e = np.sqrt(rng.standard_gamma(np.arange(n - 1, 0, -1, dtype=float)) * (1.0 / n))
+    return d, e
+
+
+def _gue_pair_traces(d: np.ndarray, e: np.ndarray, y: np.ndarray, degree: int) -> dict:
+    """tr of the gue_gue words up to this degree, for x the real symmetric
+    tridiagonal matrix with diagonal d and off-diagonal e, and y Hermitian.
+
+    u = x y costs O(N^2) row by row, and every word is a trace of powers of
+    u: tr(yx) = tr(xy) = tr u, tr(xyxy) = tr u^2, tr(xxyy) = ||u||_F^2
+    because yx = u*, and tr(xyxyxy) = tr u^3 needs the one product u u.
+    """
+    u = d[:, None] * y
+    u[:-1] += e[:, None] * y[1:]
+    u[1:] += e[:, None] * y[:-1]
+    tr_u = np.trace(u)
     vals = {
-        (0, 0): np.vdot(x, x),
-        (0, 1): np.vdot(x, y),
-        (1, 0): np.vdot(y, x),
+        (0, 0): np.dot(d, d) + 2.0 * np.dot(e, e),
+        (0, 1): tr_u,
+        (1, 0): tr_u,
         (1, 1): np.vdot(y, y),
     }
     if degree >= 4:
-        xy = x @ y
-        vals[(0, 1, 0, 1)] = np.sum(xy * xy.T)
-        vals[(0, 0, 1, 1)] = np.vdot(xy, xy)
+        vals[(0, 1, 0, 1)] = np.sum(u * u.T)
+        vals[(0, 0, 1, 1)] = np.vdot(u, u)
         if degree >= 6:
-            vals[(0, 1, 0, 1, 0, 1)] = np.sum((xy @ xy) * xy.T)
+            vals[(0, 1, 0, 1, 0, 1)] = np.sum((u @ u) * u.T)
     return vals
 
 
@@ -582,18 +622,23 @@ def freeness_experiment(
     Bernoulli).  The exact predictions come from the law table in
     `measures`: summed free cumulants, or the arcsine moments.
 
-    Each trial computes its traces by exact identities, so every estimate is
-    the same random variable as the multiplied-out word.  rotated_diagonal
-    draws only a basis g (an N x N/2 complex Ginibre) of the span of the N/2
-    columns of U where D = +1, and never orthonormalises it: with A the Gram
-    matrix of g's rows where D = +1 and C = g* g, the Gram matrix W of an
-    orthonormal basis's rows where D = +1 is similar to C^-1 A, so one
-    `np.linalg.solve(C, A)` gives tr W^j, the sums of cos^(2j) of the
-    principal angles between the two subspaces (Halmos, Trans. AMS 144,
-    1969; its limit law is the arcsine, Collins, PTRF 133, 2005).  Traces
-    need no small-angle accuracy, which is what orthonormalising would buy.
-    The odd moments are exactly 0.  gue_deterministic pairs stored powers of
-    X + D, and gue_gue uses tr(xxyy) = ||xy||_F^2.
+    Each trial computes its traces by exact identities, and draws from a
+    tridiagonal matrix model with the same joint law of the traces it
+    reads, so every estimate has the law of the multiplied-out word.
+    rotated_diagonal: the spectrum of U D U* + D is +-2 cos(theta_i), theta_i
+    the principal angles between the span of the N/2 columns of U where
+    D = +1 and the coordinate subspace where D = +1 (Halmos, Trans. AMS 144,
+    1969; their limit law is the arcsine, Collins, PTRF 133, 2005).  A trial
+    draws the cos(theta_i) as the singular values of the bidiagonal beta = 2,
+    a = b = 0 Jacobi model, c_k^2 ~ Beta(k, k) and c'_k^2 ~ Beta(k, k+1)
+    (Edelman & Sutton, Found. Comput. Math. 8, 2008), in O(N) draws, and
+    reads tr cos^(2j) off the powers of a tridiagonal N/2 x N/2 matrix.  The
+    odd moments are exactly 0.  gue_gue: x is drawn as its Householder
+    tridiagonal form, N(0, 1/N) diagonal and sqrt(Gamma(N - k, 1)/N)
+    off-diagonal (Dumitriu & Edelman, J. Math. Phys. 43, 2002), y as a dense
+    GUE, since conjugating y by x's Householder basis leaves a GUE
+    independent of x; every word is then a trace of powers of x y.
+    gue_deterministic pairs stored powers of X + D.
     """
     if kind not in ("gue_gue", "gue_deterministic", "rotated_diagonal"):
         raise ValueError(f"unknown experiment kind {kind!r}")
@@ -615,9 +660,9 @@ def freeness_experiment(
         samples = np.empty((trials, len(words)))
 
         def run_gg(t: int):
-            x = _gue(_rng(seed, t, 0), N)
+            d, e = _gue_tridiagonal(_rng(seed, t, 0), N)
             y = _gue(_rng(seed, t, 1), N)
-            vals = _gue_pair_traces(x, y, degree)
+            vals = _gue_pair_traces(d, e, y, degree)
             for j, w in enumerate(words):
                 samples[t, j] = vals[w].real / N
 
@@ -639,7 +684,7 @@ def freeness_experiment(
                 x = _gue(rng, N)
                 samples[t] = _power_traces(x + np.diag(diag), degree) / N
             else:
-                samples[t] = _rotated_diagonal_moments(_complex_normal(rng, (N, N // 2)), degree)
+                samples[t] = _bidiagonal_moments(*_jacobi_bidiagonal(rng, N // 2), degree)
 
         runner = run_det
 

@@ -90,15 +90,6 @@ class TruncatedSeries:
         c = _as_coeff(c)
         return TruncatedSeries(tuple(c * a for a in self.coeffs))
 
-    def shift(self, k: int = 1) -> "TruncatedSeries":
-        """Multiply by z^k (same truncation order)."""
-        return TruncatedSeries((Fraction(0),) * k + self.coeffs[: self.order + 1 - k])
-
-    def derivative(self) -> "TruncatedSeries":
-        if self.order == 0:
-            return TruncatedSeries((Fraction(0),))
-        return TruncatedSeries(tuple(k * self.coeffs[k] for k in range(1, self.order + 1)))
-
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """self(inner(z)); inner must have zero constant term."""
         if inner.coeffs[0] != 0:

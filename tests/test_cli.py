@@ -205,6 +205,15 @@ def test_rmt_workers_do_not_change_numbers(capsys):
     assert one["result"] == four["result"]
 
 
+@pytest.mark.parametrize("kind", ["rotated_diagonal", "gue_gue"])
+def test_rmt_at_the_smallest_dimension(capsys, kind):
+    # N = 2: a 1 x 1 Jacobi bidiagonal with no c' draw, a 2 x 2 GUE form
+    base = ["rmt", "--kind", kind, "--N", "2", "--trials", "6", "--degree", "6"]
+    one = run_json(capsys, base + ["--workers", "1"])
+    two = run_json(capsys, base + ["--workers", "2"])
+    assert one["result"]["rows"] == two["result"]["rows"]
+
+
 def test_same_argv_is_byte_identical(capsys):
     argv = ["rmt", "--kind", "rotated_diagonal", "--N", "20", "--trials", "6",
             "--degree", "4", "--seed", "9"]

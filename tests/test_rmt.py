@@ -374,6 +374,30 @@ def direct_power_moments(m, degree):
     return np.array(out)
 
 
+def gram_solve_moments(g, degree):
+    """tr(m^k)/N for k = 1..degree, m = U D U* + D, D = diag(1, -1, 1, ...),
+    from any basis g (N x N/2, full rank) of the span of U's columns where
+    D = +1, the dense route that the Jacobi model replaced.
+
+    With ge, go the rows of g where D = +1, -1, A = ge* ge and C = g* g: the
+    Gram matrix W = qe* qe of an orthonormal basis q = g R^-1 (C = R* R) is
+    similar to M = C^-1 A (Bjorck & Golub, Math. Comp. 27, 1973), so
+    tr(m^(2j)) = 2 4^j tr(M^j) without orthonormalising.
+    """
+    n = g.shape[0]
+    ge, go = g[::2], g[1::2]
+    a = ge.conj().T @ ge
+    c = a + go.conj().T @ go
+    m = np.linalg.solve(c, a)
+    power, traces = np.eye(n // 2), []
+    for _ in range(degree // 2):
+        power = power @ m
+        traces.append(np.trace(power).real)
+    out = np.zeros(degree)
+    out[1::2] = 2.0 * 4.0 ** np.arange(1, degree // 2 + 1) * np.array(traces) / n
+    return out
+
+
 @pytest.mark.parametrize("N", [20, 50])
 def test_half_rank_reduction_matches_power_loop(N):
     d = rmt._bernoulli_diag(N)
@@ -383,27 +407,101 @@ def test_half_rank_reduction_matches_power_loop(N):
         # any basis of the span will do: the orthonormal one, and a skewed one
         r = rmt._complex_normal(rmt._rng(seed, trial, 1), (N // 2, N // 2))
         for basis in (u[:, ::2], u[:, ::2] @ r):
-            reduced = rmt._rotated_diagonal_moments(basis, 8)
+            reduced = gram_solve_moments(basis, 8)
             assert np.all(np.abs(reduced - direct) <= 1e-12 * np.maximum(1.0, np.abs(direct)))
             assert np.all(reduced[0::2] == 0.0)
 
 
 @pytest.mark.parametrize("N", [20, 50])
 def test_rotated_diagonal_trials_match_orthonormalised_draws(N):
-    # the thin QR of each trial's own draw is the reference: U D U* = 2 q q* - I
     seed, trials, degree = 3, 6, 8
     d = rmt._bernoulli_diag(N)
-    rows = []
+    # the oracle against the thin QR of each draw: U D U* = 2 q q* - I
     for t in range(trials):
         g = rmt._complex_normal(rmt._rng(seed, t, 0), (N, N // 2))
         q = np.linalg.qr(g)[0]
         want = direct_power_moments(2.0 * q @ q.conj().T - np.eye(N) + np.diag(d), degree)
-        got = rmt._rotated_diagonal_moments(g, degree)
+        got = gram_solve_moments(g, degree)
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+    # each trial's rows against the singular values of that trial's own B
+    powers = 2 * np.arange(1, degree // 2 + 1)
+    rows = []
+    for t in range(trials):
+        diag, sup = rmt._jacobi_bidiagonal(rmt._rng(seed, t, 0), N // 2)
+        sigma = np.linalg.svd(np.diag(diag) + np.diag(sup, 1), compute_uv=False)
+        want = np.zeros(degree)
+        want[1::2] = [2.0 * np.sum((2.0 * sigma) ** p) / N for p in powers]
+        got = rmt._bidiagonal_moments(diag, sup, degree)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+        assert np.all(got[0::2] == 0.0)
         rows.append(got)
     rep = freeness_experiment("rotated_diagonal", N, trials, degree, seed=seed)
     assert np.allclose([row.empirical for row in rep.rows], np.mean(rows, axis=0),
                        rtol=1e-14, atol=0.0)
+
+
+def test_rotated_diagonal_rows_match_the_gram_solve_oracle_in_law():
+    # two independent samples, the Jacobi model's and the dense Ginibre
+    # route's, estimate the same m2, m4, m6 at N = 8
+    N, trials, degree = 8, 3000, 6
+    rep = freeness_experiment("rotated_diagonal", N, trials, degree, seed=41)
+    rng = rmt._rng(42)
+    oracle = np.array([gram_solve_moments(rmt._complex_normal(rng, (N, N // 2)), degree)
+                       for _ in range(trials)])
+    for j in (1, 3, 5):
+        mean, err = rmt._mean_stderr(oracle[:, j])
+        row = rep.rows[j]
+        assert abs(row.empirical - mean) < 4 * math.hypot(row.stderr, err)
+
+
+def test_gue_tridiagonal_form_has_the_gue_trace_law():
+    # E tr T^k / N at N = 4 against the exact genus expansion
+    N, draws = 4, 10000
+    rng = rmt._rng(43)
+    t = np.zeros((draws, N, N))
+    for i in range(draws):
+        d, e = rmt._gue_tridiagonal(rng, N)
+        t[i] = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    t2 = t @ t
+    for k, power in ((2, t2), (4, t2 @ t2), (6, t2 @ t2 @ t2)):
+        mean, err = rmt._mean_stderr(np.trace(power, axis1=1, axis2=2) / N)
+        assert abs(mean - float(wick_trace_moment(k, N))) < 4 * err
+
+
+@pytest.mark.parametrize("N", [2, 4, 8])
+def test_jacobi_model_has_the_haar_principal_angle_law(N):
+    # E tr W = tr P tr Q / N = n/2 for two rank-n projections P, Q = U P U*;
+    # E tr W^2 = E tr (PQ)^2 = 2n^3 Wg(e) + (n^4 + n^2) Wg((12)) by Weingarten
+    n, draws = N // 2, 6000
+    wg_e = float(weingarten_series(Permutation((1, 2))).evaluate(N).value)
+    wg_t = float(weingarten_series(Permutation((2, 1))).evaluate(N).value)
+    rng = rmt._rng(44, N)
+    b = np.zeros((draws, n, n))
+    for i in range(draws):
+        diag, sup = rmt._jacobi_bidiagonal(rng, n)
+        b[i] = np.diag(diag) + np.diag(sup, 1)
+    w = np.transpose(b, (0, 2, 1)) @ b
+    for values, want in (
+        (np.trace(w, axis1=1, axis2=2), n / 2),
+        (np.sum(w * w, axis=(1, 2)), 2 * n**3 * wg_e + (n**4 + n**2) * wg_t),
+    ):
+        mean, err = rmt._mean_stderr(values)
+        assert abs(mean - want) < 4 * err
+
+
+def test_jacobi_model_at_n_one_is_uniform():
+    # N = 2: W = c_1^2 ~ Beta(1, 1), and there is no c' to draw
+    draws = 4000
+    rng = rmt._rng(45)
+    w = np.empty(draws)
+    for i in range(draws):
+        diag, sup = rmt._jacobi_bidiagonal(rng, 1)
+        assert diag.shape == (1,) and sup.shape == (0,)
+        w[i] = diag[0] ** 2
+    w.sort()
+    grid = np.arange(1, draws + 1) / draws
+    ks = max(np.max(grid - w), np.max(w - (grid - 1.0 / draws)))
+    assert ks * math.sqrt(draws) < 1.95  # Kolmogorov-Smirnov at level 0.001
 
 
 @pytest.mark.parametrize("shape", [(1,), (7, 3), (40, 20)])
@@ -418,20 +516,22 @@ def test_power_traces_match_matrix_power():
     N = 30
     x = sample(EnsembleSpec("gue", N, seed=2))
     h = x + np.diag(rmt._bernoulli_diag(N))
-    # a product of two Hermitian matrices has real traces but is not Hermitian
-    m = h @ (x @ x)
-    for mat, hermitian in ((h, True), (m, False)):
+    # and a real symmetric tridiagonal, as the Jacobi model passes
+    diag, sup = rmt._jacobi_bidiagonal(rmt._rng(2), N)
+    b = np.diag(diag) + np.diag(sup, 1)
+    for mat in (h, b.T @ b):
         for degree in (1, 2, 5, 8):
-            got = rmt._power_traces(mat, degree, hermitian=hermitian)
+            got = rmt._power_traces(mat, degree)
             want = [np.trace(np.linalg.matrix_power(mat, k)).real for k in range(1, degree + 1)]
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * N)
 
 
 def test_gue_pair_traces_match_products():
     N = 30
-    x = sample(EnsembleSpec("gue", N, seed=3))
+    d, e = rmt._gue_tridiagonal(rmt._rng(3), N)
+    x = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
     y = sample(EnsembleSpec("gue", N, seed=4))
-    vals = rmt._gue_pair_traces(x, y, 6)
+    vals = rmt._gue_pair_traces(d, e, y, 6)
     xy = x @ y
     want = {
         (0, 0): np.trace(x @ x),
@@ -445,7 +545,7 @@ def test_gue_pair_traces_match_products():
     assert vals.keys() == want.keys()
     for word, value in want.items():
         assert abs(vals[word] - value) <= 1e-12 * max(1.0, abs(value))
-    assert set(rmt._gue_pair_traces(x, y, 4)) == set(want) - {(0, 1, 0, 1, 0, 1)}
+    assert set(rmt._gue_pair_traces(d, e, y, 4)) == set(want) - {(0, 1, 0, 1, 0, 1)}
 
 
 def test_rotated_diagonal_odd_rows_are_exactly_zero():
