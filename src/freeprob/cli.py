@@ -362,6 +362,7 @@ def _cmd_freeconv(args) -> str:
         diagnostics["continuation_residual"] = conv.solver.residual
         diagnostics["functional_residual"] = conv.solver.functional
         diagnostics["iterations"] = conv.solver.iterations
+        diagnostics["median_iterations"] = conv.solver.median_iterations
         diagnostics["safeguarded_steps"] = conv.solver.safeguarded_steps
         diagnostics["worst_z"] = conv.solver.worst_z
         diagnostics["mass_defect"] = conv.mass_defect

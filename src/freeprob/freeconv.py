@@ -37,7 +37,8 @@ variable s; parametrizing by the radius instead leaves a nonzero residual
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -91,6 +92,8 @@ class SolverCounters:
     iterations: int = 0  # most rounds any point took, both orders counted
     safeguarded_steps: int = 0  # damped or plain steps, summed over points
     worst_z: complex | None = None  # the point with the largest fixed-point residual
+    # rounds -> number of points that finished after that many, both orders counted
+    rounds_finished: Counter = field(default_factory=Counter)
 
     def add(self, zs, residual, functional, rounds):
         """Take in the points ``zs`` that finished after ``rounds`` rounds."""
@@ -100,6 +103,18 @@ class SolverCounters:
             self.worst_z = complex(zs[k])
         self.functional = max(self.functional, float(functional.max()))
         self.iterations = max(self.iterations, rounds)
+        self.rounds_finished[rounds] += len(zs)
+
+    @property
+    def median_iterations(self) -> int:
+        """The lower median of the rounds per finished point (0 before any)."""
+        half = (self.rounds_finished.total() + 1) // 2
+        seen = 0
+        for rounds in sorted(self.rounds_finished):
+            seen += self.rounds_finished[rounds]
+            if seen >= half:
+                return rounds
+        return 0
 
 
 @dataclass(frozen=True)
@@ -264,6 +279,9 @@ def free_convolve_analytic(
     law as ``mu_x`` (`measures.named_cauchy` gives the named laws' closed
     forms); None takes the cell kernel on ``mu_x``.  Likewise for Y.  The
     measures themselves give the support hint and the quadrature moments.
+    `stieltjes_invert` hands the solve one batch per call, the grid at both
+    heights, then every atom probe: this is sound because the solve is
+    pointwise, each point's iterate and step count depending on its own z.
     """
     for mu in (mu_x, mu_y):
         if mu.support is None and not mu.atoms:
@@ -380,11 +398,15 @@ def semicircle_flow_residual(mu: Measure, r: float, z: complex, h: float) -> com
     if h >= s0:
         raise ValueError(f"step h={h} too large for flow variance {s0}")
 
-    def g_at(s: float, zz: complex) -> complex:
-        member = make_named("semicircle", 4096, r=2.0 * math.sqrt(s))
-        return convolved_cauchy(mu, member, zz)
+    cauchy_mu = cauchy_evaluator(mu)
 
-    g0 = g_at(s0, z)
-    ds = (g_at(s0 + h, z) - g_at(s0 - h, z)) / (2.0 * h)
-    dz = (g_at(s0, z + h) - g_at(s0, z - h)) / (2.0 * h)
+    def g_at(s: float, *zs: complex) -> list:
+        member = make_named("semicircle", 4096, r=2.0 * math.sqrt(s))
+        solved = _subordinate(np.array(zs), cauchy_mu, cauchy_evaluator(member), SolverCounters())
+        return [complex(g) for g in solved]
+
+    g0, g_zp, g_zm = g_at(s0, z, z + h, z - h)
+    (g_sp,), (g_sm,) = g_at(s0 + h, z), g_at(s0 - h, z)
+    ds = (g_sp - g_sm) / (2.0 * h)
+    dz = (g_zp - g_zm) / (2.0 * h)
     return ds + g0 * dz

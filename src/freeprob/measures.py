@@ -493,12 +493,15 @@ def _eval_transform(G: Callable, zs: np.ndarray) -> np.ndarray:
 def stieltjes_invert(G: Callable, support_hint, grid_size: int = 2048, eps: float = 1e-3) -> Measure:
     """Recover a measure from its Cauchy transform.
 
-    G maps a 1-d complex array to the array of its values there.  Density
-    via -Im G(t + i*eps)/pi with Richardson extrapolation between eps
-    and eps/2.  Atoms are flagged where eps*|Im G| exceeds 0.1*sqrt(eps) and
-    the two-level mass estimates agree (a pole's estimate is eps-independent,
-    a bounded density's halves), then located by a parabolic fit to the
-    reciprocal estimate and measured as the extrapolated pole mass.
+    G maps a 1-d complex array to the array of its values there, and must act
+    pointwise: it is called at most twice, once on the grid at both heights
+    and once on every atom probe, so a point's value may not depend on the
+    other points of its batch.  Density via -Im G(t + i*eps)/pi with
+    Richardson extrapolation between eps and eps/2.  Atoms are flagged where
+    eps*|Im G| exceeds 0.1*sqrt(eps) and the two-level mass estimates agree
+    (a pole's estimate is eps-independent, a bounded density's halves), then
+    located by a parabolic fit to the reciprocal estimate and measured as the
+    extrapolated pole mass.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -512,8 +515,8 @@ def stieltjes_invert(G: Callable, support_hint, grid_size: int = 2048, eps: floa
         n_grid += 1  # keep the hint midpoint on the grid; atoms often sit there
     t = np.linspace(a, b, n_grid)
     h = t[1] - t[0]
-    g1 = _eval_transform(G, t + 1j * eps)
-    g2 = _eval_transform(G, t + 1j * eps / 2.0)
+    g = _eval_transform(G, np.concatenate([t + 1j * eps, t + 1j * eps / 2.0]))
+    g1, g2 = g[:n_grid], g[n_grid:]
     d1 = -g1.imag / math.pi
     d2 = -g2.imag / math.pi
     dens = 2.0 * d2 - d1
@@ -521,27 +524,31 @@ def stieltjes_invert(G: Callable, support_hint, grid_size: int = 2048, eps: floa
     mass1 = eps * np.abs(g1.imag)
     threshold = 0.1 * math.sqrt(eps)
 
-    atoms = []
+    locs = []
     idx = np.flatnonzero(mass1 > threshold)
-    if idx.size:
-        runs = np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1)
-        for run in runs:
-            k = run[np.argmax(mass1[run])]
-            loc = t[k]
-            if 0 < k < n_grid - 1 and mass1[k - 1] > 0 and mass1[k + 1] > 0:
-                # near a pole, 1/mass1 is a parabola in t with vertex at the atom
-                y0, y1, y2 = 1.0 / mass1[k - 1], 1.0 / mass1[k], 1.0 / mass1[k + 1]
-                denom = y0 - 2.0 * y1 + y2
-                if denom > 0:
-                    shift = 0.5 * (y0 - y2) / denom
-                    if abs(shift) <= 1.0:
-                        loc = t[k] + shift * h
-            # decide pole vs steep density at the refined point: a pole's
-            # eta*|Im G| is eta-independent, a bounded density's halves
-            za = complex(loc, eps)
-            zb = complex(loc, eps / 2.0)
-            ma = eps * abs(_eval_transform(G, np.array([za]))[0].imag)
-            mb = (eps / 2.0) * abs(_eval_transform(G, np.array([zb]))[0].imag)
+    runs = np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1) if idx.size else []
+    for run in runs:
+        k = run[np.argmax(mass1[run])]
+        loc = t[k]
+        if 0 < k < n_grid - 1 and mass1[k - 1] > 0 and mass1[k + 1] > 0:
+            # near a pole, 1/mass1 is a parabola in t with vertex at the atom
+            y0, y1, y2 = 1.0 / mass1[k - 1], 1.0 / mass1[k], 1.0 / mass1[k + 1]
+            denom = y0 - 2.0 * y1 + y2
+            if denom > 0:
+                shift = 0.5 * (y0 - y2) / denom
+                if abs(shift) <= 1.0:
+                    loc = t[k] + shift * h
+        locs.append(loc)
+
+    atoms = []
+    if locs:
+        # decide pole vs steep density at each refined point: a pole's
+        # eta*|Im G| is eta-independent, a bounded density's halves
+        probe = np.array(locs)
+        gp = _eval_transform(G, np.concatenate([probe + 1j * eps, probe + 1j * eps / 2.0]))
+        for loc, ga, gb in zip(locs, gp[:len(locs)], gp[len(locs):]):
+            ma = eps * abs(ga.imag)
+            mb = (eps / 2.0) * abs(gb.imag)
             if mb <= 0.0 or not (0.8 < ma / mb < 1.25):
                 continue
             mass = 2.0 * mb - ma

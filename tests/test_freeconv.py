@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from freeprob import freeconv
 from freeprob.freeconv import (
     ContinuationError,
+    SolverCounters,
     convolved_cauchy,
     free_clt,
     free_convolve_analytic,
@@ -20,7 +21,7 @@ from freeprob.freeconv import (
     free_poisson,
     semicircle_flow_residual,
 )
-from freeprob.measures import make_named, moments, named_cauchy
+from freeprob.measures import cauchy_evaluator, make_named, moments, named_cauchy
 
 BERN = [Fraction(0), Fraction(1)] * 3
 
@@ -153,6 +154,89 @@ def test_flow_residual_shrinks_at_second_order():
         coarse = abs(semicircle_flow_residual(mu, 1.0, 2j, 0.04))
         fine = abs(semicircle_flow_residual(mu, 1.0, 2j, 0.02))
         assert coarse / fine >= 3.5
+
+
+def test_flow_residual_solves_the_s0_member_once(monkeypatch):
+    # z and z +- h share one solve against the s0 member; s0 +- h take one each
+    mu = make_named("semicircle")
+    z, r, h = 2j, 1.0, 0.04
+    solves, built = [], []
+    solve, make = freeconv._subordinate, freeconv.make_named
+    monkeypatch.setattr(freeconv, "_subordinate",
+                        lambda zs, *a, **k: solves.append(len(zs)) or solve(zs, *a, **k))
+    monkeypatch.setattr(freeconv, "make_named", lambda *a, **k: built.append(a) or make(*a, **k))
+    res = semicircle_flow_residual(mu, r, z, h)
+    assert sorted(solves) == [1, 1, 3]
+    assert len(built) == 3
+    monkeypatch.undo()
+    # the same bits as five one-point solves
+    s0 = r * r / 4.0
+
+    def g_at(s, zz):
+        return convolved_cauchy(mu, make_named("semicircle", 4096, r=2.0 * math.sqrt(s)), zz)
+
+    ds = (g_at(s0 + h, z) - g_at(s0 - h, z)) / (2.0 * h)
+    dz = (g_at(s0, z + h) - g_at(s0, z - h)) / (2.0 * h)
+    assert res == ds + g_at(s0, z) * dz
+
+
+def _evaluator(law, closed):
+    tag, params = law
+    return named_cauchy(tag, **params) if closed else \
+        cauchy_evaluator(make_named(tag, 128, **params))
+
+
+def _levels(lo, hi, eta):
+    t = np.linspace(lo, hi, 129)
+    return t + 1j * eta, t + 1j * eta / 2.0
+
+
+BATCH_CASES = [
+    # closed forms
+    (("semicircle", {}), ("arcsine", {}), True, (-4.4, 4.4), 1e-3),
+    # exact pole sums of atoms only; near 0 the solve is close to a double root
+    (("bernoulli", {}), ("bernoulli", {}), False, (-2.4, 2.4), 1e-3),
+    # the cell kernel on a density
+    (("sato_tate", {}), ("bernoulli", {}), False, (-3.4, 3.4), 1e-3),
+    # atoms with a gap at 1.5: at this eta its grid point stalls and is
+    # solved again with X and Y swapped, at both heights
+    (("point", {"c": 1.5}), ("bernoulli", {}), False, (0.3, 2.7), 1e-4),
+]
+
+
+@pytest.mark.parametrize("x,y,closed,hint,eta", BATCH_CASES,
+                         ids=["semicircle+arcsine", "bernoulli+bernoulli",
+                              "sato_tate+bernoulli", "point+bernoulli"])
+def test_subordination_is_pointwise_across_batches(x, y, closed, hint, eta):
+    cauchy_x, cauchy_y = _evaluator(x, closed), _evaluator(y, closed)
+    parts = _levels(*hint, eta)
+    batched = SolverCounters()
+    whole = freeconv._subordinate(np.concatenate(parts), cauchy_x, cauchy_y, batched)
+    apart = SolverCounters()
+    pieces = [freeconv._subordinate(p, cauchy_x, cauchy_y, apart) for p in parts]
+    assert whole.tobytes() == np.concatenate(pieces).tobytes()
+    assert batched.rounds_finished.total() == whole.size
+    # worst_z is the first point found at the worst residual; one batch finds
+    # the two levels' points in another order, so an exact tie could move it.
+    # Every other counter is an aggregate.
+    for name in ("residual", "functional", "iterations", "safeguarded_steps",
+                 "rounds_finished", "median_iterations"):
+        assert getattr(batched, name) == getattr(apart, name), name
+    assert 1 <= batched.median_iterations <= batched.iterations
+
+
+def test_median_iterations_is_a_round_count_of_the_solve():
+    b, st = make_named("bernoulli"), make_named("sato_tate", 128)
+    res = free_convolve_analytic(b, st, grid_size=128)
+    assert 1 <= res.solver.median_iterations <= res.solver.iterations
+    counters = SolverCounters()
+    assert counters.median_iterations == 0
+    ones = np.ones(3)
+    counters.add(np.full(1, 1j), ones[:1], ones[:1], 2)
+    counters.add(np.full(3, 2j), ones, ones, 7)
+    assert counters.median_iterations == 7  # the lower median of 2, 7, 7, 7
+    counters.add(np.full(2, 3j), ones[:2], ones[:2], 1)
+    assert counters.median_iterations == 2  # of 1, 1, 2, 7, 7, 7
 
 
 def test_continuation_error_carries_failure_point():

@@ -210,6 +210,33 @@ def test_stieltjes_invert_recovers_atoms():
     assert all(abs(w - 0.5) < 1e-5 for w in ws)
 
 
+def _counting(G):
+    """G, and the list of the batch sizes it was called on."""
+    sizes = []
+
+    def counted(w):
+        sizes.append(w.size)
+        return G(w)
+
+    return counted, sizes
+
+
+def test_stieltjes_invert_calls_g_once_without_atom_candidates():
+    sc = make_named("semicircle")
+    G, sizes = _counting(lambda w: cauchy(sc, w))
+    rec = stieltjes_invert(G, (-2.2, 2.2), grid_size=256)
+    assert rec.atoms == ()
+    assert sizes == [2 * 257]  # the grid at both heights, in one batch
+
+
+def test_stieltjes_invert_probes_every_atom_candidate_in_one_call():
+    b = make_named("bernoulli")
+    G, sizes = _counting(lambda w: cauchy(b, w))
+    rec = stieltjes_invert(G, (-1.5, 1.5), grid_size=256)
+    assert len(rec.atoms) == 2
+    assert sizes == [2 * 257, 2 * 2]  # two candidates, each at both heights
+
+
 def test_stieltjes_invert_needs_a_vectorised_transform():
     with pytest.raises(ValueError, match="must map an array of points"):
         stieltjes_invert(lambda w: complex(np.sum(1 / w)), (-1, 1))
