@@ -38,14 +38,22 @@ A GUE x has the law of Q T Q* with T its Householder tridiagonal form:
 independent N(0, 1/N) diagonal and chi-distributed off-diagonal entries
 (Dumitriu & Edelman, J. Math. Phys. 43, 2002), and Q* y Q is again a GUE
 independent of T for an independent GUE y, so every trace of a word in x
-and y is that of the same word in T and y.  The other traces pair stored
-powers: tr h^(a+b) = sum_ij (h^a)_ij (h^b)_ji.
+and y is that of the same word in T and y.  y = (a g + conj(a) g^T) /
+(2 sqrt(N)) with a = 1 + i and g its real normals, so the words are read
+off the real P = T g and Q = g T, each O(N^2): tr xy = tr P / sqrt(N),
+tr yy = <g, g> / N, tr xyxy = <P, Q> / N, tr xxyy = (<P, P> + <Q, Q>) / (2N)
+and tr xyxyxy = (3 <P^2, Q> - tr P^3) / (2 N^(3/2)), <A, B> = sum A o B,
+exact since a^3 + conj(a)^3 = -4 and a^2 conj(a) = 2a; the one real product
+P P costs N^3 multiply-adds.  The other traces pair stored powers:
+tr h^(a+b) = sum_ij (h^a)_ij (h^b)_ji.  Every trial reduction is summed by
+numpy's own loops rather than a BLAS dot, so the output bytes do not depend
+on the BLAS thread count.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -383,17 +391,37 @@ class MCEstimate:
 
 
 def _run_trials(run, trials: int, workers: int):
-    """run(t) for every trial t, in order or on a pool of ``workers`` threads.
+    """run(t) for every trial t, in order or on ``workers`` threads.
 
-    Each trial writes its values into its own row of a trial-indexed array,
-    so the result does not depend on the order the trials finish in.
+    Worker w runs trials w, w + workers, w + 2 workers, ... in turn, the
+    calling thread being worker 0.  Each trial writes its values into its own
+    row of a trial-indexed array, so the result does not depend on the order
+    the trials finish in.  If trials raise, every worker stops at its first
+    failure and the exception of the lowest failing trial is raised here.
     """
+    workers = min(workers, trials)
     if workers <= 1:
         for t in range(trials):
             run(t)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, range(trials)))
+        return
+    failures = []
+
+    def stride(w: int):
+        for t in range(w, trials, workers):
+            try:
+                run(t)
+            except BaseException as exc:
+                failures.append((t, exc))
+                return
+
+    threads = [threading.Thread(target=stride, args=(w,)) for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    stride(0)
+    for thread in threads:
+        thread.join()
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
 
 
 def _mean_stderr(vals: np.ndarray) -> tuple:
@@ -511,13 +539,26 @@ def _bernoulli_diag(n: int) -> np.ndarray:
     return d
 
 
+def _inner(a: np.ndarray, b: np.ndarray) -> float:
+    """Re sum conj(a) o b over all entries, for arrays of one shape and
+    dtype, 1-d or 2-d, real or complex (complex ones C-contiguous).
+
+    A complex array is read as its real view, so the real part is one real
+    inner product with no temporary.  numpy's einsum loops sum it, not a
+    BLAS dot, whose summation order (and so whose last bits) would follow
+    the BLAS thread count.
+    """
+    ij = "ij"[: a.ndim]
+    return float(np.einsum(f"{ij},{ij}->", a.view(np.float64), b.view(np.float64)))
+
+
 def _power_traces(h: np.ndarray, degree: int) -> np.ndarray:
-    """tr h^k for k = 1..degree, h Hermitian, from the powers of h up to
-    ceil(degree/2).
+    """tr h^k for k = 1..degree, h Hermitian and C-contiguous, from the
+    powers of h up to ceil(degree/2).
 
     tr h^(a+b) = sum_ij (h^a)_ij (h^b)_ji, so each trace pairs two stored
     powers with a = ceil(k/2), b = floor(k/2); (h^b)_ji is the conjugate of
-    (h^b)_ij, and the pairing is one inner product with no temporary.
+    (h^b)_ij, and the pairing is one inner product.
     """
     powers = [None, h]
     for _ in range(2, (degree + 1) // 2 + 1):
@@ -525,7 +566,7 @@ def _power_traces(h: np.ndarray, degree: int) -> np.ndarray:
     out = np.empty(degree)
     out[0] = np.trace(h).real
     for k in range(2, degree + 1):
-        out[k - 1] = np.vdot(powers[k // 2], powers[(k + 1) // 2]).real
+        out[k - 1] = _inner(powers[k // 2], powers[(k + 1) // 2])
     return out
 
 
@@ -583,28 +624,41 @@ def _gue_tridiagonal(rng: np.random.Generator, n: int) -> tuple:
     return d, e
 
 
-def _gue_pair_traces(d: np.ndarray, e: np.ndarray, y: np.ndarray, degree: int) -> dict:
+def _gue_pair_traces(d: np.ndarray, e: np.ndarray, g: np.ndarray, degree: int) -> dict:
     """tr of the gue_gue words up to this degree, for x the real symmetric
-    tridiagonal matrix with diagonal d and off-diagonal e, and y Hermitian.
+    tridiagonal matrix with diagonal d and off-diagonal e, and y the GUE
+    that `_gue` builds from the real n x n normals g.
 
-    u = x y costs O(N^2) row by row, and every word is a trace of powers of
-    u: tr(xy) = tr u, tr(xyxy) = tr u^2, tr(xxyy) = ||u||_F^2 because
-    yx = u*, and tr(xyxyxy) = tr u^3 needs the one product u u.  There is no
-    yx word: tr(yx) = tr(xy) by cyclicity, so it would repeat the xy row.
+    y = (a g + conj(a) g^T) / (2 sqrt(n)) with a = 1 + i, so every word is
+    read off P = x g and Q = g x, each formed row or column wise in O(n^2),
+    with <A, B> = sum A o B:
+
+        tr xy = tr P / sqrt(n),         tr yy = <g, g> / n,
+        tr xyxy = <P, Q> / n,           tr xxyy = (<P, P> + <Q, Q>) / (2n),
+        tr xyxyxy = (3 <P^2, Q> - tr P^3) / (2 n^(3/2)),
+
+    exact because a^3 + conj(a)^3 = -4 and a^2 conj(a) = 2a.  Only the last
+    needs a product, the real P P (n^3 multiply-adds).  There is no yx word:
+    tr(yx) = tr(xy) by cyclicity, so it would repeat the xy row.
     """
-    u = d[:, None] * y
-    u[:-1] += e[:, None] * y[1:]
-    u[1:] += e[:, None] * y[:-1]
+    n = len(d)
+    p = d[:, None] * g
+    p[:-1] += e[:, None] * g[1:]
+    p[1:] += e[:, None] * g[:-1]
     vals = {
-        (0, 0): np.dot(d, d) + 2.0 * np.dot(e, e),
-        (0, 1): np.trace(u),
-        (1, 1): np.vdot(y, y),
+        (0, 0): _inner(d, d) + 2.0 * _inner(e, e),
+        (0, 1): np.trace(p) / math.sqrt(n),
+        (1, 1): _inner(g, g) / n,
     }
     if degree >= 4:
-        vals[(0, 1, 0, 1)] = np.sum(u * u.T)
-        vals[(0, 0, 1, 1)] = np.vdot(u, u)
+        q = g * d
+        q[:, :-1] += g[:, 1:] * e
+        q[:, 1:] += g[:, :-1] * e
+        vals[(0, 1, 0, 1)] = _inner(p, q) / n
+        vals[(0, 0, 1, 1)] = (_inner(p, p) + _inner(q, q)) / (2 * n)
         if degree >= 6:
-            vals[(0, 1, 0, 1, 0, 1)] = np.sum((u @ u) * u.T)
+            pp = p @ p
+            vals[(0, 1, 0, 1, 0, 1)] = (3.0 * _inner(pp, q) - _inner(pp, p.T)) / (2 * n * math.sqrt(n))
     return vals
 
 
@@ -634,10 +688,15 @@ def freeness_experiment(
     reads tr cos^(2j) off the powers of a tridiagonal N/2 x N/2 matrix.  The
     odd moments are exactly 0.  gue_gue: x is drawn as its Householder
     tridiagonal form, N(0, 1/N) diagonal and sqrt(Gamma(N - k, 1)/N)
-    off-diagonal (Dumitriu & Edelman, J. Math. Phys. 43, 2002), y as a dense
-    GUE, since conjugating y by x's Householder basis leaves a GUE
-    independent of x; every word is then a trace of powers of x y.
-    gue_deterministic pairs stored powers of X + D.
+    off-diagonal (Dumitriu & Edelman, J. Math. Phys. 43, 2002), y as the N^2
+    real normals g of a dense GUE, since conjugating y by x's Householder
+    basis leaves a GUE independent of x.  With P = x g and Q = g x, each
+    O(N^2), and <A, B> = sum A o B: tr xy = tr P / sqrt(N),
+    tr yy = <g, g> / N, tr xyxy = <P, Q> / N,
+    tr xxyy = (<P, P> + <Q, Q>) / (2N) and
+    tr xyxyxy = (3 <P^2, Q> - tr P^3) / (2 N^(3/2)), whose real product P P
+    is the trial's one N^3 step.  gue_deterministic pairs stored powers of
+    X + D.
     """
     if kind not in ("gue_gue", "gue_deterministic", "rotated_diagonal"):
         raise ValueError(f"unknown experiment kind {kind!r}")
@@ -660,10 +719,10 @@ def freeness_experiment(
 
         def run_gg(t: int):
             d, e = _gue_tridiagonal(_rng(seed, t, 0), N)
-            y = _gue(_rng(seed, t, 1), N)
-            vals = _gue_pair_traces(d, e, y, degree)
+            g = _rng(seed, t, 1).standard_normal((N, N))
+            vals = _gue_pair_traces(d, e, g, degree)
             for j, w in enumerate(words):
-                samples[t, j] = vals[w].real / N
+                samples[t, j] = vals[w] / N
 
         runner = run_gg
     else:

@@ -302,6 +302,33 @@ def test_cli_import_leaves_scipy_unloaded():
     assert done.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_the_thread_pool_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(freeprob.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, freeprob.cli; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("kind", ["gue_gue", "gue_deterministic"])
+def test_rmt_bytes_do_not_depend_on_blas_threads(kind):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(freeprob.__file__)))
+    argv = [sys.executable, "-m", "freeprob", "rmt", "--kind", kind, "--N", "200",
+            "--trials", "20", "--degree", "6", "--workers", "1", "--seed", "5"]
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(argv, capture_output=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
+
+
 @pytest.mark.parametrize("argv", [
     ["freeconv", "--law-x", "point:c=inf", "--law-y", "bernoulli", "--route", "moments"],
     ["flow", "--law", "point:c=nan"],

@@ -1,6 +1,7 @@
 """Random-matrix ensembles, Wick/genus expansions, Weingarten calculus."""
 
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -526,12 +527,18 @@ def test_power_traces_match_matrix_power():
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * N)
 
 
-def test_gue_pair_traces_match_products():
-    N = 30
+GUE_PAIR_WORDS = [(0, 0), (0, 1), (1, 1), (0, 1, 0, 1), (0, 0, 1, 1), (0, 1, 0, 1, 0, 1)]
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("N", [2, 3, 30])
+def test_gue_pair_traces_match_products(N, degree):
     d, e = rmt._gue_tridiagonal(rmt._rng(3), N)
     x = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-    y = sample(EnsembleSpec("gue", N, seed=4))
-    vals = rmt._gue_pair_traces(d, e, y, 6)
+    # y is the GUE that _gue builds from the same normals g
+    g = rmt._rng(4).standard_normal((N, N))
+    y = rmt._gue(rmt._rng(4), N)
+    vals = rmt._gue_pair_traces(d, e, g, degree)
     xy = x @ y
     want = {
         (0, 0): np.trace(x @ x),
@@ -541,10 +548,10 @@ def test_gue_pair_traces_match_products():
         (0, 0, 1, 1): np.sum((x @ x) * (y @ y).T),
         (0, 1, 0, 1, 0, 1): np.trace(xy @ xy @ xy),
     }
-    assert vals.keys() == want.keys()
-    for word, value in want.items():
+    assert list(vals) == [w for w in GUE_PAIR_WORDS if len(w) <= degree]
+    for word in vals:
+        value = want[word]
         assert abs(vals[word] - value) <= 1e-12 * max(1.0, abs(value))
-    assert set(rmt._gue_pair_traces(d, e, y, 4)) == set(want) - {(0, 1, 0, 1, 0, 1)}
     # no yx word: by cyclicity it is the xy trace again
     assert abs(np.trace(y @ x) - vals[(0, 1)]) <= 1e-12 * max(1.0, abs(vals[(0, 1)]))
 
@@ -562,6 +569,57 @@ def test_freeness_experiment_worker_count_is_invisible(kind):
     one = freeness_experiment(kind, 24, 9, 6, seed=12, workers=1)
     two = freeness_experiment(kind, 24, 9, 6, seed=12, workers=2)
     assert one.rows == two.rows
+
+
+def test_gue_gue_rows_are_the_statistics_of_multiplied_out_words():
+    # the draws are the tridiagonal x and the _gue y of each trial's streams;
+    # only the rounding of the traces may differ from the dense words
+    N, trials, degree, seed = 24, 9, 6, 12
+    rep = freeness_experiment("gue_gue", N, trials, degree, seed=seed)
+    per_trial = []
+    for t in range(trials):
+        d, e = rmt._gue_tridiagonal(rmt._rng(seed, t, 0), N)
+        mats = [np.diag(d) + np.diag(e, 1) + np.diag(e, -1), rmt._gue(rmt._rng(seed, t, 1), N)]
+        row = []
+        for word in GUE_PAIR_WORDS:
+            prod = np.eye(N)
+            for c in word:
+                prod = prod @ mats[c]
+            row.append(np.trace(prod).real / N)
+        per_trial.append(row)
+    per_trial = np.array(per_trial)
+    assert [r.label for r in rep.rows] == ["xx", "xy", "yy", "xyxy", "xxyy", "xyxyxy"]
+    for j, row in enumerate(rep.rows):
+        mean = per_trial[:, j].mean()
+        stderr = per_trial[:, j].std(ddof=1) / math.sqrt(trials)
+        assert abs(row.empirical - mean) <= 1e-12 * abs(mean)
+        assert abs(row.stderr - stderr) <= 1e-12 * stderr
+
+
+def test_run_trials_raises_the_lowest_failing_trial():
+    done = []
+
+    def run(t):
+        if t in (3, 6):
+            raise ValueError(f"trial {t}")
+        done.append(t)
+
+    for workers in (1, 2, 3):
+        done.clear()
+        with pytest.raises(ValueError, match="trial 3"):
+            rmt._run_trials(run, 8, workers)
+        # every worker stops at its own first failure, none runs a trial twice
+        assert len(done) == len(set(done))
+        assert {0, 1, 2} <= set(done) and not {3, 6} & set(done)
+    # more workers than cores, switching threads as often as possible
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        ran = []
+        rmt._run_trials(ran.append, 400, 4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(ran) == list(range(400))
 
 
 @pytest.mark.parametrize("N", [1, 7, 40])
