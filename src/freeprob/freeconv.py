@@ -31,7 +31,10 @@ The semicircle flow f_mu(s) = mu boxplus (semicircle of variance s) satisfies
 the complex inviscid Burgers equation d_s G + G d_z G = 0 in the variance
 variable s; parametrizing by the radius instead leaves a nonzero residual
 (checked numerically on mu = delta_0, where both flows have closed forms).
-`semicircle_flow_residual` therefore differentiates in s = r^2/4.
+`semicircle_flow_residual` therefore differentiates in s = r^2/4, and reads
+each member semicircle through its closed-form (G, G') from
+`measures.named_cauchy`, so the finite differences see the solve's error on
+mu alone and no quadrature of the member.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .measures import InversionError, Measure, cauchy_evaluator, make_named
+from .measures import InversionError, Measure, cauchy_evaluator, named_cauchy
 from .measures import moments as measure_moments
 from .measures import stieltjes_invert
 from .series import free_cumulants_from_moments, free_moments_from_cumulants
@@ -401,8 +404,8 @@ def semicircle_flow_residual(mu: Measure, r: float, z: complex, h: float) -> com
     cauchy_mu = cauchy_evaluator(mu)
 
     def g_at(s: float, *zs: complex) -> list:
-        member = make_named("semicircle", 4096, r=2.0 * math.sqrt(s))
-        solved = _subordinate(np.array(zs), cauchy_mu, cauchy_evaluator(member), SolverCounters())
+        member = named_cauchy("semicircle", r=2.0 * math.sqrt(s))
+        solved = _subordinate(np.array(zs), cauchy_mu, member, SolverCounters())
         return [complex(g) for g in solved]
 
     g0, g_zp, g_zm = g_at(s0, z, z + h, z - h)

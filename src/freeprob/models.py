@@ -1,40 +1,34 @@
 """Exact algebraic models of free random variables.
 
-Two concrete oracles: the group algebra of a free group F_d with the
-coefficient-of-identity expectation (reduced words with exact rational
-coefficients), and creation/annihilation operators on a truncated full Fock
-space with the vacuum expectation.  Both realize freeness exactly rather
-than asymptotically, so they serve as ground truth for the combinatorial
-and analytic routes.  A generic `freeness_certificate` checks Voiculescu's
-alternating-centered-products condition against any moment functional.
+Two concrete oracles, neither truncated: the group algebra of a free group
+F_d with the coefficient-of-identity expectation (reduced words with exact
+rational coefficients), and creation/annihilation operators on the full Fock
+space with the vacuum expectation.  On the full Fock space the one relation
+a_v a*_w = delta_vw 1 brings every product into normal order, creators left
+of annihilators (Voiculescu, Dykema & Nica, *Free Random Variables*, CRM
+1992), and the vacuum expectation of a normal-ordered polynomial is its
+coefficient of the empty monomial.  Both models realize freeness exactly
+rather than asymptotically, so they serve as ground truth for the
+combinatorial and analytic routes.  A generic `freeness_certificate` checks
+Voiculescu's alternating-centered-products condition against any moment
+functional.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import TYPE_CHECKING
-
-import numpy as np
 
 from .cumulants import MomentFunctional
 
-if TYPE_CHECKING:
-    import scipy.sparse as sp
-
 __all__ = [
-    "TruncationError",
     "GroupAlgebraElement",
     "FockOperator",
     "group_algebra_expectation",
     "fock_vacuum_expectation",
     "freeness_certificate",
 ]
-
-
-class TruncationError(ValueError):
-    """A truncation cap cannot certify the requested computation."""
 
 
 def _reduce_join(w1: tuple, w2: tuple) -> tuple:
@@ -51,23 +45,25 @@ def _word_inverse(w: tuple) -> tuple:
     return tuple(-g for g in reversed(w))
 
 
+def _accumulate(terms: dict, key, c) -> None:
+    """terms[key] += c, dropping the key when the sum is zero."""
+    acc = terms.get(key, 0) + c
+    if acc:
+        terms[key] = acc
+    else:
+        terms.pop(key, None)
+
+
 @dataclass(frozen=True)
 class GroupAlgebraElement:
     """Element of the rational group algebra of F_d as a reduced-word table.
 
     Generators are signed integers: +i is the i-th generator, -i its
     inverse; a word is a tuple with no letter adjacent to its own negation.
-    `total_degree` tracks the largest unreduced length this element could
-    have contributed words at; with `length_cap` finite, words longer than
-    the cap are dropped during multiplication, and any expectation is
-    refused unless cap >= total_degree (in which case nothing was ever
-    droppable, since reduced length never exceeds total degree).
     """
 
     d: int
     terms: dict
-    length_cap: int | None = None
-    total_degree: int = 0
 
     def __post_init__(self):
         if self.d < 1:
@@ -81,24 +77,20 @@ class GroupAlgebraElement:
 
     @classmethod
     def identity(cls, d: int) -> "GroupAlgebraElement":
-        return cls(d, {(): Fraction(1)}, None, 0)
+        return cls(d, {(): Fraction(1)})
 
     @classmethod
     def generator(cls, d: int, g: int) -> "GroupAlgebraElement":
         """The generator +i or its inverse -i as an algebra element."""
         if g == 0 or abs(g) > d:
             raise ValueError(f"generator index {g} outside +-1..+-{d}")
-        return cls(d, {(g,): Fraction(1)}, None, 1)
+        return cls(d, {(g,): Fraction(1)})
 
     @classmethod
     def generator_sum(cls, d: int) -> "GroupAlgebraElement":
         """sum of all generators and their inverses (the walk step element)."""
         terms = {(g,): Fraction(1) for i in range(1, d + 1) for g in (i, -i)}
-        return cls(d, terms, None, 1)
-
-    def _merge_cap(self, other: "GroupAlgebraElement") -> int | None:
-        caps = [c for c in (self.length_cap, other.length_cap) if c is not None]
-        return min(caps) if caps else None
+        return cls(d, terms)
 
     def coefficient(self, word: tuple) -> Fraction:
         return self.terms.get(tuple(word), Fraction(0))
@@ -108,21 +100,11 @@ class GroupAlgebraElement:
             raise ValueError("generator counts differ")
         terms = dict(self.terms)
         for w, c in other.terms.items():
-            acc = terms.get(w, 0) + c
-            if acc:
-                terms[w] = acc
-            else:
-                terms.pop(w, None)
-        return GroupAlgebraElement(
-            self.d, terms, self._merge_cap(other),
-            max(self.total_degree, other.total_degree),
-        )
+            _accumulate(terms, w, c)
+        return GroupAlgebraElement(self.d, terms)
 
     def __neg__(self) -> "GroupAlgebraElement":
-        return GroupAlgebraElement(
-            self.d, {w: -c for w, c in self.terms.items()},
-            self.length_cap, self.total_degree,
-        )
+        return GroupAlgebraElement(self.d, {w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         return self + (-other)
@@ -130,32 +112,19 @@ class GroupAlgebraElement:
     def scale(self, c) -> "GroupAlgebraElement":
         c = Fraction(c)
         if c == 0:
-            return GroupAlgebraElement(self.d, {}, self.length_cap, self.total_degree)
-        return GroupAlgebraElement(
-            self.d, {w: c * v for w, v in self.terms.items()},
-            self.length_cap, self.total_degree,
-        )
+            return GroupAlgebraElement(self.d, {})
+        return GroupAlgebraElement(self.d, {w: c * v for w, v in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, GroupAlgebraElement):
             return self.scale(other)
         if self.d != other.d:
             raise ValueError("generator counts differ")
-        cap = self._merge_cap(other)
         terms: dict = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                w = _reduce_join(w1, w2)
-                if cap is not None and len(w) > cap:
-                    continue
-                acc = terms.get(w, 0) + c1 * c2
-                if acc:
-                    terms[w] = acc
-                else:
-                    terms.pop(w, None)
-        return GroupAlgebraElement(
-            self.d, terms, cap, self.total_degree + other.total_degree
-        )
+                _accumulate(terms, _reduce_join(w1, w2), c1 * c2)
+        return GroupAlgebraElement(self.d, terms)
 
     __rmul__ = __mul__
 
@@ -174,8 +143,7 @@ class GroupAlgebraElement:
     def star(self) -> "GroupAlgebraElement":
         """The *-involution: words inverted, coefficients conjugated."""
         return GroupAlgebraElement(
-            self.d, {_word_inverse(w): c for w, c in self.terms.items()},
-            self.length_cap, self.total_degree,
+            self.d, {_word_inverse(w): c for w, c in self.terms.items()}
         )
 
     def identity_coefficient_of_product(self, other: "GroupAlgebraElement") -> Fraction:
@@ -183,16 +151,10 @@ class GroupAlgebraElement:
 
         tau[ab] = sum_w a(w) b(w^{-1}); this stays cheap when the full
         product support would be enormous (e.g. high powers of the step
-        element).  Same cap certification as the expectation itself.
+        element).
         """
         if self.d != other.d:
             raise ValueError("generator counts differ")
-        total = self.total_degree + other.total_degree
-        cap = self._merge_cap(other)
-        if cap is not None and cap < total:
-            raise TruncationError(
-                f"cap {cap} cannot certify a degree-{total} expectation"
-            )
         small, big = self.terms, other.terms
         if len(big) < len(small):
             small, big = big, small
@@ -203,125 +165,89 @@ class GroupAlgebraElement:
 
 
 def group_algebra_expectation(d: int, element: GroupAlgebraElement) -> Fraction:
-    """Coefficient of the identity word: the trace tau on the group algebra.
-
-    Refuses elements whose truncation cap is smaller than their recorded
-    total degree, since dropped words could then have re-reduced into the
-    identity in a later product (truncation is never silent).
-    """
+    """Coefficient of the identity word: the trace tau on the group algebra."""
     if element.d != d:
         raise ValueError(f"element over F_{element.d}, expected F_{d}")
-    cap = element.length_cap
-    if cap is not None and cap < element.total_degree:
-        raise TruncationError(
-            f"cap {cap} cannot certify a degree-{element.total_degree} expectation"
-        )
     return element.coefficient(())
-
-
-def _fock_basis(dim_v: int, degree: int) -> list[tuple]:
-    basis: list[tuple] = []
-    for k in range(degree + 1):
-        basis.extend(product(range(dim_v), repeat=k))
-    return basis
 
 
 @dataclass(frozen=True)
 class FockOperator:
-    """A linear operator on the Fock space of V truncated at degree D.
+    """A polynomial in the creation and annihilation operators of the full
+    Fock space of V = R^dim_v, in normal order.
 
-    The space is the direct sum of tensor powers V^{otimes 0..D} over an
-    orthonormal basis of V = R^dim_v; simple tensors are basis index
-    tuples.  Raising by v prepends v (degree D is annihilated by the
-    truncation); lowering pairs off the leading factor and kills the
-    vacuum.  Lowering is the adjoint of raising on the retained degrees.
+    ``terms`` maps a monomial (r, l) = a*_{r_1}...a*_{r_p} a_{l_1}...a_{l_q}
+    (r and l tuples of basis indices) to its real coefficient; no stored
+    coefficient is zero.  a*_v prepends v to a simple tensor and a_v pairs
+    off its leading factor, so a_v a*_w = delta_vw 1, and that relation
+    brings any product back into normal order.
     """
 
     dim_v: int
-    truncation_degree: int
-    matrix: sp.csr_matrix = field(repr=False)
-
-    @staticmethod
-    def _index(dim_v: int, degree: int) -> dict:
-        return {t: i for i, t in enumerate(_fock_basis(dim_v, degree))}
+    terms: dict
 
     @classmethod
-    def raising(cls, v: int, dim_v: int, degree: int) -> "FockOperator":
-        import scipy.sparse as sp  # imported here to keep scipy out of the CLI's start-up
+    def identity(cls, dim_v: int) -> "FockOperator":
+        return cls(dim_v, {((), ()): 1})
 
+    @classmethod
+    def raising(cls, v: int, dim_v: int) -> "FockOperator":
         if not 0 <= v < dim_v:
             raise ValueError(f"vector index {v} outside 0..{dim_v - 1}")
-        idx = cls._index(dim_v, degree)
-        rows, cols = [], []
-        for t, i in idx.items():
-            if len(t) < degree:
-                rows.append(idx[(v,) + t])
-                cols.append(i)
-        n = len(idx)
-        mat = sp.csr_matrix(
-            (np.ones(len(rows)), (rows, cols)), shape=(n, n), dtype=np.float64
-        )
-        return cls(dim_v, degree, mat)
+        return cls(dim_v, {((v,), ()): 1})
 
     @classmethod
-    def lowering(cls, v: int, dim_v: int, degree: int) -> "FockOperator":
-        return cls.raising(v, dim_v, degree).adjoint()
+    def lowering(cls, v: int, dim_v: int) -> "FockOperator":
+        return cls.raising(v, dim_v).adjoint()
 
     def adjoint(self) -> "FockOperator":
         return FockOperator(
-            self.dim_v, self.truncation_degree, self.matrix.conj().T.tocsr()
+            self.dim_v, {(l[::-1], r[::-1]): c for (r, l), c in self.terms.items()}
         )
 
     def _check(self, other: "FockOperator"):
-        if (self.dim_v, self.truncation_degree) != (other.dim_v, other.truncation_degree):
-            raise ValueError("operators live on different truncated Fock spaces")
+        if self.dim_v != other.dim_v:
+            raise ValueError("operators act on Fock spaces of different dimension")
 
     def __add__(self, other: "FockOperator") -> "FockOperator":
         self._check(other)
-        return FockOperator(self.dim_v, self.truncation_degree,
-                            (self.matrix + other.matrix).tocsr())
+        terms = dict(self.terms)
+        for m, c in other.terms.items():
+            _accumulate(terms, m, c)
+        return FockOperator(self.dim_v, terms)
 
     def __matmul__(self, other: "FockOperator") -> "FockOperator":
+        """The normal-ordered product: in a*_{r1} a_{l1} a*_{r2} a_{l2} the
+        inner annihilators l1, innermost first, pair off the inner creators r2
+        by a_v a*_w = delta_vw 1, leaving one monomial or zero."""
         self._check(other)
-        return FockOperator(self.dim_v, self.truncation_degree,
-                            (self.matrix @ other.matrix).tocsr())
+        terms: dict = {}
+        for (r1, l1), c1 in self.terms.items():
+            for (r2, l2), c2 in other.terms.items():
+                k = min(len(l1), len(r2))
+                if l1[len(l1) - k:][::-1] != r2[:k]:
+                    continue
+                monomial = (r1 + r2[k:], l1[:len(l1) - k] + l2)
+                _accumulate(terms, monomial, c1 * c2)
+        return FockOperator(self.dim_v, terms)
 
     def vacuum_expectation(self) -> float:
-        return float(self.matrix[0, 0])
+        return float(self.terms.get(((), ()), 0))
 
 
-def fock_vacuum_expectation(word, dim_v: int, truncation_degree: int) -> float:
+def fock_vacuum_expectation(word, dim_v: int) -> float:
     """<W v_vac, v_vac> for W the product of (kind, index) factors in word.
 
     kind is "raise" or "lower"; factors apply right to left, so word[-1]
-    hits the vacuum first.  The truncation degree must cover the word
-    length, which guarantees the cutoff cannot touch the result.
+    hits the vacuum first.
     """
-    word = list(word)
-    if truncation_degree < len(word):
-        raise TruncationError(
-            f"truncation degree {truncation_degree} < word length {len(word)}"
-        )
-    state = {(): 1.0}
-    for kind, v in reversed(word):
-        if not 0 <= v < dim_v:
-            raise ValueError(f"vector index {v} outside 0..{dim_v - 1}")
-        nxt: dict = {}
-        for t, c in state.items():
-            if kind == "raise":
-                if len(t) < truncation_degree:
-                    key = (v,) + t
-                    nxt[key] = nxt.get(key, 0.0) + c
-            elif kind == "lower":
-                if t and t[0] == v:
-                    key = t[1:]
-                    nxt[key] = nxt.get(key, 0.0) + c
-            else:
-                raise ValueError(f"unknown factor kind {kind!r}")
-        state = nxt
-        if not state:
-            return 0.0
-    return float(state.get((), 0.0))
+    letters = {"raise": FockOperator.raising, "lower": FockOperator.lowering}
+    acc = FockOperator.identity(dim_v)
+    for kind, v in word:
+        if kind not in letters:
+            raise ValueError(f"unknown factor kind {kind!r}")
+        acc = acc @ letters[kind](v, dim_v)
+    return acc.vacuum_expectation()
 
 
 def _is_zero(value) -> bool:

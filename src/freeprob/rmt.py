@@ -38,16 +38,11 @@ A GUE x has the law of Q T Q* with T its Householder tridiagonal form:
 independent N(0, 1/N) diagonal and chi-distributed off-diagonal entries
 (Dumitriu & Edelman, J. Math. Phys. 43, 2002), and Q* y Q is again a GUE
 independent of T for an independent GUE y, so every trace of a word in x
-and y is that of the same word in T and y.  y = (a g + conj(a) g^T) /
-(2 sqrt(N)) with a = 1 + i and g its real normals, so the words are read
-off the real P = T g and Q = g T, each O(N^2): tr xy = tr P / sqrt(N),
-tr yy = <g, g> / N, tr xyxy = <P, Q> / N, tr xxyy = (<P, P> + <Q, Q>) / (2N)
-and tr xyxyxy = (3 <P^2, Q> - tr P^3) / (2 N^(3/2)), <A, B> = sum A o B,
-exact since a^3 + conj(a)^3 = -4 and a^2 conj(a) = 2a; the one real product
-P P costs N^3 multiply-adds.  The other traces pair stored powers:
-tr h^(a+b) = sum_ij (h^a)_ij (h^b)_ji.  Every trial reduction is summed by
-numpy's own loops rather than a BLAS dot, so the output bytes do not depend
-on the BLAS thread count.
+and y is that of the same word in T and y, which `_gue_pair_traces` reads
+off y's real normals g with one real N^3 product.  The other traces pair
+stored powers: tr h^(a+b) = sum_ij (h^a)_ij (h^b)_ji.  Every trial reduction
+is summed by numpy's own loops rather than a BLAS dot, so the output bytes
+do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -690,13 +685,9 @@ def freeness_experiment(
     tridiagonal form, N(0, 1/N) diagonal and sqrt(Gamma(N - k, 1)/N)
     off-diagonal (Dumitriu & Edelman, J. Math. Phys. 43, 2002), y as the N^2
     real normals g of a dense GUE, since conjugating y by x's Householder
-    basis leaves a GUE independent of x.  With P = x g and Q = g x, each
-    O(N^2), and <A, B> = sum A o B: tr xy = tr P / sqrt(N),
-    tr yy = <g, g> / N, tr xyxy = <P, Q> / N,
-    tr xxyy = (<P, P> + <Q, Q>) / (2N) and
-    tr xyxyxy = (3 <P^2, Q> - tr P^3) / (2 N^(3/2)), whose real product P P
-    is the trial's one N^3 step.  gue_deterministic pairs stored powers of
-    X + D.
+    basis leaves a GUE independent of x; `_gue_pair_traces` gives the
+    identities that read the words off g.  gue_deterministic pairs stored
+    powers of X + D.
     """
     if kind not in ("gue_gue", "gue_deterministic", "rotated_diagonal"):
         raise ValueError(f"unknown experiment kind {kind!r}")

@@ -22,8 +22,6 @@ from fractions import Fraction
 __all__ = [
     "TruncatedSeries",
     "LaurentSeries",
-    "ring_op",
-    "exp_log",
     "solve_free_ogf",
     "laurent_invert",
     "free_moments_from_cumulants",
@@ -133,28 +131,6 @@ class TruncatedSeries:
             s = sum((k * out[k] * self.coeffs[n - k] for k in range(1, n)), Fraction(0))
             out.append(self.coeffs[n] - s / n)
         return TruncatedSeries(tuple(out))
-
-
-def ring_op(a: TruncatedSeries, b: TruncatedSeries | None, op: str) -> TruncatedSeries:
-    """Dispatch for the basic ring operations: add, mul, compose, reciprocal-of-a."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "compose":
-        return a.compose(b)
-    if op == "reciprocal-of-a":
-        return a.reciprocal()
-    raise ValueError(f"unknown op {op!r}")
-
-
-def exp_log(s: TruncatedSeries, direction: str) -> TruncatedSeries:
-    """exp or log of a truncated series (the exponential-formula transform)."""
-    if direction == "exp":
-        return s.exp()
-    if direction == "log":
-        return s.log()
-    raise ValueError(f"direction must be 'exp' or 'log', got {direction!r}")
 
 
 def _graded(values):

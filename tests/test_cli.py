@@ -300,6 +300,17 @@ def test_cli_import_leaves_scipy_unloaded():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+    # with scipy unimportable the package still imports and both exact
+    # models of freeness evaluate
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; sys.modules['scipy'] = None; import freeprob; from freeprob import models; "
+         "print(models.fock_vacuum_expectation([('lower', 0), ('raise', 0)], 1), "
+         "models.group_algebra_expectation(2, models.GroupAlgebraElement.generator_sum(2) ** 2))"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1.0", "4"]
 
 
 def test_cli_import_leaves_the_thread_pool_unloaded():

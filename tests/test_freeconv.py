@@ -160,20 +160,24 @@ def test_flow_residual_solves_the_s0_member_once(monkeypatch):
     # z and z +- h share one solve against the s0 member; s0 +- h take one each
     mu = make_named("semicircle")
     z, r, h = 2j, 1.0, 0.04
-    solves, built = [], []
-    solve, make = freeconv._subordinate, freeconv.make_named
+    solves, members = [], []
+    solve, closed = freeconv._subordinate, freeconv.named_cauchy
     monkeypatch.setattr(freeconv, "_subordinate",
                         lambda zs, *a, **k: solves.append(len(zs)) or solve(zs, *a, **k))
-    monkeypatch.setattr(freeconv, "make_named", lambda *a, **k: built.append(a) or make(*a, **k))
+    monkeypatch.setattr(freeconv, "named_cauchy",
+                        lambda *a, **k: members.append((a, k)) or closed(*a, **k))
     res = semicircle_flow_residual(mu, r, z, h)
     assert sorted(solves) == [1, 1, 3]
-    assert len(built) == 3
+    # each member is the semicircle's closed form, at s0, s0 + h and s0 - h
+    s0 = r * r / 4.0
+    assert members == [(("semicircle",), {"r": 2.0 * math.sqrt(s)}) for s in (s0, s0 + h, s0 - h)]
     monkeypatch.undo()
     # the same bits as five one-point solves
-    s0 = r * r / 4.0
 
     def g_at(s, zz):
-        return convolved_cauchy(mu, make_named("semicircle", 4096, r=2.0 * math.sqrt(s)), zz)
+        member = named_cauchy("semicircle", r=2.0 * math.sqrt(s))
+        solved = freeconv._subordinate(np.array([zz]), cauchy_evaluator(mu), member, SolverCounters())
+        return complex(solved[0])
 
     ds = (g_at(s0 + h, z) - g_at(s0 - h, z)) / (2.0 * h)
     dz = (g_at(s0, z + h) - g_at(s0, z - h)) / (2.0 * h)

@@ -4,14 +4,12 @@ import itertools
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from freeprob.cumulants import MomentFunctional
 from freeprob.models import (
     FockOperator,
     GroupAlgebraElement,
-    TruncationError,
     fock_vacuum_expectation,
     freeness_certificate,
     group_algebra_expectation,
@@ -63,6 +61,8 @@ def test_group_algebra_word_reduction():
     b = GroupAlgebraElement.generator(2, 2)
     assert (a * b).star().coefficient((-2, -1)) == 1  # (ab)* = b* a*
     assert (a.star() * a).coefficient(()) == 1
+    # seven length-3 walks from the identity end at the generator 1
+    assert (s * s * s).coefficient((1,)) == 7
 
 
 def test_group_algebra_scale_and_add():
@@ -86,29 +86,9 @@ def test_group_algebra_rank_mismatch():
         group_algebra_expectation(3, el)
 
 
-def test_length_cap_cannot_certify():
-    # products drop words beyond the cap; the expectation then refuses to
-    # certify, because a dropped word could have reduced back to identity
-    s = GroupAlgebraElement.generator_sum(2)
-    capped = GroupAlgebraElement(
-        2, dict(s.terms), length_cap=3, total_degree=s.total_degree
-    )
-    ok = capped * capped
-    assert group_algebra_expectation(2, ok) == 4
-    over = ok * capped * capped
-    assert over.total_degree == 4
-    assert max(len(w) for w in over.terms) <= 3
-    with pytest.raises(TruncationError):
-        group_algebra_expectation(2, over)
-    with pytest.raises(TruncationError):
-        ok.identity_coefficient_of_product(over)
-    assert issubclass(TruncationError, ValueError)
-
-
 def test_fock_semicircle_moments():
-    D = 12
-    L = FockOperator.lowering(0, 1, D)
-    R = FockOperator.raising(0, 1, D)
+    L = FockOperator.lowering(0, 1)
+    R = FockOperator.raising(0, 1)
     s = L + R
     acc = s
     vals = []
@@ -118,54 +98,71 @@ def test_fock_semicircle_moments():
     # even moments are the Catalan numbers, odd moments vanish
     assert vals[0::2] == [float(CATALAN[k]) for k in range(1, 7)]
     assert vals[1::2] == [0.0] * 5
+    # nothing is truncated: the 40th moment is still Cat(20)
+    for _ in range(13, 41):
+        acc = acc @ s
+    assert acc.vacuum_expectation() == math.comb(40, 20) // 21
 
 
 def test_fock_vacuum_word_route_counts_dyck_words():
     for k in (1, 2, 3, 4):
         total = 0
         for kinds in itertools.product(("raise", "lower"), repeat=2 * k):
-            total += fock_vacuum_expectation([(kind, 0) for kind in kinds], 1, 2 * k)
+            total += fock_vacuum_expectation([(kind, 0) for kind in kinds], 1)
         assert total == CATALAN[k]
 
 
-def test_fock_word_truncation_guard():
-    with pytest.raises(TruncationError):
-        fock_vacuum_expectation([("raise", 0)] * 7, 1, 6)
+def matched_word(word):
+    """1 when, read right to left, every lower meets the latest unmatched
+    raise with its own index and no raise is left unmatched, else 0."""
+    open_raises = []
+    for kind, v in reversed(word):
+        if kind == "raise":
+            open_raises.append(v)
+        elif not open_raises or open_raises.pop() != v:
+            return 0
+    return 0 if open_raises else 1
+
+
+def test_fock_words_match_the_pairing_oracle():
+    letters = [(kind, v) for kind in ("raise", "lower") for v in (0, 1)]
+    for n in range(9):
+        for word in itertools.product(letters, repeat=n):
+            assert fock_vacuum_expectation(word, 2) == matched_word(word), word
+
+
+def test_fock_word_validation():
+    with pytest.raises(ValueError):
+        fock_vacuum_expectation([("raise", 0), ("swap", 0)], 1)
+    with pytest.raises(ValueError):
+        fock_vacuum_expectation([("lower", 2)], 2)
 
 
 def test_two_component_alternating_word_vanishes():
-    D = 8
-    x = FockOperator.lowering(0, 2, D) + FockOperator.raising(0, 2, D)
-    y = FockOperator.lowering(1, 2, D) + FockOperator.raising(1, 2, D)
+    x = FockOperator.lowering(0, 2) + FockOperator.raising(0, 2)
+    y = FockOperator.lowering(1, 2) + FockOperator.raising(1, 2)
     assert (x @ y @ x @ y).vacuum_expectation() == 0.0
     assert (x @ x @ y @ y).vacuum_expectation() == 1.0
     assert (x @ y @ y @ x).vacuum_expectation() == 1.0
 
 
 def test_raising_is_adjoint_of_lowering():
-    L = FockOperator.lowering(0, 2, 6)
-    R = FockOperator.raising(0, 2, 6)
-    diff = (L.adjoint().matrix - R.matrix)
-    assert abs(diff).max() < 1e-14
-    diff2 = (R.adjoint().matrix - L.matrix)
-    assert abs(diff2).max() < 1e-14
+    L = FockOperator.lowering(0, 2)
+    R = FockOperator.raising(0, 2)
+    assert R.adjoint() == L
+    assert L.adjoint() == R
 
 
-def test_normal_ordering_below_truncation_degree():
-    # L_v R_w acts as <w, v> * identity strictly below the truncation degree
-    D = 6
+def test_lowering_after_raising_is_the_inner_product():
+    # L_v R_w = <w, v> * identity on the whole Fock space
     for v, w in itertools.product(range(2), repeat=2):
-        prod = FockOperator.lowering(v, 2, D) @ FockOperator.raising(w, 2, D)
-        mat = prod.matrix.toarray()
-        dim_below = sum(2**j for j in range(D))  # states of degree < D over 2 letters
-        block = mat[:dim_below, :dim_below]
-        expect = (1.0 if v == w else 0.0) * np.eye(dim_below)
-        assert np.allclose(block, expect, atol=1e-14)
+        prod = FockOperator.lowering(v, 2) @ FockOperator.raising(w, 2)
+        assert prod == (FockOperator.identity(2) if v == w else FockOperator(2, {}))
 
 
-def mixed_vacuum(colours, D=8):
+def mixed_vacuum(colours):
     ops = [
-        FockOperator.lowering(c, 2, D) + FockOperator.raising(c, 2, D) for c in colours
+        FockOperator.lowering(c, 2) + FockOperator.raising(c, 2) for c in colours
     ]
     acc = ops[0]
     for op in ops[1:]:
@@ -203,9 +200,8 @@ def test_mixed_fock_words_count_coloured_pairings(colours):
 
 def fock_pair_functional(degree):
     """Joint moments of two free standard semicircular elements."""
-    D = degree
-    x = FockOperator.lowering(0, 2, D) + FockOperator.raising(0, 2, D)
-    y = FockOperator.lowering(1, 2, D) + FockOperator.raising(1, 2, D)
+    x = FockOperator.lowering(0, 2) + FockOperator.raising(0, 2)
+    y = FockOperator.lowering(1, 2) + FockOperator.raising(1, 2)
     ops = {"x": x, "y": y}
     table = {}
     for n in range(1, degree + 1):
