@@ -18,8 +18,12 @@ pick the branch: every point of the Stieltjes-inversion grid is solved at
 once, by Newton steps on w - T(w) with plain steps w <- T(w) as the fallback.
 At the fixed point omega_2 = z + h_X(omega_1) satisfies
 G_X(omega_1) = G_Y(omega_2), which the functional residual measures.
-Stieltjes inversion of the resulting boundary values produces the output
-measure.
+
+The output's atoms need no search: X boxplus Y has an atom at a + b exactly
+when mu_X({a}) + mu_Y({b}) > 1, and its mass is the excess (Bercovici &
+Voiculescu, "Regularity questions for free convolution", Oper. Theory Adv.
+Appl. 104, 1998).  Their poles are subtracted from the solved G, and
+Stieltjes inversion of the rest near the axis gives the density.
 
 The solver reads each input only through a (G, G') evaluator (see
 `measures`): by default the cell kernel on the input measure
@@ -75,13 +79,19 @@ SWAP_ROUNDS = 32  # stall after which a point is solved with X and Y swapped
 LAMBDA_MIN = 1.0 / 16.0  # smallest fraction of a Newton step tried
 MAX_ROUNDS = 1000
 
+# Smallest excess mass taken for an atom of a convolution: masses that sum to
+# 1 in exact arithmetic can exceed it by rounding (0.7 + (1 - 0.7)).
+ATOM_TOL = 1e-12
+
 
 class ContinuationError(RuntimeError):
-    """The analytic solve did not converge; carries the offending point."""
+    """The analytic solve did not converge; carries the worst point ``z`` and
+    the number of points that ``failed``."""
 
-    def __init__(self, message: str, z: complex):
+    def __init__(self, message: str, z: complex, failed: int = 1):
         super().__init__(message)
         self.z = z
+        self.failed = failed
 
 
 @dataclass
@@ -156,7 +166,8 @@ def _bounds(mu: Measure) -> tuple:
 
 
 def _subordinate(
-    z: np.ndarray, cauchy_x, cauchy_y, solver: SolverCounters, after: int = 0
+    z: np.ndarray, cauchy_x, cauchy_y, solver: SolverCounters, after: int = 0,
+    failed: list | None = None,
 ) -> np.ndarray:
     """G of X boxplus Y at every point of z (Im z > 0), solved together.
 
@@ -186,11 +197,15 @@ def _subordinate(
       after ``FREE_ROUNDS``, or above it at ``MAX_ROUNDS``, is solved again as G_Y(omega_2), with X
       and Y swapped, ``after`` the rounds already spent: the rounding floor is
       lower in the order that iterates the smaller subordination function.
-      In that order a point above ``ACCEPT_TOL`` at ``MAX_ROUNDS`` raises
-      ContinuationError.
+      In that order a point above ``ACCEPT_TOL`` at ``MAX_ROUNDS`` has
+      failed: it goes to the list ``failed`` as (z, residual), and once every
+      other point is solved the call raises ContinuationError with their
+      count and the worst of them.
     """
     z = np.asarray(z, dtype=np.complex128).ravel()
     out = np.empty(z.shape, dtype=np.complex128)
+    if not after:
+        failed = []
     n = z.size
     idx = np.arange(n)  # points still iterating
     zs = w = base = t_base = z  # trial iterate, last accepted one, T there
@@ -220,20 +235,16 @@ def _subordinate(
         if rounds == MAX_ROUNDS:
             done = r <= ACCEPT_TOL
             stuck = ~done
-            if after and stuck.any():
-                k = int(np.argmax(np.where(stuck, r, -1.0)))
-                raise ContinuationError(
-                    f"subordination did not converge at z = {complex(zs[k])} "
-                    f"(residual {r[k]:.3e})",
-                    complex(zs[k]),
-                )
+            if after:
+                failed += zip(zs[stuck], r[stuck])
         if done.any():
             functional = np.abs(gx[done] - gy[done]) / np.abs(gx[done])
             solver.add(zs[done], r[done], functional, after + rounds)
             out[idx[done]] = gx[done]
         keep = ~done
         if not after and stuck.any():
-            out[idx[stuck]] = _subordinate(zs[stuck], cauchy_y, cauchy_x, solver, after=rounds)
+            out[idx[stuck]] = _subordinate(
+                zs[stuck], cauchy_y, cauchy_x, solver, after=rounds, failed=failed)
             keep &= ~stuck
         if rounds == MAX_ROUNDS or not keep.any():
             break
@@ -252,6 +263,14 @@ def _subordinate(
         idx, zs, w, base, t_base = idx[keep], zs[keep], w[keep], base[keep], t_base[keep]
         delta, f_base, lam, plain = delta[keep], f_base[keep], lam[keep], plain[keep]
         r_low, stall = r_low[keep], stall[keep]
+    if not after and failed:
+        z_bad, r_bad = max(failed, key=lambda point: point[1])
+        raise ContinuationError(
+            f"subordination did not converge at {len(failed)} point(s); the worst is "
+            f"z = {complex(z_bad)} (residual {r_bad:.3e})",
+            complex(z_bad),
+            len(failed),
+        )
     return out
 
 
@@ -281,10 +300,10 @@ def free_convolve_analytic(
     The solve reads X through ``cauchy_x``, a (G, G') evaluator of the same
     law as ``mu_x`` (`measures.named_cauchy` gives the named laws' closed
     forms); None takes the cell kernel on ``mu_x``.  Likewise for Y.  The
-    measures themselves give the support hint and the quadrature moments.
-    `stieltjes_invert` hands the solve one batch per call, the grid at both
-    heights, then every atom probe: this is sound because the solve is
-    pointwise, each point's iterate and step count depending on its own z.
+    measures themselves give the support hint, the atoms and the quadrature
+    moments.  The output's atoms follow from the inputs' atoms (see the
+    module docstring); their poles are subtracted from the solved G, and
+    `stieltjes_invert` inverts the rest into the density.
     """
     for mu in (mu_x, mu_y):
         if mu.support is None and not mu.atoms:
@@ -296,20 +315,26 @@ def free_convolve_analytic(
     solver = SolverCounters()
     cauchy_x = cauchy_x or cauchy_evaluator(mu_x)
     cauchy_y = cauchy_y or cauchy_evaluator(mu_y)
+    # no two pairs share a location: their masses would total more than 2
+    atoms = tuple((x + y, mx + my - 1.0) for x, mx in mu_x.atoms for y, my in mu_y.atoms
+                  if mx + my - 1.0 > ATOM_TOL)
 
     def transform(zs: np.ndarray) -> np.ndarray:
-        return _subordinate(zs, cauchy_x, cauchy_y, solver).reshape(zs.shape)
+        g = _subordinate(zs, cauchy_x, cauchy_y, solver).reshape(zs.shape)
+        for loc, mass in atoms:
+            g -= mass / (zs - loc)
+        return g
 
-    raw = stieltjes_invert(transform, (a - pad, b + pad), grid_size=grid_size, eps=eta)
-    missing = 1.0 - sum(m for _, m in raw.atoms)
+    density = stieltjes_invert(transform, (a - pad, b + pad), grid_size=grid_size, eps=eta)
+    raw = Measure(atoms=atoms, support=density.support, samples=density.samples,
+                  normalize=False)
+    missing = 1.0 - sum(m for _, m in atoms)
     if missing > 1e-9 and not raw.samples.any():
         raise InversionError(
-            f"inversion found atoms of total mass {1.0 - missing:.6g} and a zero "
+            f"the output has atoms of total mass {1.0 - missing:.6g} and a zero "
             f"density, so mass {missing:.3g} is missing (eta={eta:g} too coarse?)"
         )
-    measure = Measure(
-        atoms=raw.atoms, support=raw.support, samples=raw.samples, edges=raw.edges, normalize=True
-    )
+    measure = Measure(atoms=atoms, support=raw.support, samples=raw.samples, normalize=True)
 
     # moments beyond the float range overflow the recursion, whose entries
     # from then on are inf or an undetermined inf - inf = NaN, not a warning

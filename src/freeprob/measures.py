@@ -481,27 +481,16 @@ def support_radius(mu: Measure) -> float:
     return r
 
 
-def _eval_transform(G: Callable, zs: np.ndarray) -> np.ndarray:
-    """A vectorised Cauchy transform G on the array zs."""
-    vals = np.asarray(G(zs), dtype=np.complex128)
-    if vals.shape != zs.shape:
-        raise ValueError(f"the transform gave shape {vals.shape} on points of shape {zs.shape}; "
-                         "it must map an array of points to an array of values")
-    return vals
-
-
 def stieltjes_invert(G: Callable, support_hint, grid_size: int = 2048, eps: float = 1e-3) -> Measure:
-    """Recover a measure from its Cauchy transform.
+    """Recover the density of a measure without atoms from its Cauchy
+    transform: G is the transform of such a measure, or of one whose known
+    poles were already subtracted (`freeconv.free_convolve_analytic` takes
+    the atoms of a free convolution from the Bercovici-Voiculescu rule).  A
+    pole left in G is smeared into the density, not reported.
 
-    G maps a 1-d complex array to the array of its values there, and must act
-    pointwise: it is called at most twice, once on the grid at both heights
-    and once on every atom probe, so a point's value may not depend on the
-    other points of its batch.  Density via -Im G(t + i*eps)/pi with
-    Richardson extrapolation between eps and eps/2.  Atoms are flagged where
-    eps*|Im G| exceeds 0.1*sqrt(eps) and the two-level mass estimates agree
-    (a pole's estimate is eps-independent, a bounded density's halves), then
-    located by a parabolic fit to the reciprocal estimate and measured as the
-    extrapolated pole mass.
+    G maps a 1-d complex array to the array of its values there.  It is
+    called once, on the grid at both heights.  The density is -Im G(t + i*eps)/pi
+    with Richardson extrapolation between eps and eps/2.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -512,48 +501,16 @@ def stieltjes_invert(G: Callable, support_hint, grid_size: int = 2048, eps: floa
     if n_grid < 64:
         raise ValueError("grid_size must be at least 64")
     if n_grid % 2 == 0:
-        n_grid += 1  # keep the hint midpoint on the grid; atoms often sit there
+        n_grid += 1  # keep the hint midpoint on the grid
     t = np.linspace(a, b, n_grid)
-    h = t[1] - t[0]
-    g = _eval_transform(G, np.concatenate([t + 1j * eps, t + 1j * eps / 2.0]))
-    g1, g2 = g[:n_grid], g[n_grid:]
-    d1 = -g1.imag / math.pi
-    d2 = -g2.imag / math.pi
+    zs = np.concatenate([t + 1j * eps, t + 1j * eps / 2.0])
+    g = np.asarray(G(zs), dtype=np.complex128)
+    if g.shape != zs.shape:
+        raise ValueError(f"the transform gave shape {g.shape} on points of shape {zs.shape}; "
+                         "it must map an array of points to an array of values")
+    d1 = -g[:n_grid].imag / math.pi
+    d2 = -g[n_grid:].imag / math.pi
     dens = 2.0 * d2 - d1
-
-    mass1 = eps * np.abs(g1.imag)
-    threshold = 0.1 * math.sqrt(eps)
-
-    locs = []
-    idx = np.flatnonzero(mass1 > threshold)
-    runs = np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1) if idx.size else []
-    for run in runs:
-        k = run[np.argmax(mass1[run])]
-        loc = t[k]
-        if 0 < k < n_grid - 1 and mass1[k - 1] > 0 and mass1[k + 1] > 0:
-            # near a pole, 1/mass1 is a parabola in t with vertex at the atom
-            y0, y1, y2 = 1.0 / mass1[k - 1], 1.0 / mass1[k], 1.0 / mass1[k + 1]
-            denom = y0 - 2.0 * y1 + y2
-            if denom > 0:
-                shift = 0.5 * (y0 - y2) / denom
-                if abs(shift) <= 1.0:
-                    loc = t[k] + shift * h
-        locs.append(loc)
-
-    atoms = []
-    if locs:
-        # decide pole vs steep density at each refined point: a pole's
-        # eta*|Im G| is eta-independent, a bounded density's halves
-        probe = np.array(locs)
-        gp = _eval_transform(G, np.concatenate([probe + 1j * eps, probe + 1j * eps / 2.0]))
-        for loc, ga, gb in zip(locs, gp[:len(locs)], gp[len(locs):]):
-            ma = eps * abs(ga.imag)
-            mb = (eps / 2.0) * abs(gb.imag)
-            if mb <= 0.0 or not (0.8 < ma / mb < 1.25):
-                continue
-            mass = 2.0 * mb - ma
-            if mass > threshold:
-                atoms.append((float(loc), float(min(mass, 1.0))))
 
     if float(dens.min()) < -1e-6:
         k = int(np.argmin(dens))
@@ -562,13 +519,7 @@ def stieltjes_invert(G: Callable, support_hint, grid_size: int = 2048, eps: floa
             "(wrong branch or non-Nevanlinna input)"
         )
     dens = np.maximum(dens, 0.0)
-
-    # blank the Richardson residue of each atom's pole out of the density
-    for loc, mass in atoms:
-        radius = max(3.0 * h, 10.0 * eps, (3.0 * mass * eps**3 / (4.0 * math.pi * 1e-4)) ** 0.25)
-        dens[np.abs(t - loc) < radius] = 0.0
-
-    return Measure(atoms=tuple(atoms), support=(a, b), samples=dens, normalize=False)
+    return Measure(support=(a, b), samples=dens, normalize=False)
 
 
 # -- serialization ----------------------------------------------------------

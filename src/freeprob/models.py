@@ -75,6 +75,14 @@ class GroupAlgebraElement:
                 if k and w[k - 1] == -g:
                     raise ValueError(f"word {w!r} is not reduced")
 
+    def _like(self, terms: dict) -> "GroupAlgebraElement":
+        """An element over the same generators from words that are reduced by
+        construction, without the letter checks of `__post_init__`."""
+        out = object.__new__(GroupAlgebraElement)
+        object.__setattr__(out, "d", self.d)
+        object.__setattr__(out, "terms", terms)
+        return out
+
     @classmethod
     def identity(cls, d: int) -> "GroupAlgebraElement":
         return cls(d, {(): Fraction(1)})
@@ -101,10 +109,10 @@ class GroupAlgebraElement:
         terms = dict(self.terms)
         for w, c in other.terms.items():
             _accumulate(terms, w, c)
-        return GroupAlgebraElement(self.d, terms)
+        return self._like(terms)
 
     def __neg__(self) -> "GroupAlgebraElement":
-        return GroupAlgebraElement(self.d, {w: -c for w, c in self.terms.items()})
+        return self._like({w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         return self + (-other)
@@ -112,8 +120,8 @@ class GroupAlgebraElement:
     def scale(self, c) -> "GroupAlgebraElement":
         c = Fraction(c)
         if c == 0:
-            return GroupAlgebraElement(self.d, {})
-        return GroupAlgebraElement(self.d, {w: c * v for w, v in self.terms.items()})
+            return self._like({})
+        return self._like({w: c * v for w, v in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, GroupAlgebraElement):
@@ -124,7 +132,7 @@ class GroupAlgebraElement:
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 _accumulate(terms, _reduce_join(w1, w2), c1 * c2)
-        return GroupAlgebraElement(self.d, terms)
+        return self._like(terms)
 
     __rmul__ = __mul__
 
@@ -142,9 +150,7 @@ class GroupAlgebraElement:
 
     def star(self) -> "GroupAlgebraElement":
         """The *-involution: words inverted, coefficients conjugated."""
-        return GroupAlgebraElement(
-            self.d, {_word_inverse(w): c for w, c in self.terms.items()}
-        )
+        return self._like({_word_inverse(w): c for w, c in self.terms.items()})
 
     def identity_coefficient_of_product(self, other: "GroupAlgebraElement") -> Fraction:
         """Coefficient of the empty word in self*other, without expanding it.

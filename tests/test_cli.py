@@ -94,6 +94,42 @@ def test_freeconv_every_named_pair_converges(capsys, law_x, law_y):
     assert doc["diagnostics"]["continuation_residual"] < 1e-8
 
 
+# mu boxplus nu has an atom at a + b exactly when mu({a}) + nu({b}) > 1, of
+# mass the excess (Bercovici & Voiculescu, 1998): the masses are summed in
+# the order of the laws, and every eta gives the same atoms
+ATOM_RULE = [
+    ("point:c=1.5", "bernoulli", "256", "1e-4",
+     [[0.5, 1.0 + 0.5 - 1.0], [2.5, 1.0 + 0.5 - 1.0]]),
+    ("marchenko_pastur:lam=0.5", "point:c=1.5", "256", "1e-4", [[1.5, 0.5 + 1.0 - 1.0]]),
+    ("bernoulli", "marchenko_pastur:lam=0.3", "128", "1e-3",
+     [[-1.0, 0.5 + 0.7 - 1.0], [1.0, 0.5 + 0.7 - 1.0]]),
+    ("marchenko_pastur:lam=0.5", "marchenko_pastur:lam=0.3", "512", "1e-3",
+     [[0.0, 0.5 + 0.7 - 1.0]]),
+]
+
+
+@pytest.mark.parametrize("law_x,law_y,grid,eta,atoms", [
+    pytest.param(x, y, grid, eta, atoms, id=f"{x}+{y}-{grid}-eta{eta}")
+    for x, y, grid, table_eta, atoms in ATOM_RULE
+    for eta in sorted({table_eta, "1e-1", "1e-3", "1e-5"})
+])
+def test_freeconv_atoms_follow_the_mass_rule(capsys, law_x, law_y, grid, eta, atoms):
+    doc = run_json(capsys, ["freeconv", "--law-x", law_x, "--law-y", law_y, "--route",
+                            "analytic", "--grid-size", grid, "--eta", eta])
+    assert doc["result"]["density"]["atoms"] == atoms
+
+
+@pytest.mark.parametrize("law_x,law_y", [
+    ("bernoulli", "bernoulli"),
+    ("bernoulli", "marchenko_pastur:lam=0.5"),
+    ("marchenko_pastur:lam=0.3", "marchenko_pastur:lam=0.7"),  # 0.7 + (1 - 0.7) > 1
+])
+def test_freeconv_masses_summing_to_one_give_no_atom(capsys, law_x, law_y):
+    doc = run_json(capsys, ["freeconv", "--law-x", law_x, "--law-y", law_y,
+                            "--route", "analytic", "--grid-size", "128"])
+    assert doc["result"]["density"]["atoms"] == []
+
+
 def test_freeconv_csv_density(capsys):
     rc = cli.run(
         ["freeconv", "--law-x", "bernoulli", "--law-y", "bernoulli",
@@ -281,13 +317,23 @@ def test_python_dash_m_matches_cli_run(capsys):
     assert done.stdout == expected
 
 
-def test_zero_density_with_missing_mass_is_a_numerical_failure(capsys):
-    # at eta = 0.1 the inversion finds the two atoms of point(1.5) boxplus
-    # Bernoulli but blanks the density, so part of the unit mass is lost
+def test_zero_density_with_missing_mass_is_a_numerical_failure(capsys, monkeypatch):
+    # point(1.5) boxplus Bernoulli is its two atoms, at any eta
     argv = ["freeconv", "--law-x", "point:c=1.5", "--law-y", "bernoulli",
             "--route", "analytic", "--grid-size", "128", "--eta", "0.1"]
+    doc = run_json(capsys, argv)
+    assert doc["result"]["density"]["atoms"] == [[0.5, 0.5], [2.5, 0.5]]
+    assert doc["diagnostics"]["output_moment_error"] == 0
+
+    # Bernoulli boxplus Bernoulli has no atom, so a zero density loses it all
+    def zero_density(G, hint, grid_size, eps):
+        return measures.Measure(support=hint, samples=np.zeros(grid_size), normalize=False)
+
+    monkeypatch.setattr(cli.freeconv, "stieltjes_invert", zero_density)
+    argv = ["freeconv", "--law-x", "bernoulli", "--law-y", "bernoulli",
+            "--route", "analytic", "--grid-size", "128"]
     assert cli.run(argv) == 3
-    assert "mass 0.00124 is missing" in capsys.readouterr().err
+    assert "so mass 1 is missing" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_scipy_unloaded():

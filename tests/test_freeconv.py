@@ -302,6 +302,14 @@ def test_unconverged_point_raises_continuation_error(monkeypatch):
     with pytest.raises(ContinuationError) as info:
         convolved_cauchy(b, b, z)
     assert info.value.z == z
+    assert info.value.failed == 1
+    # in a batch, every point near the axis fails and the far one converges
+    zs = np.array([0.5 + 1e-3j, -1.2 + 1e-3j, 1.9 + 5e-4j, 1e3j])
+    cauchy_b = cauchy_evaluator(b)
+    with pytest.raises(ContinuationError, match="at 3 point") as info:
+        freeconv._subordinate(zs, cauchy_b, cauchy_b, SolverCounters())
+    assert info.value.failed == 3
+    assert info.value.z in zs[:3]
 
 
 def test_analytic_solver_counters_are_deterministic():

@@ -72,6 +72,18 @@ def test_group_algebra_scale_and_add():
     assert (s + s).coefficient((1,)) == 2
 
 
+def test_group_algebra_operators_build_reduced_words():
+    # the operators skip the constructor's letter checks; their words pass them
+    a = GroupAlgebraElement.generator(2, 1)
+    s = GroupAlgebraElement.generator_sum(2)
+    for el in (s * s * a, s + a, -s, s.scale(3), (s * a).star(), s - s):
+        assert GroupAlgebraElement(el.d, dict(el.terms)) == el
+    with pytest.raises(ValueError, match="not reduced"):
+        GroupAlgebraElement(2, {(1, -1): Fraction(1)})
+    with pytest.raises(ValueError, match="outside"):
+        GroupAlgebraElement(2, {(3,): Fraction(1)})
+
+
 def test_generator_index_validation():
     with pytest.raises(ValueError):
         GroupAlgebraElement.generator(2, 0)
