@@ -74,9 +74,7 @@ ROUNDING = 2.0**-50  # relative rounding error assumed in each term of T(w)
 SOLVE_TOL = 1e-12  # residual at which a point is done
 ACCEPT_TOL = 1e-8  # largest residual accepted after a stall or at MAX_ROUNDS
 STALL_ROUNDS = 8  # rounds without a new lowest residual that make a stall
-FREE_ROUNDS = 40  # rounds in which every Newton step is taken
 SWAP_ROUNDS = 32  # stall after which a point is solved with X and Y swapped
-LAMBDA_MIN = 1.0 / 16.0  # smallest fraction of a Newton step tried
 MAX_ROUNDS = 1000
 
 # Smallest excess mass taken for an atom of a convolution: masses that sum to
@@ -103,7 +101,7 @@ class SolverCounters:
     residual: float = 0.0
     functional: float = 0.0  # worst |G_X(omega_1) - G_Y(omega_2)|/|G|
     iterations: int = 0  # most rounds any point took, both orders counted
-    safeguarded_steps: int = 0  # damped or plain steps, summed over points
+    safeguarded_steps: int = 0  # plain steps w <- T(w) taken for Newton, summed over points
     worst_z: complex | None = None  # the point with the largest fixed-point residual
     # rounds -> number of points that finished after that many, both orders counted
     rounds_finished: Counter = field(default_factory=Counter)
@@ -174,17 +172,14 @@ def _subordinate(
     ``cauchy_x`` and ``cauchy_y`` are the (G, G') evaluators of X and Y.
     Returns G_X(w), w the fixed point of T(w) = z + h_Y(z + h_X(w)) with
     h = 1/G - id, iterated from w = z, and adds its residuals and step counts
-    to ``solver``.  Each round evaluates every point still iterating at its
-    trial iterate:
+    to ``solver``.  Each round evaluates T and T' at the iterate of every
+    point still iterating:
 
-    * Steps.  The trial after an accepted one is the full Newton step on
-      F(w) = w - T(w).  For ``FREE_ROUNDS`` rounds every trial is accepted:
-      near a double root of F (two Bernoulli laws at z = 0) Newton converges
-      while |F| first grows.  After that a trial is accepted only if it lowers
-      |F|, else the step is halved.  The plain step w <- T(w) replaces a
-      Newton step that leaves the upper half-plane or falls below
-      ``LAMBDA_MIN``, and is always accepted: plain steps converge to the
-      fixed point (Denjoy-Wolff), only slowly.
+    * Steps.  The next iterate is the full Newton step on F(w) = w - T(w),
+      w - F(w)/(1 - h_Y'(u) h_X'(w)) with u = z + h_X(w).  Where that step is
+      not finite or leaves the upper half-plane, it is the plain step
+      w <- T(w) instead: T maps the upper half-plane into itself, so plain
+      steps converge to the fixed point (Denjoy-Wolff), only slowly.
     * Residual.  (|F(w)| + e)/(1 + |w|), where e bounds the rounding error of
       T(w) at ``ROUNDING`` per term, so that rounding noise cannot pass for
       convergence.  It bounds the error of w relative to 1 + |w|, up to the
@@ -193,8 +188,8 @@ def _subordinate(
       residual has stalled for ``STALL_ROUNDS`` rounds: where G is small one
       of the two subordination functions is huge, and rounding alone keeps
       the residual above ``SOLVE_TOL``.
-    * Swap.  A point stalled for ``SWAP_ROUNDS`` rounds above ``ACCEPT_TOL``
-      after ``FREE_ROUNDS``, or above it at ``MAX_ROUNDS``, is solved again as G_Y(omega_2), with X
+    * Swap.  A point stalled for ``SWAP_ROUNDS`` rounds above ``ACCEPT_TOL``,
+      or above it at ``MAX_ROUNDS``, is solved again as G_Y(omega_2), with X
       and Y swapped, ``after`` the rounds already spent: the rounding floor is
       lower in the order that iterates the smaller subordination function.
       In that order a point above ``ACCEPT_TOL`` at ``MAX_ROUNDS`` has
@@ -208,11 +203,7 @@ def _subordinate(
         failed = []
     n = z.size
     idx = np.arange(n)  # points still iterating
-    zs = w = base = t_base = z  # trial iterate, last accepted one, T there
-    delta = np.zeros(n, dtype=np.complex128)  # Newton step from base
-    f_base = np.full(n, np.inf)  # |F| at base
-    lam = np.ones(n)
-    plain = np.zeros(n, dtype=bool)
+    zs = w = z
     r_low = np.full(n, np.inf)  # lowest residual so far
     stall = np.zeros(n, dtype=np.int64)  # rounds since it was reached
     for rounds in range(1, MAX_ROUNDS + 1):
@@ -226,12 +217,11 @@ def _subordinate(
             noise = np.abs(dhy) * (np.abs(1.0 / gx) + np.abs(w) + np.abs(zs))
             noise += np.abs(1.0 / gy) + np.abs(u) + np.abs(zs)
         fw = w - tw
-        f_abs = np.abs(fw)
-        r = (f_abs + ROUNDING * noise) / (1.0 + np.abs(w))
+        r = (np.abs(fw) + ROUNDING * noise) / (1.0 + np.abs(w))
         stall = np.where(r < r_low, 0, stall + 1)
         r_low = np.minimum(r, r_low)
         done = (r <= SOLVE_TOL) | ((stall >= STALL_ROUNDS) & (r <= ACCEPT_TOL))
-        stuck = ~done & (stall >= SWAP_ROUNDS) & (rounds > FREE_ROUNDS)
+        stuck = ~done & (stall >= SWAP_ROUNDS)
         if rounds == MAX_ROUNDS:
             done = r <= ACCEPT_TOL
             stuck = ~done
@@ -248,20 +238,12 @@ def _subordinate(
             keep &= ~stuck
         if rounds == MAX_ROUNDS or not keep.any():
             break
-        accept = plain | (f_abs < f_base) | (rounds <= FREE_ROUNDS)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            step = -fw / (1.0 - dhy * dhx)
-            base = np.where(accept, w, base)
-            t_base = np.where(accept, tw, t_base)
-            f_base = np.where(accept, f_abs, f_base)
-            delta = np.where(accept, step, delta)
-            lam = np.where(accept, 1.0, 0.5 * lam)
-            trial = base + lam * delta
-        plain = ~(np.isfinite(trial) & (trial.imag > 0.0)) | (lam < LAMBDA_MIN)
-        w = np.where(plain, t_base, trial)
-        solver.safeguarded_steps += int(np.count_nonzero(keep & (plain | (lam < 1.0))))
-        idx, zs, w, base, t_base = idx[keep], zs[keep], w[keep], base[keep], t_base[keep]
-        delta, f_base, lam, plain = delta[keep], f_base[keep], lam[keep], plain[keep]
+            w = w - fw / (1.0 - dhy * dhx)
+        plain = ~(np.isfinite(w) & (w.imag > 0.0))
+        w = np.where(plain, tw, w)
+        solver.safeguarded_steps += int(np.count_nonzero(keep & plain))
+        idx, zs, w = idx[keep], zs[keep], w[keep]
         r_low, stall = r_low[keep], stall[keep]
     if not after and failed:
         z_bad, r_bad = max(failed, key=lambda point: point[1])
@@ -303,21 +285,34 @@ def free_convolve_analytic(
     measures themselves give the support hint, the atoms and the quadrature
     moments.  The output's atoms follow from the inputs' atoms (see the
     module docstring); their poles are subtracted from the solved G, and
-    `stieltjes_invert` inverts the rest into the density.
+    `stieltjes_invert` inverts the rest into the density.  Atoms that carry
+    the whole mass make the output, with no solve.
     """
     for mu in (mu_x, mu_y):
         if mu.support is None and not mu.atoms:
             raise ValueError("input measure is empty")
+    # no two pairs share a location: their masses would total more than 2
+    atoms = tuple((x + y, mx + my - 1.0) for x, mx in mu_x.atoms for y, my in mu_y.atoms
+                  if mx + my - 1.0 > ATOM_TOL)
+    missing = 1.0 - sum(m for _, m in atoms)
+    # moments beyond the float range overflow the recursion, whose entries
+    # from then on are inf or an undetermined inf - inf = NaN, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        mom = free_convolve_moments(
+            list(measure_moments(mu_x, n_moments)), list(measure_moments(mu_y, n_moments)))
+    moms = tuple(float(v) for v in mom)
+    solver = SolverCounters()
+    if missing <= 1e-9:
+        # the atoms carry the whole mass, so the output has no density
+        return ConvolutionResult(moments=moms, measure=Measure(atoms=atoms), solver=solver,
+                                 mass_defect=missing)
+
     ax, bx = _bounds(mu_x)
     ay, by = _bounds(mu_y)
     a, b = ax + ay, bx + by
     pad = 0.1 * max(b - a, 1.0)
-    solver = SolverCounters()
     cauchy_x = cauchy_x or cauchy_evaluator(mu_x)
     cauchy_y = cauchy_y or cauchy_evaluator(mu_y)
-    # no two pairs share a location: their masses would total more than 2
-    atoms = tuple((x + y, mx + my - 1.0) for x, mx in mu_x.atoms for y, my in mu_y.atoms
-                  if mx + my - 1.0 > ATOM_TOL)
 
     def transform(zs: np.ndarray) -> np.ndarray:
         g = _subordinate(zs, cauchy_x, cauchy_y, solver).reshape(zs.shape)
@@ -328,21 +323,14 @@ def free_convolve_analytic(
     density = stieltjes_invert(transform, (a - pad, b + pad), grid_size=grid_size, eps=eta)
     raw = Measure(atoms=atoms, support=density.support, samples=density.samples,
                   normalize=False)
-    missing = 1.0 - sum(m for _, m in atoms)
-    if missing > 1e-9 and not raw.samples.any():
+    if not raw.samples.any():
         raise InversionError(
             f"the output has atoms of total mass {1.0 - missing:.6g} and a zero "
             f"density, so mass {missing:.3g} is missing (eta={eta:g} too coarse?)"
         )
     measure = Measure(atoms=atoms, support=raw.support, samples=raw.samples, normalize=True)
-
-    # moments beyond the float range overflow the recursion, whose entries
-    # from then on are inf or an undetermined inf - inf = NaN, not a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        mom = free_convolve_moments(
-            list(measure_moments(mu_x, n_moments)), list(measure_moments(mu_y, n_moments)))
     return ConvolutionResult(
-        moments=tuple(float(v) for v in mom),
+        moments=moms,
         measure=measure,
         solver=solver,
         mass_defect=1.0 - raw.total_mass(),

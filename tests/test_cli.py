@@ -83,8 +83,7 @@ NAMED_LAWS = (
 )
 
 
-@pytest.mark.parametrize(
-    "law_x,law_y", list(itertools.combinations_with_replacement(NAMED_LAWS, 2)))
+@pytest.mark.parametrize("law_x,law_y", list(itertools.product(NAMED_LAWS, NAMED_LAWS)))
 def test_freeconv_every_named_pair_converges(capsys, law_x, law_y):
     doc = run_json(
         capsys,
@@ -317,6 +316,31 @@ def test_python_dash_m_matches_cli_run(capsys):
     assert done.stdout == expected
 
 
+def test_float_routes_give_the_same_bytes_in_fresh_interpreters():
+    # the routes whose bytes rest on libm, numpy's RNG and thread scheduling,
+    # each run in two interpreters that hash strings differently
+    argvs = [
+        ["polya", "--d", "3", "--nmax", "500"],
+        ["flow"],
+        ["freeconv", "--law-x", "sato_tate", "--law-y", "bernoulli", "--route", "analytic",
+         "--grid-size", "128"],
+        ["rmt", "--kind", "gue_gue", "--N", "40", "--trials", "6", "--degree", "4",
+         "--workers", "2", "--seed", "3"],
+    ]
+    code = f"import sys; from freeprob import cli; sys.exit(max(cli.run(a) for a in {argvs!r}))"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(freeprob.__file__)))
+    outs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].count('"command"') == len(argvs)
+
+
 def test_zero_density_with_missing_mass_is_a_numerical_failure(capsys, monkeypatch):
     # point(1.5) boxplus Bernoulli is its two atoms, at any eta
     argv = ["freeconv", "--law-x", "point:c=1.5", "--law-y", "bernoulli",
@@ -334,6 +358,23 @@ def test_zero_density_with_missing_mass_is_a_numerical_failure(capsys, monkeypat
             "--route", "analytic", "--grid-size", "128"]
     assert cli.run(argv) == 3
     assert "so mass 1 is missing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("law_x,law_y,atoms", [
+    ("point:c=1.5", "bernoulli", [[0.5, 0.5], [2.5, 0.5]]),
+    ("point", "point", [[0.0, 1.0]]),
+])
+def test_atoms_of_unit_mass_are_the_output_without_a_solve(capsys, law_x, law_y, atoms):
+    argv = ["freeconv", "--law-x", law_x, "--law-y", law_y, "--route", "analytic"]
+    doc = run_json(capsys, argv)
+    density = doc["result"]["density"]
+    assert density["atoms"] == atoms
+    assert "support" not in density
+    assert doc["diagnostics"]["iterations"] == 0
+    assert doc["diagnostics"]["mass_defect"] == 0
+    assert doc["diagnostics"]["output_moment_error"] == 0
+    assert cli.run(argv + ["--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "t,density"
 
 
 def test_cli_import_leaves_scipy_unloaded():
