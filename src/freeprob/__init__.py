@@ -1,6 +1,6 @@
 """Computational free probability.
 
-Exact partition/cumulant combinatorics, truncated-series transforms, measures
+Exact partition/cumulant combinatorics, moment-cumulant recursions, measures
 and Stieltjes inversion, free additive convolution (exact moment route and
 analytic subordination route), random walks on lattices and free groups,
 group-algebra and Fock-space models of freeness, and random-matrix checks

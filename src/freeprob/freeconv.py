@@ -296,11 +296,10 @@ def free_convolve_analytic(
                   if mx + my - 1.0 > ATOM_TOL)
     missing = 1.0 - sum(m for _, m in atoms)
     # moments beyond the float range overflow the recursion, whose entries
-    # from then on are inf or an undetermined inf - inf = NaN, not a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        mom = free_convolve_moments(
-            list(measure_moments(mu_x, n_moments)), list(measure_moments(mu_y, n_moments)))
-    moms = tuple(float(v) for v in mom)
+    # from then on are inf or an undetermined inf - inf = NaN: Python floats
+    # give these without a warning
+    moms = tuple(free_convolve_moments(
+        measure_moments(mu_x, n_moments).tolist(), measure_moments(mu_y, n_moments).tolist()))
     solver = SolverCounters()
     if missing <= 1e-9:
         # the atoms carry the whole mass, so the output has no density

@@ -24,25 +24,9 @@ worker count; `freeness_experiment` packages the standard asymptotic
 freeness checks with exact predictions and z-scores.  Its trials compute
 each trace by an exact identity rather than by multiplying out the word,
 and draw from tridiagonal matrix models wherever only the joint law of
-unitarily invariant traces matters.  For U D U* + D with D = +-1 (N/2 each)
-the spectrum is +-2 cos(theta_i), theta_i the principal angles between a
-Haar N/2-subspace and a coordinate N/2-subspace (Halmos, "Two subspaces",
-Trans. AMS 144, 1969), so a trial needs only the traces of the N/2 x N/2
-matrix W whose eigenvalues are cos^2(theta_i), a Jacobi matrix with the
-arcsine limit law (Collins, PTRF 133, 2005).  The cos(theta_i) have the
-law of the singular values of the upper bidiagonal B of the beta = 2,
-a = b = 0 Jacobi matrix model, whose entries are products of independent
-Beta square roots (Edelman & Sutton, Found. Comput. Math. 8, 2008), so a
-trial draws O(N) Betas and reads the traces off the tridiagonal W = B^T B.
-A GUE x has the law of Q T Q* with T its Householder tridiagonal form:
-independent N(0, 1/N) diagonal and chi-distributed off-diagonal entries
-(Dumitriu & Edelman, J. Math. Phys. 43, 2002), and Q* y Q is again a GUE
-independent of T for an independent GUE y, so every trace of a word in x
-and y is that of the same word in T and y, which `_gue_pair_traces` reads
-off y's real normals g with one real N^3 product.  The other traces pair
-stored powers: tr h^(a+b) = sum_ij (h^a)_ij (h^b)_ji.  Every trial reduction
-is summed by numpy's own loops rather than a BLAS dot, so the output bytes
-do not depend on the BLAS thread count.
+unitarily invariant traces matters; its docstring gives the models and their
+sources.  Every trial reduction is summed by numpy's own loops rather than a
+BLAS dot, so the output bytes do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -686,7 +670,7 @@ def freeness_experiment(
     off-diagonal (Dumitriu & Edelman, J. Math. Phys. 43, 2002), y as the N^2
     real normals g of a dense GUE, since conjugating y by x's Householder
     basis leaves a GUE independent of x; `_gue_pair_traces` gives the
-    identities that read the words off g.  gue_deterministic pairs stored
+    identities that read the words off g with one real N^3 product.  gue_deterministic pairs stored
     powers of X + D.
     """
     if kind not in ("gue_gue", "gue_deterministic", "rotated_diagonal"):

@@ -1,4 +1,5 @@
-"""The examples in the module docstrings, run as tests."""
+"""Module-level checks: the examples in the module docstrings, run as tests,
+and the names each module exports."""
 
 import doctest
 import importlib
@@ -26,3 +27,12 @@ def test_doctest_examples_are_found():
         name: doctest.testmod(importlib.import_module(name)).attempted for name in MODULES
     }
     assert all(attempted[f"freeprob.{name}"] for name in ("cumulants", "measures", "partitions", "series", "walks"))
+
+
+@pytest.mark.parametrize("name", ["freeprob"] + MODULES)
+def test_all_names_exist(name):
+    # a name left in __all__ after its definition is deleted makes
+    # ``from module import *`` raise
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not missing

@@ -82,6 +82,30 @@ def test_free_clt_fourth_moment_approaches_semicircle():
         assert out[3] == 2 - Fraction(1, n)
 
 
+def test_free_clt_with_odd_cumulants():
+    # 1/5 delta_2 + 4/5 delta_{-1/2}: centred, unit variance, kappa_3 = 3/2
+    base = [Fraction(1, 5) * 2**n + Fraction(4, 5) * Fraction(-1, 2)**n for n in range(1, 7)]
+    kappa = free_cumulants_from_moments(base)
+    assert kappa[:3] == [0, 1, Fraction(3, 2)]
+    # N = 4 is a square: N^(1 - n/2) = 2^(2 - n) keeps the odd cumulants exact
+    out = free_clt(base, 4)
+    assert all(isinstance(v, Fraction) for v in out)
+    assert out == free_moments_from_cumulants(
+        [k * Fraction(2) ** (2 - n) for n, k in enumerate(kappa, 1)])
+    assert out[2] == Fraction(3, 4)
+    # N = 3 is not: the odd cumulants, and so the whole run, go to floats
+    out = free_clt(base, 3)
+    want = free_moments_from_cumulants(
+        [float(k) * 3.0 ** (1 - n / 2) for n, k in enumerate(kappa, 1)])
+    assert all(isinstance(v, float) for v in out)
+    assert all(abs(a - b) <= 1e-12 for a, b in zip(out, want))
+    assert abs(out[2] - math.sqrt(3) / 2) <= 1e-12
+    # large N: the odd moments fade as N^(-1/2), m_4 tends to the semicircle's 2
+    out = free_clt(base, 10**6)
+    assert out[2] == Fraction(3, 2000)
+    assert abs(out[3] - 2) <= 1e-5
+
+
 def test_free_clt_rejects_zero_variance():
     with pytest.raises(ValueError):
         free_clt([Fraction(1), Fraction(1)], 4)

@@ -156,6 +156,20 @@ def test_cauchy_atoms_exact():
     assert cauchy(b, z) == 0.5 / (z - 1) + 0.5 / (z + 1)
 
 
+def test_cauchy_on_the_real_axis():
+    sc = make_named("semicircle")
+    for x in (0.5, 2.0):
+        with pytest.raises(ValueError, match="lies on the support"):
+            cauchy(sc, x)
+    # off the support G is real: (3 - sqrt 5)/2 at z = 3
+    exact = 2 / (3 + math.sqrt(5))
+    assert abs(cauchy(sc, 3.0) - exact) <= 1e-6 * exact
+    b = make_named("bernoulli")
+    with pytest.raises(ValueError, match="is on an atom"):
+        cauchy(b, 1.0)
+    assert np.allclose(cauchy(b, np.array([0.0, 2.0])), [0.0, 2 / 3], rtol=1e-15, atol=1e-15)
+
+
 @settings(max_examples=40, deadline=None)
 @given(UPPER)
 def test_cauchy_maps_upper_half_plane_down(z):

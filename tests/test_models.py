@@ -43,6 +43,23 @@ def test_group_algebra_matches_loop_counts():
             assert generator_sum_power_trace(d, n) == lam[n]
 
 
+def test_group_algebra_power_matches_repeated_product():
+    # s^8 on three generators has ~490k words, seconds of Fraction work
+    for d, n_max in ((1, 8), (2, 8), (3, 6)):
+        s = GroupAlgebraElement.generator_sum(d)
+        lam = kesten_loops(d, n_max).values
+        product = GroupAlgebraElement.identity(d)
+        for n in range(n_max + 1):
+            if n:
+                product = product * s
+            power = s ** n
+            assert power.terms == product.terms
+            assert power.coefficient(()) == lam[n]
+    assert GroupAlgebraElement.generator_sum(2) ** 0 == GroupAlgebraElement.identity(2)
+    with pytest.raises(ValueError, match="negative"):
+        GroupAlgebraElement.generator_sum(2) ** -1
+
+
 def test_pair_trick_matches_direct_power():
     # tau(s^8) via <s^4, s^4> avoids building the degree-8 element
     s = GroupAlgebraElement.generator_sum(2)

@@ -1,4 +1,4 @@
-"""Truncated/Laurent series arithmetic and the free OGF functional equation."""
+"""The free moment-cumulant recursion L(z) = K(zL(z)), both directions."""
 
 import random
 from fractions import Fraction
@@ -6,14 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freeprob.series import (
-    LaurentSeries,
-    TruncatedSeries,
-    free_cumulants_from_moments,
-    free_moments_from_cumulants,
-    laurent_invert,
-    solve_free_ogf,
-)
+from freeprob.series import free_cumulants_from_moments, free_moments_from_cumulants
 
 CATALAN = [Fraction(c) for c in (1, 1, 2, 5, 14, 42, 132, 429)]
 
@@ -44,117 +37,23 @@ def test_free_round_trip_property(m):
     assert all(isinstance(v, Fraction) for v in k)
 
 
-def test_solve_free_ogf_doc_case():
-    # K = 1 + z^2: L collects the Catalan numbers at even orders
-    K = TruncatedSeries.from_coeffs([1, 0, 1], order=12)
-    L = solve_free_ogf(K, "K->L")
-    assert list(L.coeffs[::2]) == CATALAN[:7]
-
-
-def test_solve_free_ogf_round_trip():
-    K = TruncatedSeries.from_coeffs(
-        [Fraction(1), Fraction(1, 2), Fraction(-1, 3), Fraction(2), Fraction(0), Fraction(5, 7)],
-        order=9,
-    )
-    L = solve_free_ogf(K, "K->L")
-    back = solve_free_ogf(L, "L->K")
-    assert back.coeffs == K.truncate(9).coeffs
-
-
-def test_ring_ops():
-    a = TruncatedSeries.from_coeffs([Fraction(1), Fraction(2)], order=6)
-    b = TruncatedSeries.from_coeffs([Fraction(1), Fraction(-1), Fraction(3)], order=6)
-    total = a + b
-    prod = a * b
-    assert total.coeffs[:3] == (Fraction(2), Fraction(1), Fraction(3))
-    assert prod.coeffs[:3] == (Fraction(1), Fraction(1), Fraction(1))
-    one = b * b.reciprocal()
-    assert one.coeffs == (Fraction(1),) + (Fraction(0),) * 6
-
-
-def test_reciprocal_needs_unit_constant_term():
-    zero_led = TruncatedSeries.from_coeffs([0, 1], order=4)
-    with pytest.raises(ValueError):
-        zero_led.reciprocal()
-
-
-def derivative(s):
-    """d/dz of a truncated series, one order lower."""
-    return TruncatedSeries(tuple(k * s.coeffs[k] for k in range(1, s.order + 1)))
-
-
-def test_exp_log_round_trip():
-    s = TruncatedSeries.from_coeffs(
-        [Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(1, 3)], order=8
-    )
-    e = s.exp()
-    assert e.coeffs[0] == 1
-    back = e.log()
-    assert back.coeffs == s.truncate(8).coeffs
-    # d/dz exp(s) = s' * exp(s)
-    lhs = derivative(e)
-    rhs = derivative(s) * e.truncate(7)
-    assert lhs.coeffs == rhs.coeffs[: len(lhs.coeffs)]
-
-
-def test_compose():
-    f = TruncatedSeries.from_coeffs([Fraction(1), Fraction(1)], order=5)  # 1 + z
-    g = TruncatedSeries.from_coeffs([Fraction(0), Fraction(2), Fraction(1)], order=5)
-    h = f.compose(g)  # 1 + 2z + z^2
-    assert h.coeffs == (Fraction(1), Fraction(2), Fraction(1), 0, 0, 0)
-    with pytest.raises(ValueError):
-        g.compose(f)  # inner series needs zero constant term
-
-
-def test_laurent_invert_semicircle_pair():
-    # V(w) = 1/w + w  <->  G with G(z) ~ 1/z + Catalan tail at even offsets
-    V = LaurentSeries(-1, tuple(Fraction(c) for c in (1, 0, 1, 0, 0, 0, 0, 0, 0, 0)))
-    G = laurent_invert(V)
-    assert G.leading_index == 1
-    # G stored ascending in 1/z: coefficients of z^{-1}, z^{-2}, ...
-    assert G.coeffs[0] == 1
-    assert all(c == 0 for c in G.coeffs[1::2])
-    assert list(G.coeffs[2::2]) == CATALAN[1 : 1 + len(G.coeffs[2::2])]
-
-
-def test_laurent_invert_is_involution():
-    V = LaurentSeries(
-        -1, (Fraction(1), Fraction(1, 2), Fraction(-2), Fraction(1, 3), Fraction(4))
-    )
-    again = laurent_invert(laurent_invert(V))
-    assert again.leading_index == V.leading_index
-    assert again.coeffs[: len(V.coeffs)] == V.coeffs
-
-
-@pytest.mark.parametrize("leading_index", [-1, 1])
-def test_laurent_invert_round_trips_on_floats(leading_index):
+@pytest.mark.parametrize("forward, back", [
+    (free_moments_from_cumulants, free_cumulants_from_moments),
+    (free_cumulants_from_moments, free_moments_from_cumulants),
+], ids=["from_cumulants", "from_moments"])
+def test_recursions_round_trip_on_floats(forward, back):
     rnd = random.Random(7)
     for order in range(13):
-        coeffs = (1.0,) + tuple(rnd.uniform(-2.0, 2.0) for _ in range(order))
-        inverse = laurent_invert(LaurentSeries(leading_index, coeffs))
-        again = laurent_invert(inverse)
-        assert again.leading_index == leading_index
-        # the degree-n terms summed on the way back are as large as the
-        # inverse's coefficients through degree n, so rounding scales with them
-        for n, (a, b) in enumerate(zip(again.coeffs, coeffs)):
-            scale = max(abs(c) for c in inverse.coeffs[: n + 1])
+        seq = [rnd.uniform(-2.0, 2.0) for _ in range(order)]
+        image = forward(seq)
+        again = back(image)
+        assert len(again) == order
+        # the degree-n terms summed on the way back are as large as the unit
+        # and the image's coefficients through degree n, so rounding scales
+        # with them
+        for n, (a, b) in enumerate(zip(again, seq), 1):
+            scale = max([1.0] + [abs(c) for c in image[:n]])
             assert abs(a - b) <= 1e-12 * scale
-
-
-@settings(max_examples=40)
-@given(st.lists(rationals, min_size=2, max_size=6))
-def test_laurent_round_trip_property(tail):
-    V = LaurentSeries(-1, (Fraction(1),) + tuple(Fraction(v) for v in tail))
-    again = laurent_invert(laurent_invert(V))
-    assert again.coeffs[: len(V.coeffs)] == V.coeffs
-
-
-def test_truncation_order_tracking():
-    s = TruncatedSeries.from_coeffs([1, 1, 1, 1], order=3)
-    assert s.order == 3
-    assert s.truncate(2).order == 2
-    t = s.scale(Fraction(1, 2))
-    assert t.coeffs[1] == Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------
