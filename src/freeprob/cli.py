@@ -233,7 +233,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--degree", type=int, default=4)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="threads for the gue_gue and gue_deterministic trials, whose "
+                        "dense N x N products release the GIL; rotated_diagonal's O(N) "
+                        "trials run as one batch in the calling thread; the output "
+                        "does not depend on it")
     common(p)
 
     p = sub.add_parser("wick", help="exact GUE trace moment, genus by genus")

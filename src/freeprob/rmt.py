@@ -27,6 +27,10 @@ and draw from tridiagonal matrix models wherever only the joint law of
 unitarily invariant traces matters; its docstring gives the models and their
 sources.  Every trial reduction is summed by numpy's own loops rather than a
 BLAS dot, so the output bytes do not depend on the BLAS thread count.
+`workers` threads run the trials of the kinds whose trials do dense N x N
+work, which numpy does with the GIL released; the O(N) trials of
+rotated_diagonal would only pass the GIL between threads, so they run in
+the calling thread as one batch.
 """
 
 from __future__ import annotations
@@ -440,6 +444,8 @@ def mc_word_moment(specs, word, trials: int, workers: int = 1) -> MCEstimate:
     letters = _normalize_word(word)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     ns = {s.N for s in specs}
     if len(ns) != 1:
         raise ValueError(f"dimension mismatch across specs: {sorted(ns)}")
@@ -569,22 +575,59 @@ def _jacobi_bidiagonal(rng: np.random.Generator, n: int) -> tuple:
     return diag, sup
 
 
+def _tridiagonal_power_traces(w_diag: np.ndarray, w_off: np.ndarray, count: int) -> np.ndarray:
+    """tr W^k for k = 1..count, W the real symmetric tridiagonal matrix with
+    diagonal w_diag (..., n) and off-diagonal w_off (..., n - 1), for every
+    row of the leading axes at once, with no n x n array.
+
+    W^k is banded with 2k + 1 diagonals, kept as band[..., k + o, i] =
+    (W^k)_(i, i+o), zero where i + o falls outside 0..n-1.  The step
+    W^(k+1) = W W^k reads rows i - 1, i, i + 1 of W^k at the same column,
+    which in this layout is the neighbouring diagonal one place along:
+
+        (W^(k+1))_(i, i+o) = w_i (W^k)_(i, i+o) + v_(i-1) (W^k)_(i-1, i+o)
+                                                + v_i (W^k)_(i+1, i+o),
+
+    v the off-diagonal.  As in `_power_traces`, tr W^(a+b) = <W^a, W^b> with
+    a = ceil(k/2), b = floor(k/2), here summed over the 2b + 1 diagonals the
+    two share, W^0 = I being the one diagonal of ones.  Each row is reduced
+    on its own by numpy's pairwise sum, so a row's traces do not depend on
+    the rows stacked beside it, and no BLAS call sees them.
+    """
+    lead = w_diag.shape[:-1]
+    bands = [np.ones(lead + (1, w_diag.shape[-1]))]
+    for _ in range((count + 1) // 2):
+        band = bands[-1]
+        step = np.zeros(lead + (band.shape[-2] + 2, band.shape[-1]))
+        step[..., 1:-1, :] = band * w_diag[..., None, :]
+        step[..., :-2, 1:] += band[..., :, :-1] * w_off[..., None, :]
+        step[..., 2:, :-1] += band[..., :, 1:] * w_off[..., None, :]
+        bands.append(step)
+    out = np.empty(lead + (count,))
+    for k in range(1, count + 1):
+        a, b = (k + 1) // 2, k // 2
+        shared = bands[a][..., a - b : a + b + 1, :] * bands[b]
+        out[..., k - 1] = np.sum(shared.reshape(lead + (-1,)), axis=-1)
+    return out
+
+
 def _bidiagonal_moments(diag: np.ndarray, sup: np.ndarray, degree: int) -> np.ndarray:
     """tr(m^k)/N for k = 1..degree, m = U D U* + D, D = diag(1, -1, 1, ...),
-    N = 2 len(diag), from the bidiagonal B that `_jacobi_bidiagonal` draws.
+    N = 2 n, from the bidiagonal B that `_jacobi_bidiagonal` draws, given by
+    its diagonal (..., n) and superdiagonal (..., n - 1); stacked rows give
+    stacked moments, each row the same bits as on its own.
 
     The spectrum of m is +-2 cos(theta_i), cos(theta_i) the singular values
     of B, whose squares are the eigenvalues of the tridiagonal W = B^T B, so
     tr(m^(2j)) = 2 4^j tr(W^j) and every odd moment is exactly 0.
     """
-    n = len(diag)
+    n = diag.shape[-1]
     w_diag = diag * diag
-    w_diag[1:] += sup * sup
-    w_off = diag[:-1] * sup
-    w = np.diag(w_diag) + np.diag(w_off, 1) + np.diag(w_off, -1)
-    out = np.zeros(degree)
-    traces = _power_traces(w, degree // 2)
-    out[1::2] = 2.0 * 4.0 ** np.arange(1, degree // 2 + 1) * traces / (2 * n)
+    w_diag[..., 1:] += sup * sup
+    w_off = diag[..., :-1] * sup
+    out = np.zeros(diag.shape[:-1] + (degree,))
+    traces = _tridiagonal_power_traces(w_diag, w_off, degree // 2)
+    out[..., 1::2] = 2.0 * 4.0 ** np.arange(1, degree // 2 + 1) * traces / (2 * n)
     return out
 
 
@@ -603,10 +646,14 @@ def _gue_tridiagonal(rng: np.random.Generator, n: int) -> tuple:
     return d, e
 
 
-def _gue_pair_traces(d: np.ndarray, e: np.ndarray, g: np.ndarray, degree: int) -> dict:
+def _gue_pair_traces(d: np.ndarray, e: np.ndarray, g: np.ndarray, degree: int,
+                     scratch=None) -> dict:
     """tr of the gue_gue words up to this degree, for x the real symmetric
     tridiagonal matrix with diagonal d and off-diagonal e, and y the GUE
-    that `_gue` builds from the real n x n normals g.
+    that `_gue` builds from the real n x n normals g.  scratch, if given,
+    is three C-contiguous float n x n arrays that P, Q and P P are written
+    into, the last one also holding each shifted product before it is
+    added; the values are the same bits either way.
 
     y = (a g + conj(a) g^T) / (2 sqrt(n)) with a = 1 + i, so every word is
     read off P = x g and Q = g x, each formed row or column wise in O(n^2),
@@ -621,22 +668,25 @@ def _gue_pair_traces(d: np.ndarray, e: np.ndarray, g: np.ndarray, degree: int) -
     tr(yx) = tr(xy) by cyclicity, so it would repeat the xy row.
     """
     n = len(d)
-    p = d[:, None] * g
-    p[:-1] += e[:, None] * g[1:]
-    p[1:] += e[:, None] * g[:-1]
+    if scratch is None:
+        scratch = np.empty((3, n, n))
+    p, q, pp = scratch
+    np.multiply(d[:, None], g, out=p)
+    p[:-1] += np.multiply(e[:, None], g[1:], out=pp[:-1])
+    p[1:] += np.multiply(e[:, None], g[:-1], out=pp[:-1])
     vals = {
         (0, 0): _inner(d, d) + 2.0 * _inner(e, e),
         (0, 1): np.trace(p) / math.sqrt(n),
         (1, 1): _inner(g, g) / n,
     }
     if degree >= 4:
-        q = g * d
-        q[:, :-1] += g[:, 1:] * e
-        q[:, 1:] += g[:, :-1] * e
+        np.multiply(g, d, out=q)
+        q[:, :-1] += np.multiply(g[:, 1:], e, out=pp[:, :-1])
+        q[:, 1:] += np.multiply(g[:, :-1], e, out=pp[:, :-1])
         vals[(0, 1, 0, 1)] = _inner(p, q) / n
         vals[(0, 0, 1, 1)] = (_inner(p, p) + _inner(q, q)) / (2 * n)
         if degree >= 6:
-            pp = p @ p
+            np.matmul(p, p, out=pp)
             vals[(0, 1, 0, 1, 0, 1)] = (3.0 * _inner(pp, q) - _inner(pp, p.T)) / (2 * n * math.sqrt(n))
     return vals
 
@@ -664,14 +714,21 @@ def freeness_experiment(
     draws the cos(theta_i) as the singular values of the bidiagonal beta = 2,
     a = b = 0 Jacobi model, c_k^2 ~ Beta(k, k) and c'_k^2 ~ Beta(k, k+1)
     (Edelman & Sutton, Found. Comput. Math. 8, 2008), in O(N) draws, and
-    reads tr cos^(2j) off the powers of a tridiagonal N/2 x N/2 matrix.  The
-    odd moments are exactly 0.  gue_gue: x is drawn as its Householder
+    reads tr cos^(2j) off the banded powers of a tridiagonal N/2 x N/2
+    matrix, for all trials at once and with no N/2 x N/2 array.  The odd
+    moments are exactly 0.  gue_gue: x is drawn as its Householder
     tridiagonal form, N(0, 1/N) diagonal and sqrt(Gamma(N - k, 1)/N)
     off-diagonal (Dumitriu & Edelman, J. Math. Phys. 43, 2002), y as the N^2
     real normals g of a dense GUE, since conjugating y by x's Householder
     basis leaves a GUE independent of x; `_gue_pair_traces` gives the
-    identities that read the words off g with one real N^3 product.  gue_deterministic pairs stored
-    powers of X + D.
+    identities that read the words off g with one real N^3 product, each
+    worker thread reusing four N x N scratch arrays for g and the products.
+    gue_deterministic pairs stored powers of X + D.
+
+    workers >= 1 threads run the gue_gue and gue_deterministic trials, whose
+    dense products release the GIL; rotated_diagonal runs in the calling
+    thread whatever workers is, as its O(N) trials would only pass the GIL
+    between threads.  The rows do not depend on workers.
     """
     if kind not in ("gue_gue", "gue_deterministic", "rotated_diagonal"):
         raise ValueError(f"unknown experiment kind {kind!r}")
@@ -681,6 +738,8 @@ def freeness_experiment(
         raise ValueError(f"trials must be >= 2, got {trials}")
     if kind == "rotated_diagonal" and N % 2:
         raise ValueError("rotated_diagonal needs even N for a balanced diagonal")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
 
     if kind == "gue_gue":
         words = [(0, 0), (0, 1), (1, 1)]
@@ -691,37 +750,41 @@ def freeness_experiment(
         labels = ["".join("xy"[c] for c in w) for w in words]
         pred = [float(_nc2_colour_count(w)) for w in words]
         samples = np.empty((trials, len(words)))
+        local = threading.local()
 
         def run_gg(t: int):
             d, e = _gue_tridiagonal(_rng(seed, t, 0), N)
-            g = _rng(seed, t, 1).standard_normal((N, N))
-            vals = _gue_pair_traces(d, e, g, degree)
+            # g, then P, Q and P P, made by a worker thread's first trial
+            # and reused by the rest
+            scratch = getattr(local, "scratch", None)
+            if scratch is None:
+                scratch = local.scratch = [np.empty((N, N)) for _ in range(4)]
+            g = _rng(seed, t, 1).standard_normal(out=scratch[0])
+            vals = _gue_pair_traces(d, e, g, degree, scratch[1:])
             for j, w in enumerate(words):
                 samples[t, j] = vals[w] / N
 
-        runner = run_gg
-    else:
+        _run_trials(run_gg, trials, workers)
+    elif kind == "gue_deterministic":
         diag = _bernoulli_diag(N)
-        if kind == "gue_deterministic":
-            kappas = zip(named_cumulants("semicircle", degree), named_cumulants("bernoulli", degree))
-            pred = free_moments_from_cumulants([a + b for a, b in kappas])
-        else:
-            pred = named_moments("arcsine", degree)
-        pred = [float(v) for v in pred]
+        kappas = zip(named_cumulants("semicircle", degree), named_cumulants("bernoulli", degree))
+        pred = [float(v) for v in free_moments_from_cumulants([a + b for a, b in kappas])]
         labels = [f"m{k}" for k in range(1, degree + 1)]
         samples = np.empty((trials, degree))
 
-        def run_det(t: int):
-            rng = _rng(seed, t, 0)
-            if kind == "gue_deterministic":
-                x = _gue(rng, N)
-                samples[t] = _power_traces(x + np.diag(diag), degree) / N
-            else:
-                samples[t] = _bidiagonal_moments(*_jacobi_bidiagonal(rng, N // 2), degree)
+        def run_gd(t: int):
+            samples[t] = _power_traces(_gue(_rng(seed, t, 0), N) + np.diag(diag), degree) / N
 
-        runner = run_det
+        _run_trials(run_gd, trials, workers)
+    else:
+        pred = [float(v) for v in named_moments("arcsine", degree)]
+        labels = [f"m{k}" for k in range(1, degree + 1)]
+        n = N // 2
+        diags, sups = np.empty((trials, n)), np.empty((trials, n - 1))
+        for t in range(trials):
+            diags[t], sups[t] = _jacobi_bidiagonal(_rng(seed, t, 0), n)
+        samples = _bidiagonal_moments(diags, sups, degree)
 
-    _run_trials(runner, trials, workers)
     rows = []
     for j, label in enumerate(labels):
         mean, err = _mean_stderr(samples[:, j])

@@ -240,6 +240,15 @@ def test_rmt_workers_do_not_change_numbers(capsys):
     assert one["result"] == four["result"]
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_rmt_worker_count_below_one_is_a_usage_error(capsys, workers):
+    argv = ["rmt", "--kind", "gue_gue", "--N", "8", "--trials", "4", "--workers", workers]
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "workers must be >= 1" in captured.err
+
+
 @pytest.mark.parametrize("kind", ["rotated_diagonal", "gue_gue"])
 def test_rmt_at_the_smallest_dimension(capsys, kind):
     # N = 2: a 1 x 1 Jacobi bidiagonal with no c' draw, a 2 x 2 GUE form
@@ -412,7 +421,7 @@ def test_cli_import_leaves_the_thread_pool_unloaded():
     assert done.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("kind", ["gue_gue", "gue_deterministic"])
+@pytest.mark.parametrize("kind", ["gue_gue", "gue_deterministic", "rotated_diagonal"])
 def test_rmt_bytes_do_not_depend_on_blas_threads(kind):
     src = os.path.dirname(os.path.dirname(os.path.abspath(freeprob.__file__)))
     argv = [sys.executable, "-m", "freeprob", "rmt", "--kind", kind, "--N", "200",

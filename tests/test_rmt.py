@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
@@ -556,6 +557,32 @@ def test_gue_pair_traces_match_products(N, degree):
     assert abs(np.trace(y @ x) - vals[(0, 1)]) <= 1e-12 * max(1.0, abs(vals[(0, 1)]))
 
 
+@pytest.mark.parametrize("N", [2, 3, 30])
+def test_gue_pair_traces_in_reused_scratch_keep_their_bits(N):
+    # the formation as it reads with a temporary per product, against stale
+    # scratch that every write must fully cover
+    d, e = rmt._gue_tridiagonal(rmt._rng(3), N)
+    g = rmt._rng(4).standard_normal((N, N))
+    p = d[:, None] * g
+    p[:-1] += e[:, None] * g[1:]
+    p[1:] += e[:, None] * g[:-1]
+    q = g * d
+    q[:, :-1] += g[:, 1:] * e
+    q[:, 1:] += g[:, :-1] * e
+    pp = p @ p
+    scratch = np.full((3, N, N), np.nan)
+    for degree in (7, 6, 4, 2):
+        vals = rmt._gue_pair_traces(d, e, g, degree, scratch)
+        assert vals == rmt._gue_pair_traces(d, e, g, degree)
+        assert np.array_equal(scratch[0], p)
+        if degree >= 4:
+            assert np.array_equal(scratch[1], q)
+        if degree >= 6:
+            assert np.array_equal(scratch[2], pp)
+    rng = rmt._rng(4)
+    assert np.array_equal(rng.standard_normal(out=np.empty((N, N))), g)
+
+
 def test_rotated_diagonal_odd_rows_are_exactly_zero():
     for seed in (0, 87, 106):
         rep = freeness_experiment("rotated_diagonal", 40, 10, 6, seed=seed)
@@ -567,8 +594,67 @@ def test_rotated_diagonal_odd_rows_are_exactly_zero():
 @pytest.mark.parametrize("kind", ["gue_gue", "gue_deterministic", "rotated_diagonal"])
 def test_freeness_experiment_worker_count_is_invisible(kind):
     one = freeness_experiment(kind, 24, 9, 6, seed=12, workers=1)
-    two = freeness_experiment(kind, 24, 9, 6, seed=12, workers=2)
-    assert one.rows == two.rows
+    # switching threads as often as possible: a scratch array that two
+    # workers shared would show in the rows
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (2, 3, 16):
+            many = freeness_experiment(kind, 24, 9, 6, seed=12, workers=workers)
+            assert one.rows == many.rows
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_worker_count_below_one_is_rejected(workers):
+    with pytest.raises(ValueError, match="workers"):
+        freeness_experiment("gue_gue", 8, 4, 4, workers=workers)
+    with pytest.raises(ValueError, match="workers"):
+        mc_word_moment([EnsembleSpec("gue", 8)], [0, 0], trials=4, workers=workers)
+
+
+def jacobi_tridiagonal(seed, trial, n):
+    """Diagonal and off-diagonal of W = B^T B for one Jacobi draw."""
+    diag, sup = rmt._jacobi_bidiagonal(rmt._rng(seed, trial), n)
+    w_diag = diag * diag
+    w_diag[1:] += sup * sup
+    return w_diag, diag[:-1] * sup
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 50])
+def test_banded_power_traces_match_dense_ones(n):
+    for degree in range(2, 13):
+        w_diag, w_off = jacobi_tridiagonal(6, degree, n)
+        w = np.diag(w_diag) + np.diag(w_off, 1) + np.diag(w_off, -1)
+        want = rmt._power_traces(w, degree)
+        got = rmt._tridiagonal_power_traces(w_diag, w_off, degree)
+        assert got.shape == (degree,)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 50])
+def test_stacked_rows_give_the_bits_of_single_rows(n):
+    degree = 11
+    draws = [rmt._jacobi_bidiagonal(rmt._rng(7, t), n) for t in range(5)]
+    diags, sups = np.array([d for d, _ in draws]), np.array([s for _, s in draws])
+    stacked = rmt._bidiagonal_moments(diags, sups, degree)
+    assert stacked.shape == (5, degree)
+    for row, (diag, sup) in zip(stacked, draws):
+        assert np.array_equal(row, rmt._bidiagonal_moments(diag, sup, degree))
+
+
+def test_rotated_diagonal_allocates_no_dense_matrix():
+    # a dense W at N = 2000 would be 1000 x 1000 floats, 8 MB; the first,
+    # small run loads numpy.random, which is not the experiment's memory
+    freeness_experiment("rotated_diagonal", 4, 2, 8)
+    tracemalloc.start()
+    try:
+        freeness_experiment("rotated_diagonal", 2000, 4, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_gue_gue_rows_are_the_statistics_of_multiplied_out_words():
