@@ -4,11 +4,31 @@ Output contract: JSON reports are {"config": ..., "result": ..., "diagnostics":
 ...} with the fully-resolved configuration echoed back, floats printed at 17
 significant digits, and exact rationals as strings "p/q", so the same argv and
 seed produce byte-identical bytes.  CSV is available only where a flat table
-makes sense (freeconv density grids, rmt Monte Carlo sweeps).  Exit codes:
-0 success, 2 validation error, 3 numerical failure.
+makes sense (freeconv density grids, rmt Monte Carlo sweeps).
+
+Exit codes, mapped in one place (`run`): 0 success; 2 bad input, a
+`ValueError` or an `OSError` (a file that cannot be read, an --output that
+cannot be written), with nothing on stdout; 3 numerical failure, a
+`ContinuationError` (a solve that missed its tolerance) or an
+`InversionError` (an inversion that went negative or lost mass).
+
+Each input rule is checked once, by the library function that consumes the
+input, which raises ValueError: law names and parameters in
+`measures.resolve_law`, the grid floor in `measures.make_named`, eta in
+`freeconv.free_convolve_analytic`, z, r and h in
+`freeconv.semicircle_flow_residual`, the Monte Carlo settings in
+`rmt.freeness_experiment`, the Wick order and N in `rmt.wick_trace_moment`,
+the Weingarten size and truncation order in `rmt.weingarten_series` and N in
+its `evaluate`, d and nmax in `walks`.  This module checks only what no
+library function sees: the argv syntax, the text forms of rationals, laws,
+permutations and complex numbers, which source feeds each side of freeconv,
+the moment order, and which subcommands emit CSV.
 
 Settings resolve in the order: built-in default < FREEPROB_SEED environment
-variable (seed only) < --config key=value file < explicit flags.
+variable (seed only) < --config key=value file < explicit flags.  The file is
+named by ``--config FILE`` or ``--config=FILE`` (or a prefix that argparse
+accepts, such as ``--conf FILE``); each of its ``key=value`` lines enters as
+``--key value`` ahead of the flags.
 """
 
 from __future__ import annotations
@@ -103,25 +123,20 @@ def _parse_rationals(text: str) -> list:
     items = [t for chunk in text.split(",") for t in chunk.split()]
     try:
         return [Fraction(t) for t in items if t]
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise _Usage(f"cannot parse rational list {text!r}: {exc}")
 
 
 def _read_moments(source: str) -> list:
     if source.startswith("@"):
-        try:
-            with open(source[1:]) as fh:
-                return _parse_rationals(fh.read())
-        except OSError as exc:
-            raise _Usage(f"cannot read moment file {source[1:]!r}: {exc}")
+        with open(source[1:]) as fh:
+            return _parse_rationals(fh.read())
     return _parse_rationals(source)
 
 
 def _parse_law(text: str) -> tuple:
     """A --law string such as ``semicircle:r=3`` as (tag, resolved parameters)."""
     name, _, rest = text.partition(":")
-    if name not in measures.NAMED_TAGS:
-        raise _Usage(f"unknown law {name!r}; choose from {', '.join(measures.NAMED_TAGS)}")
     params = {}
     if rest:
         for item in rest.split(","):
@@ -138,16 +153,6 @@ def _parse_law(text: str) -> tuple:
         raise _Usage(f"bad law {text!r}: {exc}")
 
 
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not positive")
-    return value
-
-
 def _parse_complex(text: str) -> complex:
     try:
         return complex(text.replace("i", "j"))
@@ -158,19 +163,26 @@ def _parse_complex(text: str) -> complex:
 def _load_config_file(path: str) -> list:
     """key=value lines -> synthetic argv prepended before the real flags."""
     pairs = []
-    try:
-        with open(path) as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, eq, value = line.partition("=")
-                if not eq:
-                    raise _Usage(f"{path}:{line_no}: expected key=value, got {line!r}")
-                pairs += [f"--{key.strip()}", value.strip()]
-    except OSError as exc:
-        raise _Usage(f"cannot read config file {path!r}: {exc}")
+    with open(path) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, eq, value = line.partition("=")
+            if not eq:
+                raise _Usage(f"{path}:{line_no}: expected key=value, got {line!r}")
+            pairs += [f"--{key.strip()}", value.strip()]
     return pairs
+
+
+@functools.cache
+def _config_parser() -> _Parser:
+    """A parser of --config alone, run ahead of the full one, so that the
+    file's flags can go between the defaults and the argv's flags; it takes
+    --config in every spelling that the subcommand parsers take."""
+    parser = _Parser(prog="freeprob", add_help=False)
+    parser.add_argument("--config")
+    return parser
 
 
 @functools.cache
@@ -195,10 +207,10 @@ def _build_parser() -> _Parser:
     common(p)
 
     p = sub.add_parser("freeconv", help="free additive convolution")
-    p.add_argument("--law-x", default=None, help="named law, e.g. semicircle:r=2")
-    p.add_argument("--law-y", default=None)
-    p.add_argument("--moments-x", default=None, help="rational list or @file")
-    p.add_argument("--moments-y", default=None)
+    for side in "xy":
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument(f"--law-{side}", help="named law, e.g. semicircle:r=2")
+        source.add_argument(f"--moments-{side}", help="rational list or @file")
     p.add_argument("--route", choices=("moments", "analytic", "both"), default="both")
     p.add_argument("--order", type=int, default=8, help="moment order for the exact route")
     p.add_argument("--grid-size", type=int, default=512)
@@ -220,16 +232,15 @@ def _build_parser() -> _Parser:
         help="semicircular-flow residual at steps h, h/2, h/4; "
              "a ratio near 4 means second order")
     p.add_argument("--law", default="point", help="base measure (named law)")
-    p.add_argument("--z", default="2j", help="evaluation point, Im z > 0")
+    p.add_argument("--z", default="2j", help="evaluation point, finite, Im z >= 0.1")
     p.add_argument("--r", type=float, default=1.0, help="flow radius")
-    p.add_argument("--h", type=_positive_float, default=0.02,
+    p.add_argument("--h", type=float, default=0.02,
                    help="coarsest step; rows are at h, h/2 and h/4, and a ratio "
                         "of neighbouring residuals near 4 means second order")
     common(p)
 
     p = sub.add_parser("rmt", help="asymptotic-freeness Monte Carlo experiment")
-    p.add_argument("--kind", required=True,
-                   choices=("gue_gue", "gue_deterministic", "rotated_diagonal"))
+    p.add_argument("--kind", required=True, choices=rmt.FREENESS_KINDS)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--degree", type=int, default=4)
@@ -316,10 +327,6 @@ def _worst_error(got: list, exact: list, relative: bool) -> float:
 
 
 def _cmd_freeconv(args) -> str:
-    if (args.law_x is None) == (args.moments_x is None):
-        raise _Usage("give exactly one of --law-x / --moments-x (same for y)")
-    if (args.law_y is None) == (args.moments_y is None):
-        raise _Usage("give exactly one of --law-x / --moments-x (same for y)")
     analytic_wanted = args.route in ("analytic", "both")
     if analytic_wanted and (args.law_x is None or args.law_y is None):
         raise _Usage("the analytic route needs named laws, not moment files")
@@ -330,10 +337,9 @@ def _cmd_freeconv(args) -> str:
                "grid-size", "eta"])
     result: dict = {}
     diagnostics: dict = {}
-    grid = max(args.grid_size, 64)
     laws = [_parse_law(text) if text is not None else None
             for text in (args.law_x, args.law_y)]
-    cells = [measures.make_named(tag, grid, **params) for tag, params in laws] \
+    cells = [measures.make_named(tag, args.grid_size, **params) for tag, params in laws] \
         if analytic_wanted else None
 
     def cumulants(i: int, order: int) -> list:
@@ -347,7 +353,7 @@ def _cmd_freeconv(args) -> str:
         exact = measures.named_cumulants(tag, order, **params)
         if exact is not None:
             return exact
-        mu = cells[i] if cells else measures.make_named(tag, grid, **params)
+        mu = cells[i] if cells else measures.make_named(tag, args.grid_size, **params)
         return series.free_cumulants_from_moments(
             [float(v) for v in measures.moments(mu, order)])
 
@@ -440,8 +446,6 @@ def _cmd_flow(args) -> str:
     tag, params = _parse_law(args.law)
     mu = measures.make_named(tag, 512, **params)
     z = _parse_complex(args.z)
-    if z.imag <= 0:
-        raise _Usage("--z must have positive imaginary part")
     rows = []
     for h in (args.h, args.h / 2, args.h / 4):
         res = freeconv.semicircle_flow_residual(mu, args.r, z, h)
@@ -458,13 +462,7 @@ def _cmd_flow(args) -> str:
 
 
 def _cmd_rmt(args) -> str:
-    if args.N < 2 or args.trials < 2:
-        raise _Usage("rmt needs --N >= 2 and --trials >= 2")
     config = _resolved_config(args, ["kind", "N", "trials", "degree", "workers"])
-    print(
-        f"rmt: {args.kind} N={args.N} trials={args.trials} workers={args.workers}",
-        file=sys.stderr,
-    )
     report = rmt.freeness_experiment(
         args.kind, args.N, args.trials, args.degree,
         seed=args.seed, workers=args.workers)
@@ -504,8 +502,6 @@ def _pretty_expansion(terms: dict) -> str:
 
 def _cmd_wick(args) -> str:
     _require_json(args)
-    if args.n < 0 or args.n > 16:
-        raise _Usage("--n must be in 0..16")
     config = _resolved_config(args, ["n", "N"])
     terms = rmt.wick_trace_moment(args.n)
     result = {
@@ -514,8 +510,6 @@ def _cmd_wick(args) -> str:
         "provenance": "exact",
     }
     if args.N is not None:
-        if args.N < 1:
-            raise _Usage("--N must be positive")
         result["value"] = rmt.wick_trace_moment(args.n, args.N)
     return _report(config, result, {"pairings": sum(terms.values())})
 
@@ -528,10 +522,7 @@ def _cmd_weingarten(args) -> str:
     except (ValueError, TypeError) as exc:
         raise _Usage(f"bad --perm {args.perm!r}: {exc}")
     config = _resolved_config(args, ["perm", "N", "R"])
-    try:
-        expansion = rmt.weingarten_series(perm, R=args.R)
-    except ValueError as exc:
-        raise _Usage(str(exc))
+    expansion = rmt.weingarten_series(perm, R=args.R)
     result = {
         "permutation": list(images),
         "cayley_distance": perm.cayley_distance,
@@ -541,8 +532,6 @@ def _cmd_weingarten(args) -> str:
     }
     diagnostics: dict = {"truncation": expansion.R}
     if args.N is not None:
-        if args.N < perm.n:
-            raise _Usage(f"--N must be at least the permutation size {perm.n}")
         val = expansion.evaluate(args.N)
         result["value"] = val.value
         result["value_is_exact"] = val.exact
@@ -568,15 +557,10 @@ def run(argv) -> int:
     """Parse argv, execute, emit the report; returns the exit code."""
     argv = list(argv)
     try:
-        parser = _build_parser()
-        # Pre-scan for --config so file values sit between defaults and flags.
-        if "--config" in argv and argv:
-            at = argv.index("--config")
-            if at + 1 >= len(argv):
-                raise _Usage("--config needs a path")
-            injected = _load_config_file(argv[at + 1])
-            argv = argv[:1] + injected + argv[1:]
-        args = parser.parse_args(argv)
+        path = _config_parser().parse_known_args(argv)[0].config
+        if path is not None:
+            argv[1:1] = _load_config_file(path)
+        args = _build_parser().parse_args(argv)
         if args.seed is None:
             args.seed = _default_seed()
         text = _COMMANDS[args.command](args)
@@ -585,12 +569,12 @@ def run(argv) -> int:
     except _Usage as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    except (ValueError, OSError) as exc:
+        print(f"invalid input: {exc}", file=sys.stderr)
+        return 2
     except (ContinuationError, InversionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return 2
 
 
 def main():

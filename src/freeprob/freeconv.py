@@ -43,6 +43,7 @@ mu alone and no quadrature of the member.
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -285,9 +286,12 @@ def free_convolve_analytic(
     measures themselves give the support hint, the atoms and the quadrature
     moments.  The output's atoms follow from the inputs' atoms (see the
     module docstring); their poles are subtracted from the solved G, and
-    `stieltjes_invert` inverts the rest into the density.  Atoms that carry
-    the whole mass make the output, with no solve.
+    `stieltjes_invert` inverts the rest into the density, at height ``eta``,
+    which must be positive and finite.  Atoms that carry the whole mass make
+    the output, with no solve.
     """
+    if not 0 < eta < math.inf:
+        raise ValueError(f"eta must be positive and finite, got {eta}")
     for mu in (mu_x, mu_y):
         if mu.support is None and not mu.atoms:
             raise ValueError("input measure is empty")
@@ -400,15 +404,16 @@ def semicircle_flow_residual(mu: Measure, r: float, z: complex, h: float) -> com
 
     The flow member at radius r carries variance s = r^2/4, and s is the
     variable in which the PDE holds (see module docstring); both derivatives
-    are second-order central differences with step h.
+    are second-order central differences with step h.  z must be finite
+    with Im z >= 0.1, and r and h positive, with h below r^2/4.
     """
     z = complex(z)
     r = float(r)
     h = float(h)
-    if z.imag < 0.1:
-        raise ValueError("need Im z >= 0.1")
-    if r <= 0 or h <= 0:
-        raise ValueError("r and h must be positive")
+    if not (cmath.isfinite(z) and z.imag >= 0.1):
+        raise ValueError(f"need a finite z with Im z >= 0.1, got {z}")
+    if not (r > 0 and h > 0):
+        raise ValueError(f"r and h must be positive, got r={r}, h={h}")
     s0 = r * r / 4.0
     if h >= s0:
         raise ValueError(f"step h={h} too large for flow variance {s0}")

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,8 +63,6 @@ __all__ = [
     "cauchy",
     "cauchy_evaluator",
     "stieltjes_invert",
-    "to_json",
-    "from_json",
     "to_csv",
     "support_radius",
 ]
@@ -481,10 +478,11 @@ def stieltjes_invert(G: Callable, support_hint, grid_size: int = 2048, eps: floa
 
     G maps a 1-d complex array to the array of its values there.  It is
     called once, on the grid at both heights.  The density is -Im G(t + i*eps)/pi
-    with Richardson extrapolation between eps and eps/2.
+    with Richardson extrapolation between eps and eps/2, for a positive and
+    finite eps.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     a, b = float(support_hint[0]), float(support_hint[1])
     if not a < b:
         raise ValueError("support_hint must be an increasing pair")
@@ -514,31 +512,6 @@ def stieltjes_invert(G: Callable, support_hint, grid_size: int = 2048, eps: floa
 
 
 # -- serialization ----------------------------------------------------------
-
-
-def to_json(mu: Measure) -> str:
-    obj = {
-        "atoms": [[loc, mass] for loc, mass in mu.atoms],
-        "support": list(mu.support) if mu.support is not None else None,
-        "density": mu.samples.tolist() if mu.samples is not None else [],
-    }
-    if mu.edges != ("regular", "regular"):
-        obj["edges"] = list(mu.edges)
-    return json.dumps(obj)
-
-
-def from_json(text: str) -> Measure:
-    obj = json.loads(text)
-    support = tuple(obj["support"]) if obj.get("support") else None
-    samples = np.asarray(obj.get("density", []), dtype=np.float64) if support else None
-    edges = tuple(obj.get("edges", ("regular", "regular")))
-    return Measure(
-        atoms=tuple((l, m) for l, m in obj.get("atoms", [])),
-        support=support,
-        samples=samples,
-        edges=edges,
-        normalize=False,
-    )
 
 
 def to_csv(mu: Measure) -> str:

@@ -11,8 +11,8 @@ therefore not used.  A GUE draw takes the N^2 real normals of one matrix g
 and sets ((g + g^T) + i (g - g^T)) / (2 sqrt(N)), which has that law.
 
 Exact calculus: `wick_trace_moment` expands E tr[X^n] over pairings as a
-polynomial in 1/N^2 (the genus expansion) and `genus_profile` counts the
-pairings by genus, both from the Harer-Zagier recursion; `weingarten_series`
+polynomial in 1/N^2 (the genus expansion), whose coefficients count the
+pairings by genus, from the Harer-Zagier recursion; `weingarten_series`
 counts monotone transposition factorizations, as the Jucys-Murphy evaluation
 of complete homogeneous polynomials read off through the characters of S(n),
 to expand unitary correlators in 1/N, with exact geometric resummation when
@@ -55,14 +55,15 @@ __all__ = [
     "FreenessReport",
     "sample",
     "wick_trace_moment",
-    "genus_profile",
     "weingarten_series",
     "mc_word_moment",
     "freeness_experiment",
+    "FREENESS_KINDS",
     "geodesic_order_assembly",
 ]
 
 _KINDS = ("ginibre", "gue", "cue", "deterministic")
+FREENESS_KINDS = ("gue_gue", "gue_deterministic", "rotated_diagonal")
 
 
 @dataclass(frozen=True)
@@ -185,28 +186,20 @@ def wick_trace_moment(n: int, N=None):
 
     Returns {r: count} meaning sum_r count / N^r (r runs over even
     non-negative integers) when N is None, or the evaluated exact rational
-    for integer N.  Odd n gives exactly zero: there is no pairing of an odd
-    set.
+    for integer N >= 1.  Odd n gives exactly zero: there is no pairing of an
+    odd set.  count is the number of pairings of [n] of genus r/2.  n must
+    lie in 0..20.
     """
-    if n < 0:
-        raise ValueError(f"moment order must be >= 0, got {n}")
-    if n > 20:
-        raise ValueError(f"moment order {n} > 20")
+    if not 0 <= n <= 20:
+        raise ValueError(f"moment order n must lie in 0..20, got {n}")
+    if N is not None and N < 1:
+        raise ValueError(f"dimension N must be >= 1, got {N}")
     if n % 2 == 1:
         return {} if N is None else Fraction(0)
     expansion = {2 * g: cnt for g, cnt in enumerate(_genus_counts(n // 2))}
     if N is None:
         return expansion
     return sum((Fraction(cnt, N**r) for r, cnt in expansion.items()), Fraction(0))
-
-
-def genus_profile(k: int) -> tuple:
-    """(eps_0(2k), eps_1(2k), ...): pairings of [2k] by genus g, where the
-    cycle count of gamma*pi is k+1-2g.  eps_0 = Cat_k and the total is
-    (2k-1)!!."""
-    if not 1 <= k <= 8:
-        raise ValueError(f"k must be in 1..8, got {k}")
-    return _genus_counts(k)
 
 
 @dataclass(frozen=True)
@@ -256,11 +249,14 @@ class WeingartenExpansion:
                  for r in range(r0)),
                 Fraction(0),
             )
-            geom = Fraction(N * N, N * N - 1)
             tail = (
                 Fraction((-1) ** r0 * self.raw[r0], N ** (self.n + r0))
                 + Fraction((-1) ** (r0 + 1) * self.raw[r0 + 1], N ** (self.n + r0 + 1))
-            ) * geom
+            )
+            # a zero tail, as in S(1) whose head is the whole of 1/N, is not
+            # resummed: at N = 1 its factor N^2/(N^2 - 1) is 1/0
+            if tail:
+                tail *= Fraction(N * N, N * N - 1)
             return WeingartenValue(head + tail, 0.0, True)
         total = sum(
             (Fraction((-1) ** r * self.raw[r], N ** (self.n + r))
@@ -329,14 +325,19 @@ def weingarten_series(permutation: Permutation, R: int | None = None) -> Weingar
     (Matsumoto & Novak, arXiv:0905.1992)
 
         c_r(pi) = (1/n!) sum_lambda dim lambda chi^lambda(pi) h_r(contents).
+
+    n must be at most 8, and R (default: the Cayley distance |pi| + 10) must
+    lie in |pi|..20, so that the leading count c_{|pi|} is among the counts.
     """
     n = permutation.n
     if n > 8:
         raise ValueError(f"permutation size {n} > 8")
+    d = permutation.cayley_distance
     if R is None:
-        R = permutation.cayley_distance + 10
-    if R > 20:
-        raise ValueError(f"truncation order {R} > 20")
+        R = d + 10
+    if not d <= R <= 20:
+        raise ValueError(f"truncation order R must lie in {d}..20 (the Cayley distance "
+                         f"of the permutation and up), got {R}")
     cycle_type = tuple(sorted((len(c) for c in permutation.cycles()), reverse=True))
     totals = [0] * (R + 1)
     for shape in _integer_partitions(n):
@@ -351,7 +352,6 @@ def weingarten_series(permutation: Permutation, R: int | None = None) -> Weingar
         for r in range(R + 1):
             totals[r] += weight * h[r]
     raw = tuple(t // math.factorial(n) for t in totals)
-    d = permutation.cayley_distance
     return WeingartenExpansion(
         n=n,
         permutation=permutation,
@@ -729,9 +729,14 @@ def freeness_experiment(
     dense products release the GIL; rotated_diagonal runs in the calling
     thread whatever workers is, as its O(N) trials would only pass the GIL
     between threads.  The rows do not depend on workers.
+
+    kind is one of `FREENESS_KINDS`; N >= 2 (even for rotated_diagonal),
+    trials >= 2 and degree >= 2.
     """
-    if kind not in ("gue_gue", "gue_deterministic", "rotated_diagonal"):
-        raise ValueError(f"unknown experiment kind {kind!r}")
+    if kind not in FREENESS_KINDS:
+        raise ValueError(f"unknown experiment kind {kind!r}; expected one of {FREENESS_KINDS}")
+    if N < 2:
+        raise ValueError(f"N must be >= 2, got {N}")
     if degree < 2:
         raise ValueError(f"degree must be >= 2, got {degree}")
     if trials < 2:

@@ -164,7 +164,7 @@ def test_wick_pretty_rendering(capsys):
 def test_wick_rejects_csv_and_large_n(capsys):
     assert cli.run(["wick", "--n", "4", "--format", "csv"]) == 2
     capsys.readouterr()
-    assert cli.run(["wick", "--n", "18"]) == 2
+    assert cli.run(["wick", "--n", "21"]) == 2  # the library's cap is 0..20
 
 
 def test_weingarten_exact_value(capsys):
@@ -172,6 +172,8 @@ def test_weingarten_exact_value(capsys):
     assert doc["result"]["value"] == "-1/990"
     assert doc["result"]["value_is_exact"] is True
     assert doc["result"]["leading"] == -1
+    doc = run_json(capsys, ["weingarten", "--perm", "1", "--N", "1"])
+    assert doc["result"]["value"] == "1"
 
 
 def test_weingarten_truncated_value_reports_bound(capsys):
@@ -281,6 +283,50 @@ def test_seed_precedence_env_config_flag(tmp_path, capsys, monkeypatch):
         ["kesten", "--d", "2", "--nmax", "4", "--config", str(cfg), "--seed", "3"],
     )
     assert doc["config"]["seed"] == 3
+
+
+@pytest.mark.parametrize("spelling", [
+    ["--config", "{cfg}"], ["--config={cfg}"], ["--conf", "{cfg}"],
+])
+def test_config_file_is_read_in_every_spelling(tmp_path, capsys, spelling):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=7\n")
+    flags = [a.replace("{cfg}", str(cfg)) for a in spelling]
+    doc = run_json(capsys, ["kesten", "--d", "2", "--nmax", "4", *flags])
+    assert doc["config"]["seed"] == 7
+
+
+# Bad input, each rule checked where the library consumes it: exit 2 with
+# nothing on stdout and no traceback.  {missing} is a path in a directory
+# that does not exist.
+BAD_INPUT = [
+    ["weingarten", "--perm", "2,1", "--R", "0"],
+    ["weingarten", "--perm", "2,3,1", "--N", "8", "--R", "1"],
+    ["cumulants", "--moments", "1/0"],
+    ["kesten", "--d", "2", "--nmax", "4", "--output", "{missing}"],
+    ["kesten", "--d", "2", "--nmax", "4", "--config={missing}"],
+    ["kesten", "--d", "2", "--nmax", "4", "--conf", "{missing}"],
+    ["freeconv", "--law-x", "semicircle", "--law-y", "arcsine", "--route", "analytic",
+     "--eta", "nan"],
+    ["freeconv", "--law-x", "semicircle", "--law-y", "arcsine", "--route", "analytic",
+     "--eta", "inf"],
+    ["freeconv", "--law-x", "point:c=1.5", "--law-y", "bernoulli", "--route", "analytic",
+     "--eta", "-1"],
+    ["flow", "--z", "nan+2j"],
+    ["flow", "--z", "1e400j"],
+    ["flow", "--h", "nan"],
+    ["wick", "--n", "4", "--N", "0"],
+    ["rmt", "--kind", "gue_gue", "--N", "1", "--trials", "4"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUT, ids=" ".join)
+def test_bad_input_exits_two_without_a_traceback(tmp_path, capsys, argv):
+    missing = str(tmp_path / "no-such-dir" / "file")
+    assert cli.run([a.replace("{missing}", missing) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
 
 
 def test_malformed_seed_env_is_a_usage_error(capsys, monkeypatch):

@@ -15,7 +15,6 @@ from freeprob.measures import (
     Measure,
     cauchy,
     cauchy_evaluator,
-    from_json,
     make_named,
     moments,
     named_cauchy,
@@ -25,7 +24,6 @@ from freeprob.measures import (
     stieltjes_invert,
     support_radius,
     to_csv,
-    to_json,
 )
 
 UPPER = st.complex_numbers(min_magnitude=0.1, max_magnitude=5).map(
@@ -237,6 +235,12 @@ def test_stieltjes_invert_calls_g_once(law, hint):
     assert sizes == [2 * 257]  # the grid at both heights, in one batch
 
 
+@pytest.mark.parametrize("eps", [0.0, -1e-3, math.nan, math.inf])
+def test_stieltjes_invert_needs_a_positive_finite_height(eps):
+    with pytest.raises(ValueError, match="eps must be positive and finite"):
+        stieltjes_invert(lambda w: 1 / w, (-1, 1), eps=eps)
+
+
 def test_stieltjes_invert_needs_a_vectorised_transform():
     with pytest.raises(ValueError, match="must map an array of points"):
         stieltjes_invert(lambda w: complex(np.sum(1 / w)), (-1, 1))
@@ -245,18 +249,6 @@ def test_stieltjes_invert_needs_a_vectorised_transform():
 def test_stieltjes_invert_rejects_non_herglotz_input():
     with pytest.raises(InversionError):
         stieltjes_invert(lambda w: 1j * abs(w), (-1, 1))
-
-
-def test_json_round_trip():
-    for mu in (make_named("semicircle"), make_named("bernoulli"), make_named("marchenko_pastur", lam=0.5)):
-        back = from_json(to_json(mu))
-        assert back.support == mu.support
-        assert back.edges == mu.edges
-        assert back.atoms == mu.atoms
-        if mu.samples is None:
-            assert back.samples is None
-        else:
-            assert np.array_equal(back.samples, mu.samples)
 
 
 def test_csv_has_grid_rows():

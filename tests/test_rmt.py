@@ -14,7 +14,6 @@ from freeprob.partitions import Permutation
 from freeprob.rmt import (
     EnsembleSpec,
     freeness_experiment,
-    genus_profile,
     geodesic_order_assembly,
     mc_word_moment,
     sample,
@@ -57,26 +56,17 @@ def test_wick_guards():
         wick_trace_moment(-2)
     with pytest.raises(ValueError):
         wick_trace_moment(22)
+    for n in (3, 4):
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            wick_trace_moment(n, 0)
 
 
-def test_genus_profile():
-    assert genus_profile(1) == (1,)
-    assert genus_profile(2) == (2, 1)
-    assert genus_profile(3) == (5, 10)
-    assert genus_profile(4) == (14, 70, 21)
+def test_wick_counts_the_pairings_by_genus():
+    # the coefficient of N^-2g counts the pairings of [2k] of genus g
     for k in range(1, 7):
-        prof = genus_profile(k)
-        assert prof[0] == CATALAN[k]  # planar pairings lead
-        assert sum(prof) == dfact(2 * k)  # all pairings, over every genus
-    with pytest.raises(ValueError):
-        genus_profile(0)
-
-
-def test_wick_and_genus_profile_agree():
-    for k in (1, 2, 3, 4):
         exp = wick_trace_moment(2 * k)
-        prof = genus_profile(k)
-        assert exp == {2 * g: prof[g] for g in range(len(prof)) if prof[g]}
+        assert exp[0] == CATALAN[k]  # planar pairings lead
+        assert sum(exp.values()) == dfact(2 * k)  # all pairings, over every genus
 
 
 def test_weingarten_transposition_exact():
@@ -94,6 +84,9 @@ def test_weingarten_identities_exact():
     assert one.exact and one.value == Fraction(1, 9)
     two = weingarten_series(Permutation((1, 2))).evaluate(9)
     assert two.exact and two.value == Fraction(1, 80)
+    # S(1) at N = 1: the resummation factor N^2/(N^2 - 1) is not formed
+    at_one = weingarten_series(Permutation((1,))).evaluate(1)
+    assert at_one.exact and at_one.value == 1
 
 
 def test_weingarten_s3_within_error_bound():
@@ -127,6 +120,9 @@ def test_weingarten_guards():
         e.evaluate(1)  # needs N >= n
     with pytest.raises(ValueError):
         weingarten_series(Permutation(tuple(range(2, 10)) + (1,)))  # n > 8
+    for R in (0, -1, 21):  # outside cayley_distance (1)..20
+        with pytest.raises(ValueError, match="must lie in 1..20"):
+            weingarten_series(Permutation((2, 1)), R=R)
 
 
 def test_sample_is_deterministic_and_structured():
@@ -215,6 +211,9 @@ def test_freeness_experiment_validation():
         freeness_experiment("haar_haar", 20, 20, 4)
     with pytest.raises(ValueError):
         freeness_experiment("gue_gue", 20, 1, 4)  # needs >= 2 trials
+    for kind in ("gue_gue", "gue_deterministic"):
+        with pytest.raises(ValueError, match="N must be >= 2"):
+            freeness_experiment(kind, 1, 20, 4)
     with pytest.raises(ValueError):
         freeness_experiment("rotated_diagonal", 21, 20, 4)  # N must be even
 
@@ -336,8 +335,6 @@ def test_harer_zagier_matches_pairing_enumeration():
             continue
         hist = pairing_cycle_histogram(n)
         assert wick_trace_moment(n) == {n // 2 + 1 - c: cnt for c, cnt in hist.items()}
-        k = n // 2
-        assert genus_profile(k) == tuple(hist.get(k + 1 - 2 * g, 0) for g in range(k // 2 + 1))
 
 
 def test_character_formula_matches_factorization_search():
