@@ -205,47 +205,56 @@ def _subordinate(
     n = z.size
     idx = np.arange(n)  # points still iterating
     zs = w = z
+    az = np.abs(z)
     r_low = np.full(n, np.inf)  # lowest residual so far
     stall = np.zeros(n, dtype=np.int64)  # rounds since it was reached
-    for rounds in range(1, MAX_ROUNDS + 1):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for rounds in range(1, MAX_ROUNDS + 1):
             gx, gxp = cauchy_x(w)
-            u = zs + 1.0 / gx - w
+            igx = 1.0 / gx
+            u = zs + igx - w
             gy, gyp = cauchy_y(u)
-            tw = zs + 1.0 / gy - u
+            igy = 1.0 / gy
+            tw = zs + igy - u
             dhx = -gxp / (gx * gx) - 1.0  # h_X'(w)
             dhy = -gyp / (gy * gy) - 1.0  # h_Y'(u)
-            noise = np.abs(dhy) * (np.abs(1.0 / gx) + np.abs(w) + np.abs(zs))
-            noise += np.abs(1.0 / gy) + np.abs(u) + np.abs(zs)
-        fw = w - tw
-        r = (np.abs(fw) + ROUNDING * noise) / (1.0 + np.abs(w))
-        stall = np.where(r < r_low, 0, stall + 1)
-        r_low = np.minimum(r, r_low)
-        done = (r <= SOLVE_TOL) | ((stall >= STALL_ROUNDS) & (r <= ACCEPT_TOL))
-        stuck = ~done & (stall >= SWAP_ROUNDS)
-        if rounds == MAX_ROUNDS:
-            done = r <= ACCEPT_TOL
-            stuck = ~done
-            if after:
-                failed += zip(zs[stuck], r[stuck])
-        if done.any():
-            functional = np.abs(gx[done] - gy[done]) / np.abs(gx[done])
-            solver.add(zs[done], r[done], functional, after + rounds)
-            out[idx[done]] = gx[done]
-        keep = ~done
-        if not after and stuck.any():
-            out[idx[stuck]] = _subordinate(
-                zs[stuck], cauchy_y, cauchy_x, solver, after=rounds, failed=failed)
-            keep &= ~stuck
-        if rounds == MAX_ROUNDS or not keep.any():
-            break
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            aw = np.abs(w)
+            noise = np.abs(dhy) * (np.abs(igx) + aw + az)
+            noise += np.abs(igy) + np.abs(u) + az
+            fw = w - tw
+            r = (np.abs(fw) + ROUNDING * noise) / (1.0 + aw)
+            stall = np.where(r < r_low, 0, stall + 1)
+            r_low = np.minimum(r, r_low)
+            done = (r <= SOLVE_TOL) | ((stall >= STALL_ROUNDS) & (r <= ACCEPT_TOL))
+            stuck = ~done & (stall >= SWAP_ROUNDS)
+            if rounds == MAX_ROUNDS:
+                done = r <= ACCEPT_TOL
+                stuck = ~done
+                if after:
+                    failed += zip(zs[stuck], r[stuck])
+            keep = None  # None while every point goes on iterating
+            if done.any():
+                g_done = gx[done]
+                functional = np.abs(g_done - gy[done]) / np.abs(g_done)
+                solver.add(zs[done], r[done], functional, after + rounds)
+                out[idx[done]] = g_done
+                keep = ~done
+            if not after and stuck.any():
+                out[idx[stuck]] = _subordinate(
+                    zs[stuck], cauchy_y, cauchy_x, solver, after=rounds, failed=failed)
+                keep = ~(done | stuck)
+            if rounds == MAX_ROUNDS or (keep is not None and not keep.any()):
+                break
             w = w - fw / (1.0 - dhy * dhx)
-        plain = ~(np.isfinite(w) & (w.imag > 0.0))
-        w = np.where(plain, tw, w)
-        solver.safeguarded_steps += int(np.count_nonzero(keep & plain))
-        idx, zs, w = idx[keep], zs[keep], w[keep]
-        r_low, stall = r_low[keep], stall[keep]
+            plain = ~(np.isfinite(w) & (w.imag > 0.0))
+            if plain.any():
+                w = np.where(plain, tw, w)
+                if keep is not None:
+                    plain &= keep
+                solver.safeguarded_steps += int(np.count_nonzero(plain))
+            if keep is not None:
+                idx, zs, az, w = idx[keep], zs[keep], az[keep], w[keep]
+                r_low, stall = r_low[keep], stall[keep]
     if not after and failed:
         z_bad, r_bad = max(failed, key=lambda point: point[1])
         raise ContinuationError(
