@@ -16,6 +16,15 @@ Denjoy-Wolff point), and G_{X boxplus Y}(z) = G_X(omega_1(z)).  Because the
 fixed point is unique, no continuation from far above the axis is needed to
 pick the branch: every point of the Stieltjes-inversion grid is solved at
 once, by Newton steps on w - T(w) with plain steps w <- T(w) as the fallback.
+Newton starts at the free CLT's answer: the semicircle sigma with the mean
+and variance of X boxplus Y, whose subordination function is in closed form
+(Biane, "On the free convolution with a semi-circular distribution", Indiana
+Univ. Math. J. 46, 1997), so the start is
+
+    w_0(z) = z - kappa_1(Y) - kappa_2(Y) G_sigma(z),
+
+exact when X and Y are both semicircles or Y is a point mass, and in the
+upper half-plane with Im w_0 >= Im z, since kappa_2 >= 0 and Im G <= 0.
 At the fixed point omega_2 = z + h_X(omega_1) satisfies
 G_X(omega_1) = G_Y(omega_2), which the functional residual measures.
 
@@ -164,17 +173,36 @@ def _bounds(mu: Measure) -> tuple:
     return lo, hi
 
 
+def _free_clt_start(z: np.ndarray, x: tuple, y: tuple) -> np.ndarray:
+    """The start w_0(z) = z - kappa_1(Y) - kappa_2(Y) G_sigma(z) of the solve
+    (see the module docstring), from the (mean, variance) pairs ``x`` of X and
+    ``y`` of Y; z itself when the summed variance is 0 or not finite.
+
+    G_sigma is the unit semicircle's closed form, scaled: a semicircle of
+    variance s has G(z) = G_1(z / sqrt(s)) / sqrt(s), with no bound on s.
+    """
+    (mean_x, var_x), (mean_y, var_y) = x, y
+    s = var_x + var_y
+    if not 0.0 < s < math.inf:
+        return z
+    root = math.sqrt(s)
+    g_unit, _ = named_cauchy("semicircle", r=2.0)((z - (mean_x + mean_y)) / root)
+    return z - mean_y - var_y * (g_unit / root)
+
+
 def _subordinate(
     z: np.ndarray, cauchy_x, cauchy_y, solver: SolverCounters, after: int = 0,
-    failed: list | None = None,
+    failed: list | None = None, start: np.ndarray | None = None,
 ) -> np.ndarray:
     """G of X boxplus Y at every point of z (Im z > 0), solved together.
 
     ``cauchy_x`` and ``cauchy_y`` are the (G, G') evaluators of X and Y.
     Returns G_X(w), w the fixed point of T(w) = z + h_Y(z + h_X(w)) with
-    h = 1/G - id, iterated from w = z, and adds its residuals and step counts
-    to ``solver``.  Each round evaluates T and T' at the iterate of every
-    point still iterating:
+    h = 1/G - id, iterated from ``start`` (an array like z in the upper
+    half-plane, by default z itself; `free_convolve_analytic` passes the free
+    CLT's subordination function of Biane (1997), see `_free_clt_start`), and
+    adds its residuals and step counts to ``solver``.  Each round evaluates T
+    and T' at the iterate of every point still iterating:
 
     * Steps.  The next iterate is the full Newton step on F(w) = w - T(w),
       w - F(w)/(1 - h_Y'(u) h_X'(w)) with u = z + h_X(w).  Where that step is
@@ -193,6 +221,7 @@ def _subordinate(
       or above it at ``MAX_ROUNDS``, is solved again as G_Y(omega_2), with X
       and Y swapped, ``after`` the rounds already spent: the rounding floor is
       lower in the order that iterates the smaller subordination function.
+      The swapped solve starts at z.
       In that order a point above ``ACCEPT_TOL`` at ``MAX_ROUNDS`` has
       failed: it goes to the list ``failed`` as (z, residual), and once every
       other point is solved the call raises ContinuationError with their
@@ -204,7 +233,8 @@ def _subordinate(
         failed = []
     n = z.size
     idx = np.arange(n)  # points still iterating
-    zs = w = z
+    zs = z
+    w = z if start is None else np.asarray(start, dtype=np.complex128).ravel()
     az = np.abs(z)
     r_low = np.full(n, np.inf)  # lowest residual so far
     stall = np.zeros(n, dtype=np.int64)  # rounds since it was reached
@@ -293,7 +323,8 @@ def free_convolve_analytic(
     law as ``mu_x`` (`measures.named_cauchy` gives the named laws' closed
     forms); None takes the cell kernel on ``mu_x``.  Likewise for Y.  The
     measures themselves give the support hint, the atoms and the quadrature
-    moments.  The output's atoms follow from the inputs' atoms (see the
+    moments, whose mean and variance also give the solve's start (see
+    `_free_clt_start`).  The output's atoms follow from the inputs' atoms (see the
     module docstring); their poles are subtracted from the solved G, and
     `stieltjes_invert` inverts the rest into the density, at height ``eta``,
     which must be positive and finite.  Atoms that carry the whole mass make
@@ -301,6 +332,8 @@ def free_convolve_analytic(
     """
     if not 0 < eta < math.inf:
         raise ValueError(f"eta must be positive and finite, got {eta}")
+    if n_moments < 1:
+        raise ValueError(f"n_moments must be at least 1, got {n_moments}")
     for mu in (mu_x, mu_y):
         if mu.support is None and not mu.atoms:
             raise ValueError("input measure is empty")
@@ -311,8 +344,8 @@ def free_convolve_analytic(
     # moments beyond the float range overflow the recursion, whose entries
     # from then on are inf or an undetermined inf - inf = NaN: Python floats
     # give these without a warning
-    moms = tuple(free_convolve_moments(
-        measure_moments(mu_x, n_moments).tolist(), measure_moments(mu_y, n_moments).tolist()))
+    mx, my = (measure_moments(mu, max(n_moments, 2)) for mu in (mu_x, mu_y))
+    moms = tuple(free_convolve_moments(mx[:n_moments].tolist(), my[:n_moments].tolist()))
     solver = SolverCounters()
     if missing <= 1e-9:
         # the atoms carry the whole mass, so the output has no density
@@ -325,9 +358,12 @@ def free_convolve_analytic(
     pad = 0.1 * max(b - a, 1.0)
     cauchy_x = cauchy_x or cauchy_evaluator(mu_x)
     cauchy_y = cauchy_y or cauchy_evaluator(mu_y)
+    # quadrature (mean, variance): rounding can take m_2 - m_1^2 below 0
+    x, y = ((m[0], max(m[1] - m[0] * m[0], 0.0)) for m in (mx, my))
 
     def transform(zs: np.ndarray) -> np.ndarray:
-        g = _subordinate(zs, cauchy_x, cauchy_y, solver).reshape(zs.shape)
+        g = _subordinate(zs, cauchy_x, cauchy_y, solver,
+                         start=_free_clt_start(zs, x, y)).reshape(zs.shape)
         for loc, mass in atoms:
             g -= mass / (zs - loc)
         return g
