@@ -7,10 +7,11 @@ seed produce byte-identical bytes.  CSV is available only where a flat table
 makes sense (freeconv density grids, rmt Monte Carlo sweeps).
 
 Exit codes, mapped in one place (`run`): 0 success; 2 bad input, a
-`ValueError` or an `OSError` (a file that cannot be read, an --output that
-cannot be written), with nothing on stdout; 3 numerical failure, a
-`ContinuationError` (a solve that missed its tolerance) or an
-`InversionError` (an inversion that went negative or lost mass).
+`ValueError` or an `OSError` (a file that cannot be read or written; an
+--output that cannot be written is found before the run), with nothing on
+stdout; 3 numerical failure, a `ContinuationError` (a solve that missed its
+tolerance) or an `InversionError` (an inversion that went negative or lost
+mass).
 
 Each input rule is checked once, by the library function that consumes the
 input, which raises ValueError: law names and parameters in
@@ -22,7 +23,8 @@ the Weingarten size and truncation order in `rmt.weingarten_series` and N in
 its `evaluate`, d and nmax in `walks`.  This module checks only what no
 library function sees: the argv syntax, the text forms of rationals, laws,
 permutations and complex numbers, which source feeds each side of freeconv,
-the moment order, and which subcommands emit CSV.
+the moment order, which subcommands emit CSV, and whether --output can be
+written.
 
 Settings resolve in the order: built-in default < FREEPROB_SEED environment
 variable (seed only) < --config key=value file < explicit flags.  The file is
@@ -98,6 +100,20 @@ def _csv_header(config: dict) -> str:
     return "".join(f"# {k}={v}\n" for k, v in config.items())
 
 
+def _check_output(output: str):
+    """Exit 2 before the run when --output cannot be written.  The file is
+    opened only by `_emit`, after the run, so that a failed run leaves an
+    existing file as it was."""
+    if output == "-":
+        return
+    folder = os.path.dirname(output) or "."
+    if not os.path.isdir(folder):
+        raise _Usage(f"cannot write --output {output!r}: no directory {folder!r}")
+    if os.path.isdir(output) or not os.access(
+            output if os.path.exists(output) else folder, os.W_OK):
+        raise _Usage(f"cannot write --output {output!r}")
+
+
 def _emit(text: str, output: str):
     if output == "-":
         sys.stdout.write(text)
@@ -120,11 +136,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_rationals(text: str) -> list:
-    items = [t for chunk in text.split(",") for t in chunk.split()]
-    try:
-        return [Fraction(t) for t in items if t]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise _Usage(f"cannot parse rational list {text!r}: {exc}")
+    out = []
+    for item in (t for chunk in text.split(",") for t in chunk.split()):
+        try:
+            out.append(Fraction(item))
+        except ValueError as exc:
+            raise _Usage(f"cannot parse rational list {text!r}: {exc}")
+        except ZeroDivisionError:
+            raise _Usage(f"cannot parse rational list {text!r}: {item!r} has a zero denominator")
+    return out
 
 
 def _read_moments(source: str) -> list:
@@ -519,7 +539,7 @@ def _cmd_weingarten(args) -> str:
     try:
         images = tuple(int(t) for t in args.perm.split(","))
         perm = Permutation(images)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise _Usage(f"bad --perm {args.perm!r}: {exc}")
     config = _resolved_config(args, ["perm", "N", "R"])
     expansion = rmt.weingarten_series(perm, R=args.R)
@@ -563,6 +583,7 @@ def run(argv) -> int:
         args = _build_parser().parse_args(argv)
         if args.seed is None:
             args.seed = _default_seed()
+        _check_output(args.output)
         text = _COMMANDS[args.command](args)
         _emit(text, args.output)
         return 0

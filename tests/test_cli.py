@@ -1,5 +1,7 @@
 """End-to-end runs of the command-line interface."""
 
+import contextlib
+import io
 import itertools
 import json
 import os
@@ -11,7 +13,7 @@ import pytest
 
 import freeprob
 import freeprob.cli as cli
-from freeprob import _kernels, measures
+from freeprob import _kernels, measures, rmt
 from freeprob.freeconv import ContinuationError, free_convolve_moments
 
 
@@ -83,14 +85,41 @@ NAMED_LAWS = (
 )
 
 
+@pytest.fixture(scope="module")
+def named_pair_runs():
+    """(exit code, stdout) of every ordered pair of NAMED_LAWS on the analytic
+    route at grid 128, run once for the tests that read them."""
+    runs = {}
+    for law_x, law_y in itertools.product(NAMED_LAWS, NAMED_LAWS):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.run(["freeconv", "--law-x", law_x, "--law-y", law_y,
+                            "--route", "analytic", "--grid-size", "128"])
+        runs[law_x, law_y] = code, out.getvalue()
+    return runs
+
+
 @pytest.mark.parametrize("law_x,law_y", list(itertools.product(NAMED_LAWS, NAMED_LAWS)))
-def test_freeconv_every_named_pair_converges(capsys, law_x, law_y):
-    doc = run_json(
-        capsys,
-        ["freeconv", "--law-x", law_x, "--law-y", law_y,
-         "--route", "analytic", "--grid-size", "128"],
-    )
-    assert doc["diagnostics"]["continuation_residual"] < 1e-8
+def test_freeconv_every_named_pair_converges(named_pair_runs, law_x, law_y):
+    code, out = named_pair_runs[law_x, law_y]
+    assert code == 0, out
+    assert json.loads(out)["diagnostics"]["continuation_residual"] < 1e-8
+
+
+def test_freeconv_named_pairs_take_fewer_rounds_than_from_z(named_pair_runs):
+    # Newton started at w = z took 500 rounds, summed over the pairs' worst
+    # points; the free CLT start takes 365
+    rounds = sum(json.loads(out)["diagnostics"]["iterations"]
+                 for _, out in named_pair_runs.values())
+    assert rounds < 500
+
+
+def test_freeconv_bernoulli_pair_rounds(capsys):
+    # perfbench's analytic_atoms job: from w = z it took 16 rounds, median 15
+    doc = run_json(capsys, ["freeconv", "--law-x", "bernoulli", "--law-y", "bernoulli",
+                            "--route", "analytic", "--grid-size", "256"])
+    assert doc["diagnostics"]["iterations"] <= 10
+    assert doc["diagnostics"]["median_iterations"] <= 7
 
 
 # mu boxplus nu has an atom at a + b exactly when mu({a}) + nu({b}) > 1, of
@@ -327,6 +356,31 @@ def test_bad_input_exits_two_without_a_traceback(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Traceback" not in captured.err
+
+
+def test_zero_denominator_is_named(capsys):
+    assert cli.run(["cumulants", "--moments", "1,1/0"]) == 2
+    assert "'1/0' has a zero denominator" in capsys.readouterr().err
+
+
+def test_unwritable_output_fails_before_the_run(tmp_path, capsys, monkeypatch):
+    def started(*args, **kwargs):
+        raise AssertionError("the Monte Carlo run started")
+
+    monkeypatch.setattr(rmt, "freeness_experiment", started)
+    argv = ["rmt", "--kind", "gue_gue", "--N", "50", "--trials", "2", "--output"]
+    assert cli.run(argv + [str(tmp_path / "no-such-dir" / "x.json")]) == 2
+    assert "no directory" in capsys.readouterr().err
+    assert cli.run(argv + [str(tmp_path)]) == 2  # a directory is no file
+    assert "cannot write --output" in capsys.readouterr().err
+
+
+def test_failed_run_leaves_an_existing_output_as_it_was(tmp_path, capsys):
+    dest = tmp_path / "out.json"
+    dest.write_text("kept\n")
+    argv = ["rmt", "--kind", "gue_gue", "--N", "1", "--trials", "4", "--output", str(dest)]
+    assert cli.run(argv) == 2
+    assert dest.read_text() == "kept\n"
 
 
 def test_malformed_seed_env_is_a_usage_error(capsys, monkeypatch):

@@ -214,6 +214,11 @@ def _evaluator(law, closed):
         cauchy_evaluator(make_named(tag, 128, **params))
 
 
+def _mean_variance(law):
+    m1, m2 = moments(make_named(law[0], 128, **law[1]), 2)
+    return m1, max(m2 - m1 * m1, 0.0)
+
+
 def _levels(lo, hi, eta):
     t = np.linspace(lo, hi, 129)
     return t + 1j * eta, t + 1j * eta / 2.0
@@ -238,19 +243,47 @@ BATCH_CASES = [
 def test_subordination_is_pointwise_across_batches(x, y, closed, hint, eta):
     cauchy_x, cauchy_y = _evaluator(x, closed), _evaluator(y, closed)
     parts = _levels(*hint, eta)
-    batched = SolverCounters()
-    whole = freeconv._subordinate(np.concatenate(parts), cauchy_x, cauchy_y, batched)
-    apart = SolverCounters()
-    pieces = [freeconv._subordinate(p, cauchy_x, cauchy_y, apart) for p in parts]
-    assert whole.tobytes() == np.concatenate(pieces).tobytes()
-    assert batched.rounds_finished.total() == whole.size
-    # worst_z is the first point found at the worst residual; one batch finds
-    # the two levels' points in another order, so an exact tie could move it.
-    # Every other counter is an aggregate.
-    for name in ("residual", "functional", "iterations", "safeguarded_steps",
-                 "rounds_finished", "median_iterations"):
-        assert getattr(batched, name) == getattr(apart, name), name
-    assert 1 <= batched.median_iterations <= batched.iterations
+    clt = [_mean_variance(law) for law in (x, y)]
+    # from w = z, and from the free CLT start, which is pointwise too
+    for start in (lambda zs: None, lambda zs: freeconv._free_clt_start(zs, *clt)):
+        zs = np.concatenate(parts)
+        batched = SolverCounters()
+        whole = freeconv._subordinate(zs, cauchy_x, cauchy_y, batched, start=start(zs))
+        apart = SolverCounters()
+        pieces = [freeconv._subordinate(p, cauchy_x, cauchy_y, apart, start=start(p))
+                  for p in parts]
+        assert whole.tobytes() == np.concatenate(pieces).tobytes()
+        assert batched.rounds_finished.total() == whole.size
+        # worst_z is the first point found at the worst residual; one batch
+        # finds the two levels' points in another order, so an exact tie could
+        # move it.  Every other counter is an aggregate.
+        for name in ("residual", "functional", "iterations", "safeguarded_steps",
+                     "rounds_finished", "median_iterations"):
+            assert getattr(batched, name) == getattr(apart, name), name
+        assert 1 <= batched.median_iterations <= batched.iterations
+
+
+@pytest.mark.parametrize("x,y", [
+    (("semicircle", {}, (0.0, 1.0)), ("semicircle", {"r": 1.0}, (0.0, 0.25))),
+    (("point", {"c": 1.5}, (1.5, 0.0)), ("semicircle", {}, (0.0, 1.0))),
+    (("semicircle", {}, (0.0, 1.0)), ("point", {"c": -0.1}, (-0.1, 0.0))),
+], ids=["semicircle+semicircle", "point+semicircle", "semicircle+point"])
+def test_free_clt_start_is_exact_for_semicircles_and_point_masses(x, y):
+    # With X and Y semicircles, or Y a point mass, the start is omega_1 itself
+    # (Biane 1997): every point is done in the first round, and G is the
+    # semicircle of the summed mean and variance.
+    (tag_x, par_x, clt_x), (tag_y, par_y, clt_y) = x, y
+    cauchy_x, cauchy_y = (named_cauchy(tag, **par) or cauchy_evaluator(make_named(tag, **par))
+                          for tag, par in ((tag_x, par_x), (tag_y, par_y)))
+    t = np.linspace(-4.0, 4.0, 81)
+    z = np.concatenate([t + 1e-3j, t + 1j])
+    solver = SolverCounters()
+    g = freeconv._subordinate(z, cauchy_x, cauchy_y, solver,
+                              start=freeconv._free_clt_start(z, clt_x, clt_y))
+    assert solver.iterations == 1
+    sigma = named_cauchy("semicircle", r=2.0 * math.sqrt(clt_x[1] + clt_y[1]))
+    exact, _ = sigma(z - (clt_x[0] + clt_y[0]))
+    assert np.max(np.abs(g - exact) / np.abs(exact)) < 1e-12
 
 
 def test_median_iterations_is_a_round_count_of_the_solve():
