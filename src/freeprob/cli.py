@@ -143,7 +143,8 @@ def _parse_rationals(text: str) -> list:
         except ValueError as exc:
             raise _Usage(f"cannot parse rational list {text!r}: {exc}")
         except ZeroDivisionError:
-            raise _Usage(f"cannot parse rational list {text!r}: {item!r} has a zero denominator")
+            raise _Usage(
+                f"cannot parse rational list {text!r}: {item!r} has a zero denominator")
     return out
 
 

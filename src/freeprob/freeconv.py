@@ -16,17 +16,18 @@ Denjoy-Wolff point), and G_{X boxplus Y}(z) = G_X(omega_1(z)).  Because the
 fixed point is unique, no continuation from far above the axis is needed to
 pick the branch: every point of the Stieltjes-inversion grid is solved at
 once, by Newton steps on w - T(w) with plain steps w <- T(w) as the fallback.
-Newton starts at the free CLT's answer: the semicircle sigma with the mean
-and variance of X boxplus Y, whose subordination function is in closed form
-(Biane, "On the free convolution with a semi-circular distribution", Indiana
-Univ. Math. J. 46, 1997), so the start is
+At the fixed point omega_2 = z + h_X(omega_1) satisfies
+G_X(omega_1) = G_Y(omega_2), which the functional residual measures.
+
+Newton starts at the subordination function of the free CLT's answer: the
+semicircle sigma with the mean and variance of X boxplus Y.  It is in closed
+form (Biane, "On the free convolution with a semi-circular distribution",
+Indiana Univ. Math. J. 46, 1997):
 
     w_0(z) = z - kappa_1(Y) - kappa_2(Y) G_sigma(z),
 
 exact when X and Y are both semicircles or Y is a point mass, and in the
 upper half-plane with Im w_0 >= Im z, since kappa_2 >= 0 and Im G <= 0.
-At the fixed point omega_2 = z + h_X(omega_1) satisfies
-G_X(omega_1) = G_Y(omega_2), which the functional residual measures.
 
 The output's atoms need no search: X boxplus Y has an atom at a + b exactly
 when mu_X({a}) + mu_Y({b}) > 1, and its mass is the excess (Bercovici &
@@ -324,11 +325,11 @@ def free_convolve_analytic(
     forms); None takes the cell kernel on ``mu_x``.  Likewise for Y.  The
     measures themselves give the support hint, the atoms and the quadrature
     moments, whose mean and variance also give the solve's start (see
-    `_free_clt_start`).  The output's atoms follow from the inputs' atoms (see the
-    module docstring); their poles are subtracted from the solved G, and
-    `stieltjes_invert` inverts the rest into the density, at height ``eta``,
-    which must be positive and finite.  Atoms that carry the whole mass make
-    the output, with no solve.
+    `_free_clt_start`).  The output's atoms follow from the inputs' atoms
+    (see the module docstring); their poles are subtracted from the solved
+    G, and `stieltjes_invert` inverts the rest into the density, at height
+    ``eta``, which must be positive and finite.  Atoms that carry the whole
+    mass make the output, with no solve.
     """
     if not 0 < eta < math.inf:
         raise ValueError(f"eta must be positive and finite, got {eta}")
