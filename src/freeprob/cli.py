@@ -26,20 +26,31 @@ permutations and complex numbers, which source feeds each side of freeconv,
 the moment order, which subcommands emit CSV, and whether --output can be
 written.
 
+The argv syntax is ``COMMAND --option VALUE ...``, read against one option
+table (`_COMMANDS`) that gives each option's type, default, choices and
+whether it is required.  An option is written ``--name VALUE`` or
+``--name=VALUE``; the name may be cut to a prefix that no other option of the
+command shares, and an exact name wins over a prefix (``wick --n`` is not
+``--N``, ``flow --h`` is not ``--help``).  The token after ``--name`` is its
+value whatever it begins with, except ``--``: ``--z -0.5+2j`` is a value.
+The last occurrence of an option wins.  ``-h``, ``--help`` or a prefix of it
+prints the help of the program or of the command on stdout, with exit code 0.
+A parse error exits 2 with a usage line on stderr.
+
 Settings resolve in the order: built-in default < FREEPROB_SEED environment
 variable (seed only) < --config key=value file < explicit flags.  The file is
-named by ``--config FILE`` or ``--config=FILE`` (or a prefix that argparse
-accepts, such as ``--conf FILE``); each of its ``key=value`` lines enters as
-``--key value`` ahead of the flags.
+named by ``--config FILE`` in any of the spellings above (``--config=FILE``,
+``--conf FILE``); each of its ``key=value`` lines is read as ``--key=value``.
+The required options, and the sources of freeconv's two sides (exactly one
+each), are checked after the file and the flags are merged.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import math
 import os
 import sys
+import types
 from fractions import Fraction
 
 from . import freeconv, measures, rmt, series, walks
@@ -56,11 +67,11 @@ __all__ = ["run", "main"]
 
 
 def _fmt_float(x: float) -> str:
+    if x - x == 0:  # finite
+        return f"{x:.17g}"
     if x != x:
         return '"NaN"'
-    if x in (float("inf"), float("-inf")):
-        return '"Infinity"' if x > 0 else '"-Infinity"'
-    return f"{x:.17g}"
+    return '"Infinity"' if x > 0 else '"-Infinity"'
 
 
 def _jdump(obj, indent: int = 0) -> str:
@@ -74,7 +85,10 @@ def _jdump(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        rows = [f"{inner}{_jdump(v, indent + 1)}" for v in obj]
+        if all(type(v) is float for v in obj):  # a density's samples, a moment list
+            rows = [f"{inner}{v:.17g}" if v - v == 0 else inner + _fmt_float(v) for v in obj]
+        else:
+            rows = [f"{inner}{_jdump(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
@@ -130,9 +144,8 @@ class _Usage(Exception):
     """Validation failure: message plus exit code 2."""
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # exit 2 with usage, but through one code path
-        raise _Usage(f"{self.format_usage()}{self.prog}: error: {message}")
+class _Help(Exception):
+    """-h/--help: the help text, printed on stdout with exit code 0."""
 
 
 def _parse_rationals(text: str) -> list:
@@ -182,8 +195,8 @@ def _parse_complex(text: str) -> complex:
 
 
 def _load_config_file(path: str) -> list:
-    """key=value lines -> synthetic argv prepended before the real flags."""
-    pairs = []
+    """key=value lines -> ``--key=value`` tokens, scanned like flags."""
+    tokens = []
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -192,99 +205,107 @@ def _load_config_file(path: str) -> list:
             key, eq, value = line.partition("=")
             if not eq:
                 raise _Usage(f"{path}:{line_no}: expected key=value, got {line!r}")
-            pairs += [f"--{key.strip()}", value.strip()]
-    return pairs
+            tokens.append(f"--{key.strip()}={value.strip()}")
+    return tokens
 
 
-@functools.cache
-def _config_parser() -> _Parser:
-    """A parser of --config alone, run ahead of the full one, so that the
-    file's flags can go between the defaults and the argv's flags; it takes
-    --config in every spelling that the subcommand parsers take."""
-    parser = _Parser(prog="freeprob", add_help=False)
-    parser.add_argument("--config")
-    return parser
+def _usage(command) -> str:
+    return f"usage: freeprob {command or 'COMMAND'} [--option VALUE ...]\n"
 
 
-@functools.cache
-def _build_parser() -> _Parser:
-    """The argument parser, built on first use and then reused; it holds no
-    per-call state, since the seed's environment default is read after
-    parsing (`_default_seed`)."""
-    parser = _Parser(prog="freeprob", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
+def _fail(command, message: str) -> _Usage:
+    """A parse error; ``command`` is None before the command is known."""
+    return _Usage(f"{_usage(command)}error: {message}")
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=None,
-                       help="master seed (default: FREEPROB_SEED or 0)")
-        p.add_argument("--output", default="-", help="output path, - for stdout")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--config", default=None, help="key=value file; flags win")
 
-    p = sub.add_parser("cumulants", help="moments -> cumulants on both lattices")
-    p.add_argument("--moments", required=True,
-                   help="comma-separated rationals, or @file")
-    p.add_argument("--lattice", choices=("classical", "free", "both"), default="both")
-    common(p)
+def _help(command=None) -> str:
+    """The help of the option table: its commands, or one command's options."""
+    if command is None:
+        rows = [f"  {name:<11} {entry[1]}" for name, entry in _COMMANDS.items()]
+        return (f"{_usage(None)}\n{__doc__.splitlines()[0]}\n\ncommands:\n"
+                + "\n".join(rows) + "\n\nfreeprob COMMAND --help lists its options.\n")
+    _, text, options = _COMMANDS[command]
+    rows = []
+    for name, kind, default, note, *group in options + _COMMON:
+        kind = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else kind.__name__
+        if group:
+            need = "one of --" + " | --".join(o[0] for o in options if o[4:] == tuple(group))
+        elif default is ...:
+            need = "required"
+        else:
+            need = "optional" if default is None else f"default {default}"
+        rows.append(f"  --{name} {kind}: {need}" + (f"; {note}" if note else ""))
+    return f"{_usage(command)}\n{text}\n\noptions:\n" + "\n".join(rows) + "\n"
 
-    p = sub.add_parser("freeconv", help="free additive convolution")
-    for side in "xy":
-        source = p.add_mutually_exclusive_group(required=True)
-        source.add_argument(f"--law-{side}", help="named law, e.g. semicircle:r=2")
-        source.add_argument(f"--moments-{side}", help="rational list or @file")
-    p.add_argument("--route", choices=("moments", "analytic", "both"), default="both")
-    p.add_argument("--order", type=int, default=8, help="moment order for the exact route")
-    p.add_argument("--grid-size", type=int, default=512)
-    p.add_argument("--eta", type=float, default=1e-3)
-    common(p)
 
-    p = sub.add_parser("kesten", help="loop counts of the free-group walk")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--nmax", type=int, required=True)
-    common(p)
+def _scan(command, options: dict, tokens: list) -> dict:
+    """The values that ``--name value`` and ``--name=value`` tokens give, by
+    option name, converted to the option's type; the last one wins.  A name is
+    an option's, else a prefix of just one; the token after ``--name`` is its
+    value unless it begins with ``--``."""
+    values = {}
+    i = 0
+    while i < len(tokens):
+        token = tokens[i]
+        if token == "-h":
+            raise _Help(_help(command))
+        key, eq, value = token.partition("=")
+        names = [n for n in (*options, "help") if n.startswith(key[2:])] \
+            if key.startswith("--") and key != "--" else []
+        if key[2:] in names:
+            names = [key[2:]]
+        if not names:
+            raise _fail(command, f"unrecognized argument {token!r}")
+        if len(names) > 1:
+            raise _fail(command, f"ambiguous option {key} could match --"
+                        + ", --".join(names))
+        name = names[0]
+        if name == "help":
+            raise _Help(_help(command))
+        if not eq:
+            i += 1
+            if i == len(tokens) or tokens[i].startswith("--"):
+                raise _fail(command, f"argument --{name}: expected one argument")
+            value = tokens[i]
+        kind = options[name][1]
+        if isinstance(kind, tuple):
+            if value not in kind:
+                raise _fail(command, f"argument --{name}: invalid choice {value!r} "
+                            f"(choose from {', '.join(kind)})")
+        else:
+            try:
+                value = kind(value)
+            except ValueError:
+                raise _fail(command, f"argument --{name}: invalid {kind.__name__} "
+                            f"value {value!r}")
+        values[name] = value
+        i += 1
+    return values
 
-    p = sub.add_parser("polya", help="return-probability decay diagnostics")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--nmax", type=int, default=2000)
-    common(p)
 
-    p = sub.add_parser(
-        "flow",
-        help="semicircular-flow residual at steps h, h/2, h/4; "
-             "a ratio near 4 means second order")
-    p.add_argument("--law", default="point", help="base measure (named law)")
-    p.add_argument("--z", default="2j", help="evaluation point, finite, Im z >= 0.1")
-    p.add_argument("--r", type=float, default=1.0, help="flow radius")
-    p.add_argument("--h", type=float, default=0.02,
-                   help="coarsest step; rows are at h, h/2 and h/4, and a ratio "
-                        "of neighbouring residuals near 4 means second order")
-    common(p)
-
-    p = sub.add_parser("rmt", help="asymptotic-freeness Monte Carlo experiment")
-    p.add_argument("--kind", required=True, choices=rmt.FREENESS_KINDS)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--degree", type=int, default=4)
-    p.add_argument("--workers", type=int, default=1,
-                   help="threads for the gue_gue and gue_deterministic trials, whose "
-                        "dense N x N products release the GIL; rotated_diagonal's O(N) "
-                        "trials run as one batch in the calling thread; the output "
-                        "does not depend on it")
-    common(p)
-
-    p = sub.add_parser("wick", help="exact GUE trace moment, genus by genus")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--N", type=int, default=None, help="evaluate at this dimension")
-    common(p)
-
-    p = sub.add_parser("weingarten", help="monotone-factorization expansion")
-    p.add_argument("--perm", required=True,
-                   help="one-line images, e.g. 2,1 for the transposition in S(2)")
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--R", type=int, default=None, help="truncation order")
-    common(p)
-
-    return parser
+def _parse(argv: list):
+    """The args namespace of argv: the command, then each of its options
+    resolved as default < --config file < flags, with the required options and
+    the groups of which exactly one option is given checked after the merge."""
+    command = argv[0] if argv else ""
+    if command == "-h" or len(command) > 2 and "--help".startswith(command):
+        raise _Help(_help())
+    if command not in _COMMANDS:
+        raise _fail(None, f"expected a command, one of {', '.join(_COMMANDS)}"
+                    + (f"; got {command!r}" if argv else ""))
+    options = {o[0]: o for o in _COMMANDS[command][2] + _COMMON}
+    given = _scan(command, options, argv[1:])
+    if "config" in given:
+        given = {**_scan(command, options, _load_config_file(given["config"])), **given}
+    missing = [f"--{name}" for name, o in options.items() if o[2] is ... and name not in given]
+    if missing:
+        raise _fail(command, "the following options are required: " + ", ".join(missing))
+    for group in dict.fromkeys(o[4:] for o in options.values() if o[4:]):
+        names = [name for name, o in options.items() if o[4:] == group]
+        if sum(name in given for name in names) != 1:
+            raise _fail(command, "give exactly one of --" + ", --".join(names))
+    return types.SimpleNamespace(command=command, **{
+        name.replace("-", "_"): given.get(name, o[2]) for name, o in options.items()})
 
 
 def _default_seed() -> int:
@@ -360,8 +381,13 @@ def _cmd_freeconv(args) -> str:
     diagnostics: dict = {}
     laws = [_parse_law(text) if text is not None else None
             for text in (args.law_x, args.law_y)]
-    cells = [measures.make_named(tag, args.grid_size, **params) for tag, params in laws] \
-        if analytic_wanted else None
+    cells = None
+    if analytic_wanted:
+        (tag_x, params_x), (tag_y, params_y) = laws
+        mux = measures.make_named(tag_x, args.grid_size, **params_x)
+        # mu boxplus mu: one cell measure serves both sides
+        cells = [mux, mux if laws[0] == laws[1] else
+                 measures.make_named(tag_y, args.grid_size, **params_y)]
 
     def cumulants(i: int, order: int) -> list:
         """Free cumulants kappa_1.. of side i: its law's own up to ``order``,
@@ -562,15 +588,68 @@ def _cmd_weingarten(args) -> str:
     return _report(config, result, diagnostics)
 
 
+# The option table.  Each command maps to its function, its help line and its
+# options; each option is (name, type, default, help[, group]).  The type is
+# int, float or str, or the tuple of the values allowed; a default of ...
+# marks a required option; of the options that name a group, exactly one
+# must be given.  Every command also takes _COMMON.
+_COMMON = (
+    ("seed", int, None, "master seed (default: FREEPROB_SEED or 0)"),
+    ("output", str, "-", "output path, - for stdout"),
+    ("format", ("json", "csv"), "json", ""),
+    ("config", str, None, "key=value file; flags win"),
+)
+
 _COMMANDS = {
-    "cumulants": _cmd_cumulants,
-    "freeconv": _cmd_freeconv,
-    "kesten": _cmd_kesten,
-    "polya": _cmd_polya,
-    "flow": _cmd_flow,
-    "rmt": _cmd_rmt,
-    "wick": _cmd_wick,
-    "weingarten": _cmd_weingarten,
+    "cumulants": (_cmd_cumulants, "moments -> cumulants on both lattices", (
+        ("moments", str, ..., "comma-separated rationals, or @file"),
+        ("lattice", ("classical", "free", "both"), "both", ""),
+    )),
+    "freeconv": (_cmd_freeconv, "free additive convolution", (
+        ("law-x", str, None, "named law, e.g. semicircle:r=2", "x"),
+        ("moments-x", str, None, "rational list or @file", "x"),
+        ("law-y", str, None, "named law, e.g. semicircle:r=2", "y"),
+        ("moments-y", str, None, "rational list or @file", "y"),
+        ("route", ("moments", "analytic", "both"), "both", ""),
+        ("order", int, 8, "moment order for the exact route"),
+        ("grid-size", int, 512, ""),
+        ("eta", float, 1e-3, ""),
+    )),
+    "kesten": (_cmd_kesten, "loop counts of the free-group walk", (
+        ("d", int, ..., ""),
+        ("nmax", int, ..., ""),
+    )),
+    "polya": (_cmd_polya, "return-probability decay diagnostics", (
+        ("d", int, ..., ""),
+        ("nmax", int, 2000, ""),
+    )),
+    "flow": (_cmd_flow, "semicircular-flow residual at steps h, h/2, h/4; "
+             "a ratio near 4 means second order", (
+        ("law", str, "point", "base measure (named law)"),
+        ("z", str, "2j", "evaluation point, finite, Im z >= 0.1"),
+        ("r", float, 1.0, "flow radius"),
+        ("h", float, 0.02, "coarsest step; rows are at h, h/2 and h/4, and a ratio "
+                           "of neighbouring residuals near 4 means second order"),
+    )),
+    "rmt": (_cmd_rmt, "asymptotic-freeness Monte Carlo experiment", (
+        ("kind", rmt.FREENESS_KINDS, ..., ""),
+        ("N", int, ..., ""),
+        ("trials", int, ..., ""),
+        ("degree", int, 4, ""),
+        ("workers", int, 1, "threads for the gue_gue and gue_deterministic trials, "
+                            "whose dense N x N products release the GIL; "
+                            "rotated_diagonal's O(N) trials run as one batch in the "
+                            "calling thread; the output does not depend on it"),
+    )),
+    "wick": (_cmd_wick, "exact GUE trace moment, genus by genus", (
+        ("n", int, ..., ""),
+        ("N", int, None, "evaluate at this dimension"),
+    )),
+    "weingarten": (_cmd_weingarten, "monotone-factorization expansion", (
+        ("perm", str, ..., "one-line images, e.g. 2,1 for the transposition in S(2)"),
+        ("N", int, None, ""),
+        ("R", int, None, "truncation order"),
+    )),
 }
 
 
@@ -578,15 +657,15 @@ def run(argv) -> int:
     """Parse argv, execute, emit the report; returns the exit code."""
     argv = list(argv)
     try:
-        path = _config_parser().parse_known_args(argv)[0].config
-        if path is not None:
-            argv[1:1] = _load_config_file(path)
-        args = _build_parser().parse_args(argv)
+        args = _parse(argv)
         if args.seed is None:
             args.seed = _default_seed()
         _check_output(args.output)
-        text = _COMMANDS[args.command](args)
+        text = _COMMANDS[args.command][0](args)
         _emit(text, args.output)
+        return 0
+    except _Help as exc:
+        sys.stdout.write(str(exc))
         return 0
     except _Usage as exc:
         print(str(exc), file=sys.stderr)

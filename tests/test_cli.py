@@ -698,8 +698,120 @@ def test_named_laws_enter_the_solver_in_closed_form(capsys, monkeypatch, law_x, 
 
 
 def test_seed_environment_is_read_on_every_call(capsys, monkeypatch):
+    table = cli._COMMANDS
     for seed in (5, 6):
         monkeypatch.setenv("FREEPROB_SEED", str(seed))
         doc = run_json(capsys, ["kesten", "--d", "2", "--nmax", "4"])
         assert doc["config"]["seed"] == seed
-    assert cli._build_parser() is cli._build_parser()
+    # the option table is a module constant that holds no per-call state: the
+    # seed's default in it is None, and the environment is read after parsing
+    assert cli._COMMANDS is table
+    assert [o[2] for o in cli._COMMON if o[0] == "seed"] == [None]
+
+
+# The option table's syntax: --name value or --name=value, a unique prefix
+# with an exact name first, the last occurrence winning, and a --config file
+# between the defaults and the flags.
+
+@pytest.mark.parametrize("spelling", [
+    ["--grid-size", "64"], ["--grid-size=64"], ["--grid", "64"], ["--grid=64"],
+])
+def test_option_spellings(capsys, spelling):
+    doc = run_json(capsys, ["freeconv", "--law-x", "bernoulli", "--law-y", "bernoulli",
+                            "--route", "moments", *spelling])
+    assert doc["config"]["grid-size"] == 64
+
+
+def test_exact_name_wins_over_a_prefix(capsys):
+    doc = run_json(capsys, ["wick", "--n", "4", "--N", "5"])
+    assert (doc["config"]["n"], doc["config"]["N"]) == (4, 5)
+    doc = run_json(capsys, ["flow", "--h", "0.01"])  # --h is flow's, not --help
+    assert doc["config"]["h"] == 0.01
+    assert cli.run(["flow", "--he"]) == 0
+    assert capsys.readouterr().out.startswith("usage: freeprob flow")
+
+
+def test_ambiguous_prefix_is_a_usage_error(capsys):
+    assert cli.run(["freeconv", "--law", "semicircle"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage: freeprob freeconv" in captured.err
+    assert "could match --law-x, --law-y" in captured.err
+
+
+def test_last_occurrence_wins(capsys):
+    doc = run_json(capsys, ["wick", "--n", "6", "--n=4"])
+    assert doc["config"]["n"] == 4
+    assert doc["result"]["terms"] == [[0, 2], [2, 1]]
+
+
+def test_required_options_from_the_config_file(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kind=rotated_diagonal\nN=20\ntrials=4\nseed=2\n")
+    doc = run_json(capsys, ["rmt", "--config", str(cfg)])
+    assert [doc["config"][k] for k in ("kind", "N", "trials", "seed")] == \
+        ["rotated_diagonal", 20, 4, 2]
+    doc = run_json(capsys, ["rmt", "--trials", "6", "--config", str(cfg), "--seed", "3"])
+    assert (doc["config"]["trials"], doc["config"]["seed"]) == (6, 3)
+
+
+def test_both_sources_for_one_side_are_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("law-x=bernoulli\n")
+    argv = ["freeconv", "--law-y", "bernoulli", "--route", "moments", "--config", str(cfg)]
+    assert cli.run(argv) == 0
+    capsys.readouterr()
+    assert cli.run(argv + ["--moments-x", "0,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exactly one of --law-x, --moments-x" in captured.err
+
+
+def test_value_that_begins_with_a_dash(capsys):
+    doc = run_json(capsys, ["flow", "--z", "-0.5+2j"])
+    assert doc["config"]["z"] == "-0.5+2j"
+    doc = run_json(capsys, ["kesten", "--d", "2", "--nmax", "4", "--seed", "-3"])
+    assert doc["config"]["seed"] == -3
+    assert cli.run(["freeconv", "--law-x", "--law-y", "arcsine"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --law-x: expected one argument" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["--he"]], ids=" ".join)
+def test_help_lists_the_commands(capsys, argv):
+    assert cli.run(argv) == 0
+    out = capsys.readouterr().out
+    for name, (_, text, _) in cli._COMMANDS.items():
+        assert f"  {name:<11} {text}\n" in out
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_lists_a_commands_options(capsys, command, flag):
+    # help returns 0 before the required options are checked
+    assert cli.run([command, flag]) == 0
+    out = capsys.readouterr().out
+    assert cli._COMMANDS[command][1] in out
+    for name, _, _, note, *_ in cli._COMMANDS[command][2] + cli._COMMON:
+        assert f"  --{name} " in out and note in out
+    if command == "freeconv":
+        assert "  --route {moments,analytic,both}: default both\n" in out
+        assert "  --law-x str: one of --law-x | --moments-x; named law" in out
+    if command == "kesten":
+        assert "  --d int: required\n" in out
+
+
+def test_cli_run_leaves_argparse_unloaded():
+    # argparse and the gettext and locale modules it pulls in cost every
+    # process their import
+    src = os.path.dirname(os.path.dirname(os.path.abspath(freeprob.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import contextlib, io, sys, freeprob.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.run(['kesten', '--d', '2', '--nmax', '4']) == 0\n"
+            "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
