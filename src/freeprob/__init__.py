@@ -1,21 +1,26 @@
 """Computational free probability.
 
-Exact partition/cumulant combinatorics, moment-cumulant recursions, measures
-and Stieltjes inversion, free additive convolution (exact moment route and
-analytic subordination route), random walks on lattices and free groups,
-group-algebra and Fock-space models of freeness, and random-matrix checks
-(Wick/genus expansions, Weingarten calculus, reproducible Monte Carlo).
+Moment-cumulant recursions, measures and Stieltjes inversion, free additive
+convolution (exact moment route and analytic subordination route), random
+walks on lattices and free groups, group-algebra and Fock-space models of
+freeness, and random-matrix checks (Wick/genus expansions, Weingarten
+calculus, reproducible Monte Carlo).
 
 The analytic free convolution solves the subordination fixed point for
 every point of the inversion grid at once, in numpy; the Cauchy transforms it
 needs come from one vectorised kernel (`freeprob._kernels`).
+
+`models` (the group-algebra and Fock-space models) is loaded on first access,
+``freeprob.models`` or ``from freeprob import models``: nothing else in the
+package uses it, so importing the CLI does not pay for it.
 """
+
+import importlib
 
 from . import (
     cumulants,
     freeconv,
     measures,
-    models,
     partitions,
     rmt,
     series,
@@ -23,7 +28,7 @@ from . import (
 )
 from .freeconv import ContinuationError, free_convolve_analytic, free_convolve_moments
 from .measures import Measure, make_named
-from .partitions import Partition, Permutation, enumerate_partitions
+from .partitions import Permutation
 
 __all__ = [
     "partitions",
@@ -34,9 +39,7 @@ __all__ = [
     "walks",
     "models",
     "rmt",
-    "Partition",
     "Permutation",
-    "enumerate_partitions",
     "Measure",
     "make_named",
     "ContinuationError",
@@ -45,3 +48,11 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # importing the submodule also binds it as an attribute of the package,
+    # so this runs at most once per name
+    if name == "models":
+        return importlib.import_module(".models", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -18,7 +18,6 @@ product of tau over the gaps of B, where the other non-crossing blocks sit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -77,7 +76,6 @@ def cumulants_to_moments(cumulants, lattice: str = "classical") -> list:
     return [total if total != 0 else Fraction(0) for total in out]
 
 
-@dataclass
 class MomentFunctional:
     """Mixed moments tau[X_{w1} ... X_{wn}] indexed by words over an alphabet.
 
@@ -87,15 +85,12 @@ class MomentFunctional:
     ('X','X','Y','Y') are distinct entries.
     """
 
-    alphabet: tuple
-    table: dict
-    degree_cap: int
-    _kappa_cache: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        self.alphabet = tuple(self.alphabet)
-        self.table = {tuple(k): v for k, v in self.table.items()}
+    def __init__(self, alphabet, table: dict, degree_cap: int):
+        self.alphabet = tuple(alphabet)
+        self.table = {tuple(k): v for k, v in table.items()}
         self.table[()] = Fraction(1)
+        self.degree_cap = degree_cap
+        self._kappa_cache: dict = {}
 
     def moment(self, word) -> Fraction:
         word = tuple(word)

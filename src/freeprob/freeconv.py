@@ -53,11 +53,10 @@ mu alone and no quadrature of the member.
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,19 +102,25 @@ class ContinuationError(RuntimeError):
         self.failed = failed
 
 
-@dataclass
 class SolverCounters:
     """Deterministic residuals and step counts of the subordination solve,
-    filled in by the solve over every point of one convolution."""
+    filled in by the solve over every point of one convolution.  Two are
+    equal when every counter is."""
 
-    # worst relative fixed-point residual (|w - T(w)| + rounding)/(1 + |w|)
-    residual: float = 0.0
-    functional: float = 0.0  # worst |G_X(omega_1) - G_Y(omega_2)|/|G|
-    iterations: int = 0  # most rounds any point took, both orders counted
-    safeguarded_steps: int = 0  # plain steps w <- T(w) taken for Newton, summed over points
-    worst_z: complex | None = None  # the point with the largest fixed-point residual
-    # rounds -> number of points that finished after that many, both orders counted
-    rounds_finished: Counter = field(default_factory=Counter)
+    def __init__(self):
+        # worst relative fixed-point residual (|w - T(w)| + rounding)/(1 + |w|)
+        self.residual = 0.0
+        self.functional = 0.0  # worst |G_X(omega_1) - G_Y(omega_2)|/|G|
+        self.iterations = 0  # most rounds any point took, both orders counted
+        self.safeguarded_steps = 0  # plain steps w <- T(w) taken for Newton, summed over points
+        self.worst_z: complex | None = None  # the point with the largest fixed-point residual
+        # rounds -> number of points that finished after that many, both orders counted
+        self.rounds_finished = Counter()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def add(self, zs, residual, functional, rounds):
         """Take in the points ``zs`` that finished after ``rounds`` rounds."""
@@ -139,8 +144,7 @@ class SolverCounters:
         return 0
 
 
-@dataclass(frozen=True)
-class ConvolutionResult:
+class ConvolutionResult(NamedTuple):
     moments: tuple
     measure: Measure | None
     solver: SolverCounters
@@ -155,11 +159,12 @@ def free_convolve_cumulants(kx, ky) -> list:
 
 
 def free_convolve_moments(mx, my) -> list:
-    """Moments of X boxplus Y from the moments of X and Y (exact on rationals)."""
+    """Moments of X boxplus Y from the moments of X and Y (exact on rationals);
+    X boxplus X, passed as one sequence twice, extracts its cumulants once."""
     if len(mx) != len(my):
         raise ValueError(f"moment sequences differ in length: {len(mx)} vs {len(my)}")
-    return free_convolve_cumulants(
-        free_cumulants_from_moments(mx), free_cumulants_from_moments(my))
+    kx = free_cumulants_from_moments(mx)
+    return free_convolve_cumulants(kx, kx if my is mx else free_cumulants_from_moments(my))
 
 
 def _bounds(mu: Measure) -> tuple:
@@ -342,11 +347,14 @@ def free_convolve_analytic(
     atoms = tuple((x + y, mx + my - 1.0) for x, mx in mu_x.atoms for y, my in mu_y.atoms
                   if mx + my - 1.0 > ATOM_TOL)
     missing = 1.0 - sum(m for _, m in atoms)
+    # mu boxplus mu (one object on both sides) sums its quadrature once
+    mx = measure_moments(mu_x, max(n_moments, 2))
+    my = mx if mu_y is mu_x else measure_moments(mu_y, max(n_moments, 2))
+    lx = mx[:n_moments].tolist()
     # moments beyond the float range overflow the recursion, whose entries
     # from then on are inf or an undetermined inf - inf = NaN: Python floats
     # give these without a warning
-    mx, my = (measure_moments(mu, max(n_moments, 2)) for mu in (mu_x, mu_y))
-    moms = tuple(free_convolve_moments(mx[:n_moments].tolist(), my[:n_moments].tolist()))
+    moms = tuple(free_convolve_moments(lx, lx if my is mx else my[:n_moments].tolist()))
     solver = SolverCounters()
     if missing <= 1e-9:
         # the atoms carry the whole mass, so the output has no density
@@ -456,7 +464,7 @@ def semicircle_flow_residual(mu: Measure, r: float, z: complex, h: float) -> com
     z = complex(z)
     r = float(r)
     h = float(h)
-    if not (cmath.isfinite(z) and z.imag >= 0.1):
+    if not (math.isfinite(z.real) and math.isfinite(z.imag) and z.imag >= 0.1):
         raise ValueError(f"need a finite z with Im z >= 0.1, got {z}")
     if not (r > 0 and h > 0):
         raise ValueError(f"r and h must be positive, got r={r}, h={h}")

@@ -39,10 +39,7 @@ that form.  An evaluator maps a 1-d complex array z to the arrays
 
 from __future__ import annotations
 
-import csv
-import io
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -88,7 +85,6 @@ class InversionError(RuntimeError):
     measure that misses part of the unit mass."""
 
 
-@dataclass
 class Measure:
     """Atoms plus an optional uniform-grid density on [a, b].
 
@@ -98,35 +94,34 @@ class Measure:
     output skips this so that mass defects stay visible to the caller.
     """
 
-    atoms: tuple = ()
-    support: tuple | None = None
-    samples: np.ndarray | None = None
-    edges: tuple = ("regular", "regular")
-    normalize: bool = True
-
-    def __post_init__(self):
-        self.atoms = tuple((float(l), float(m)) for l, m in self.atoms)
+    def __init__(self, atoms: tuple = (), support: tuple | None = None,
+                 samples: np.ndarray | None = None, edges: tuple = ("regular", "regular"),
+                 normalize: bool = True):
+        self.atoms = tuple((float(l), float(m)) for l, m in atoms)
         for _, m in self.atoms:
             if not (0.0 < m <= 1.0 + 1e-12):
                 raise ValueError(f"atom mass {m} outside (0, 1]")
-        if (self.support is None) != (self.samples is None):
+        if (support is None) != (samples is None):
             raise ValueError("support and samples must be given together")
-        if self.samples is not None:
-            a, b = float(self.support[0]), float(self.support[1])
+        if samples is not None:
+            a, b = float(support[0]), float(support[1])
             if not (math.isfinite(a) and math.isfinite(b) and a < b):
                 raise ValueError(f"bad support [{a}, {b}]")
-            self.support = (a, b)
-            self.samples = np.ascontiguousarray(np.asarray(self.samples, dtype=np.float64))
-            if self.samples.ndim != 1 or self.samples.size < 2:
+            support = (a, b)
+            samples = np.ascontiguousarray(np.asarray(samples, dtype=np.float64))
+            if samples.ndim != 1 or samples.size < 2:
                 raise ValueError("density needs at least 2 samples")
-            if np.any(self.samples < 0.0):
+            if np.any(samples < 0.0):
                 raise ValueError("density samples must be non-negative")
-            if np.any(~np.isfinite(self.samples)):
+            if np.any(~np.isfinite(samples)):
                 raise ValueError("density samples must be finite")
-        for side in self.edges:
+        for side in edges:
             if side not in ("regular", "sqrt", "invsqrt"):
                 raise ValueError(f"unknown edge model {side!r}")
-        self.edges = tuple(self.edges)
+        self.support = support
+        self.samples = samples
+        self.edges = tuple(edges)
+        self.normalize = normalize
         self._build()
 
     # -- the decomposed form ------------------------------------------------
@@ -515,10 +510,9 @@ def stieltjes_invert(G: Callable, support_hint, grid_size: int = 2048, eps: floa
 
 
 def to_csv(mu: Measure) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t", "density"])
+    """The density grid as ``t,density`` rows of repr floats, which need no
+    quoting; a measure of atoms only gives the header alone."""
+    lines = ["t,density\n"]
     if mu.support is not None:
-        for ti, fi in zip(mu.grid, mu.samples):
-            writer.writerow([repr(float(ti)), repr(float(fi))])
-    return buf.getvalue()
+        lines += [f"{float(ti)!r},{float(fi)!r}\n" for ti, fi in zip(mu.grid, mu.samples)]
+    return "".join(lines)

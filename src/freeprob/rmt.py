@@ -37,8 +37,8 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,7 +66,6 @@ _KINDS = ("ginibre", "gue", "cue", "deterministic")
 FREENESS_KINDS = ("gue_gue", "gue_deterministic", "rotated_diagonal")
 
 
-@dataclass(frozen=True)
 class EnsembleSpec:
     """What to sample: ensemble kind, dimension, and RNG seed.
 
@@ -74,25 +73,22 @@ class EnsembleSpec:
     inert but kept so specs stay interchangeable in words.
     """
 
-    kind: str
-    N: int
-    seed: int = 0
-    payload: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown ensemble kind {self.kind!r}; expected {_KINDS}")
-        if self.N < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.N}")
-        if self.kind == "deterministic":
-            if self.payload is None:
+    def __init__(self, kind: str, N: int, seed: int = 0, payload: np.ndarray | None = None):
+        if kind not in _KINDS:
+            raise ValueError(f"unknown ensemble kind {kind!r}; expected {_KINDS}")
+        if N < 1:
+            raise ValueError(f"dimension must be >= 1, got {N}")
+        if kind == "deterministic":
+            if payload is None:
                 raise ValueError("deterministic spec needs a payload matrix")
-            if getattr(self.payload, "shape", None) != (self.N, self.N):
-                raise ValueError(
-                    f"payload must be an ndarray of shape ({self.N}, {self.N})"
-                )
-        elif self.payload is not None:
+            if getattr(payload, "shape", None) != (N, N):
+                raise ValueError(f"payload must be an ndarray of shape ({N}, {N})")
+        elif payload is not None:
             raise ValueError("payload only makes sense for deterministic specs")
+        self.kind = kind
+        self.N = N
+        self.seed = seed
+        self.payload = payload
 
 
 def _rng(seed: int, trial: int = 0, stream: int = 0) -> np.random.Generator:
@@ -202,15 +198,13 @@ def wick_trace_moment(n: int, N=None):
     return sum((Fraction(cnt, N**r) for r, cnt in expansion.items()), Fraction(0))
 
 
-@dataclass(frozen=True)
-class WeingartenValue:
+class WeingartenValue(NamedTuple):
     value: object
     error_bound: float
     exact: bool
 
 
-@dataclass(frozen=True)
-class WeingartenExpansion:
+class WeingartenExpansion(NamedTuple):
     """Monotone-factorization counts c_{n,r}(pi) and their 1/N resummation.
 
     coefficients holds c at r = |pi|, |pi|+2, ..., <= R (the off-parity
@@ -221,7 +215,7 @@ class WeingartenExpansion:
     n: int
     permutation: Permutation
     R: int
-    raw: tuple = field(repr=False)
+    raw: tuple
     coefficients: tuple = ()
 
     @property
@@ -361,16 +355,14 @@ def weingarten_series(permutation: Permutation, R: int | None = None) -> Weingar
     )
 
 
-@dataclass(frozen=True)
 class MCEstimate:
-    mean: complex
-    stderr: float
-    trials: int
-    seed: int
-
-    def __post_init__(self):
-        if self.stderr < 0:
+    def __init__(self, mean: complex, stderr: float, trials: int, seed: int):
+        if stderr < 0:
             raise ValueError("stderr must be non-negative")
+        self.mean = mean
+        self.stderr = stderr
+        self.trials = trials
+        self.seed = seed
 
 
 def _run_trials(run, trials: int, workers: int):
@@ -472,8 +464,7 @@ def mc_word_moment(specs, word, trials: int, workers: int = 1) -> MCEstimate:
     return MCEstimate(mean=mean, stderr=stderr, trials=trials, seed=specs[0].seed)
 
 
-@dataclass(frozen=True)
-class FreenessRow:
+class FreenessRow(NamedTuple):
     label: str
     empirical: float
     stderr: float
@@ -481,8 +472,7 @@ class FreenessRow:
     z: float
 
 
-@dataclass(frozen=True)
-class FreenessReport:
+class FreenessReport(NamedTuple):
     kind: str
     N: int
     trials: int

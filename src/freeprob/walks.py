@@ -34,7 +34,6 @@ side by side rather than silently reconciling them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -52,7 +51,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class LoopCounts:
     """Loop counts lambda(0..n_max) for a walk of degree 2*rank.
 
@@ -61,42 +59,39 @@ class LoopCounts:
     (free case) or sum to zero (lattice case).
     """
 
-    group: str
-    rank: int
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
-        if not self.values or self.values[0] != 1:
+    def __init__(self, group: str, rank: int, values: tuple[int, ...]):
+        if rank < 1:
+            raise ValueError(f"rank must be >= 1, got {rank}")
+        if not values or values[0] != 1:
             raise ValueError("lambda(0) must equal 1")
-        degree = 2 * self.rank
-        for n, lam in enumerate(self.values):
+        degree = 2 * rank
+        for n, lam in enumerate(values):
             if n % 2 == 1 and lam != 0:
                 raise ValueError(f"lambda({n}) must vanish for odd n, got {lam}")
             if lam < 0 or lam > degree**n:
                 raise ValueError(f"lambda({n})={lam} outside [0, degree^n]")
+        self.group = group
+        self.rank = rank
+        self.values = values
 
     @property
     def degree(self) -> int:
         return 2 * self.rank
 
 
-@dataclass(frozen=True)
 class ReturnProbabilities:
     """Exact return probabilities rho(n) and first returns phi(n)."""
 
-    values: tuple[Fraction, ...]
-    first_returns: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if not self.values or self.values[0] != 1:
+    def __init__(self, values: tuple[Fraction, ...], first_returns: tuple[Fraction, ...]):
+        if not values or values[0] != 1:
             raise ValueError("rho(0) must equal 1")
-        if self.first_returns[0] != 0:
+        if first_returns[0] != 0:
             raise ValueError("phi(0) must equal 0")
-        for n, (rho, phi) in enumerate(zip(self.values, self.first_returns)):
+        for n, (rho, phi) in enumerate(zip(values, first_returns)):
             if not (0 <= phi <= rho <= 1):
                 raise ValueError(f"need 0 <= phi <= rho <= 1 at n={n}")
+        self.values = values
+        self.first_returns = first_returns
 
     @classmethod
     def from_loops(cls, loops: LoopCounts) -> "ReturnProbabilities":

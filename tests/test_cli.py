@@ -486,39 +486,41 @@ def test_atoms_of_unit_mass_are_the_output_without_a_solve(capsys, law_x, law_y,
     assert capsys.readouterr().out.splitlines()[-1] == "t,density"
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def _fresh_interpreter(code: str) -> str:
+    """Run ``code`` in a new interpreter that imports this freeprob; its stdout."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(freeprob.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, freeprob.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    done = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_cli_import_loads_only_what_the_cli_runs():
+    # every process pays for its imports: scipy, the thread pool and the
+    # models of freeness serve no command, and the records need no
+    # dataclasses (nor the csv writer or cmath)
+    unwanted = ("scipy", "concurrent.futures", "freeprob.models", "dataclasses", "csv", "cmath")
+    code = ("import sys, freeprob.cli; "
+            f"print(sorted(m for m in sys.modules if m.startswith({unwanted!r})))")
+    assert _fresh_interpreter(code) == "[]"
+
+
+def test_models_import_without_scipy():
     # with scipy unimportable the package still imports and both exact
     # models of freeness evaluate
-    done = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; sys.modules['scipy'] = None; import freeprob; from freeprob import models; "
-         "print(models.fock_vacuum_expectation([('lower', 0), ('raise', 0)], 1), "
-         "models.group_algebra_expectation(2, models.GroupAlgebraElement.generator_sum(2) ** 2))"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["1.0", "4"]
+    code = ("import sys; sys.modules['scipy'] = None; import freeprob; from freeprob import models; "
+            "print(models.fock_vacuum_expectation([('lower', 0), ('raise', 0)], 1), "
+            "models.group_algebra_expectation(2, models.GroupAlgebraElement.generator_sum(2) ** 2))")
+    assert _fresh_interpreter(code).split() == ["1.0", "4"]
 
 
-def test_cli_import_leaves_the_thread_pool_unloaded():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(freeprob.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, freeprob.cli; print('concurrent.futures' in sys.modules)"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+@pytest.mark.parametrize("load", ["models = freeprob.models", "from freeprob import *"])
+def test_models_load_on_first_access(load):
+    code = ("import sys, freeprob; loaded = 'freeprob.models' in sys.modules; "
+            f"{load}; print(loaded, models is sys.modules['freeprob.models'], "
+            "models.__name__)")
+    assert _fresh_interpreter(code).split() == ["False", "True", "freeprob.models"]
 
 
 @pytest.mark.parametrize("kind", ["gue_gue", "gue_deterministic", "rotated_diagonal"])
@@ -805,13 +807,8 @@ def test_help_lists_a_commands_options(capsys, command, flag):
 def test_cli_run_leaves_argparse_unloaded():
     # argparse and the gettext and locale modules it pulls in cost every
     # process their import
-    src = os.path.dirname(os.path.dirname(os.path.abspath(freeprob.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = ("import contextlib, io, sys, freeprob.cli as cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert cli.run(['kesten', '--d', '2', '--nmax', '4']) == 0\n"
             "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))")
-    done = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert _fresh_interpreter(code) == "[]"

@@ -8,6 +8,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from enumeration import enumerate_partitions
 from freeprob.cumulants import (
     MomentFunctional,
     classical_convolve_moments,
@@ -15,7 +16,6 @@ from freeprob.cumulants import (
     mixed_cumulant,
     moments_to_cumulants,
 )
-from freeprob.partitions import enumerate_partitions
 
 # moments m_n = 2^C(n,2) count labelled graphs; their cumulants count the
 # connected ones (classical lattice) and the "free-connected" ones

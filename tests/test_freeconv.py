@@ -369,6 +369,27 @@ def test_unconverged_point_raises_continuation_error(monkeypatch):
     assert info.value.z in zs[:3]
 
 
+def test_mu_boxplus_mu_sums_its_moments_once(monkeypatch):
+    calls = {"moments": 0, "cumulants": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(freeconv, "measure_moments", counted("moments", freeconv.measure_moments))
+    monkeypatch.setattr(freeconv, "free_cumulants_from_moments",
+                        counted("cumulants", freeconv.free_cumulants_from_moments))
+    mu = make_named("arcsine", 64)
+    once = free_convolve_analytic(mu, mu, grid_size=64)
+    assert calls == {"moments": 1, "cumulants": 1}
+    twice = free_convolve_analytic(mu, make_named("arcsine", 64), grid_size=64)
+    assert calls == {"moments": 3, "cumulants": 3}
+    assert once.moments == twice.moments
+    assert once.measure.samples.tobytes() == twice.measure.samples.tobytes()
+
+
 def test_analytic_solver_counters_are_deterministic():
     b, st = make_named("bernoulli"), make_named("sato_tate", 128)
     res = free_convolve_analytic(b, st, grid_size=128)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from enumeration import enumerate_partitions
 from freeprob.cumulants import MomentFunctional
 from freeprob.models import (
     FockOperator,
@@ -14,7 +15,6 @@ from freeprob.models import (
     freeness_certificate,
     group_algebra_expectation,
 )
-from freeprob.partitions import enumerate_partitions
 from freeprob.walks import kesten_loops
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132]

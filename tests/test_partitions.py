@@ -1,23 +1,24 @@
-"""Partition enumeration, crossing tests, and the permutation bridge."""
+"""Partition enumeration (the tests' oracle), crossing tests, and the
+permutation bridge."""
 
+import doctest
 import math
 from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
 
-from freeprob.partitions import (
+import enumeration
+from enumeration import (
     DEFAULT_CAPS,
     EnumerationCapError,
     Partition,
-    Permutation,
     enumerate_partitions,
     fuse_crossings,
     is_crossing,
-    is_geodesic,
-    permutation_stats,
     to_permutation,
 )
+from freeprob.partitions import Permutation, is_geodesic, permutation_stats
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
@@ -124,6 +125,15 @@ def test_group_axioms(im_a, im_b):
     assert (a * b).cayley_distance <= a.cayley_distance + b.cayley_distance
 
 
+def test_permutation_as_a_key():
+    a = Permutation((2, 1, 3))
+    same = Permutation.transposition(3, 1, 2)
+    assert a == same and a is not same and a != Permutation.identity(3)
+    assert {a: "swap"}[same] == "swap"
+    assert {a, same, Permutation.identity(3)} == {same, Permutation.identity(3)}
+    assert repr(a) == "Permutation(images=(2, 1, 3))"
+
+
 def test_composition_order():
     # self o other: other applies first
     a = Permutation.transposition(3, 1, 2)
@@ -162,3 +172,8 @@ def test_non_crossing_generation_matches_filter(n):
     # oracle: every set partition in restricted-growth order, crossings dropped
     every = enumerate_partitions(n, "all")
     assert enumerate_partitions(n, "non-crossing") == [p for p in every if not is_crossing(p)]
+
+
+def test_enumeration_doctests():
+    result = doctest.testmod(enumeration)
+    assert result.attempted and not result.failed

@@ -13,6 +13,7 @@ from freeprob import rmt
 from freeprob.partitions import Permutation
 from freeprob.rmt import (
     EnsembleSpec,
+    MCEstimate,
     freeness_experiment,
     geodesic_order_assembly,
     mc_word_moment,
@@ -156,6 +157,13 @@ def test_ensemble_spec_validation():
         EnsembleSpec("deterministic", 4, payload=(1.0,) * 4)  # not a matrix
     with pytest.raises(ValueError):
         EnsembleSpec("gue", 8, payload=np.eye(8))  # payload is deterministic-only
+
+
+def test_mc_estimate_rejects_a_negative_stderr():
+    with pytest.raises(ValueError, match="stderr must be non-negative"):
+        MCEstimate(mean=1.0, stderr=-1e-3, trials=4, seed=0)
+    est = MCEstimate(1j, 0.0, 4, 7)
+    assert (est.mean, est.stderr, est.trials, est.seed) == (1j, 0.0, 4, 7)
 
 
 def test_gue_covariance_normalization():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from freeprob import walks
 from freeprob.series import free_cumulants_from_moments, free_moments_from_cumulants
 from freeprob.walks import (
+    LoopCounts,
     ReturnProbabilities,
     first_return,
     kesten_green,
@@ -115,6 +117,35 @@ def test_loop_count_guards():
         loops_lattice(0, 4)
     with pytest.raises(ValueError):
         kesten_loops(2, -1)
+
+
+@pytest.mark.parametrize("args,message", [
+    (("Z", 0, (1,)), "rank must be >= 1, got 0"),
+    (("Z", 1, ()), "lambda(0) must equal 1"),
+    (("Z", 1, (2, 0, 2)), "lambda(0) must equal 1"),
+    (("Z", 1, (1, 2, 2)), "lambda(1) must vanish for odd n, got 2"),
+    (("Z", 1, (1, 0, 5)), "lambda(2)=5 outside [0, degree^n]"),
+    (("Z", 1, (1, 0, -2)), "lambda(2)=-2 outside [0, degree^n]"),
+])
+def test_loop_counts_reject_impossible_values(args, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        LoopCounts(*args)
+
+
+def test_loop_counts_keep_their_fields():
+    loops = LoopCounts(group="Z^2", rank=2, values=(1, 0, 4))
+    assert (loops.group, loops.rank, loops.values, loops.degree) == ("Z^2", 2, (1, 0, 4), 4)
+
+
+@pytest.mark.parametrize("values,first_returns,message", [
+    ((Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(0)), "rho(0) must equal 1"),
+    ((Fraction(1), Fraction(0)), (Fraction(1, 2), Fraction(0)), "phi(0) must equal 0"),
+    ((Fraction(1), Fraction(0), Fraction(1, 4)), (Fraction(0), Fraction(0), Fraction(1, 2)),
+     "need 0 <= phi <= rho <= 1 at n=2"),
+])
+def test_return_probabilities_reject_impossible_values(values, first_returns, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ReturnProbabilities(values=values, first_returns=first_returns)
 
 
 def test_return_probabilities_and_first_returns():
