@@ -35,7 +35,10 @@ ARGVS = tuple(
                "1/2,-1,3/4,0,7,-5/3")]
     + [("freeconv", "--law-x", x, "--law-y", y, "--route", "moments", "--order", "12")
        for x, y in itertools.combinations_with_replacement(_LAWS, 2)]
+    + [("freeconv", "--law-x", x, "--law-y", y, "--route", "moments", "--order", "40")
+       for x, y in (("semicircle", "bernoulli"), ("arcsine", "marchenko_pastur:lam=0.5"))]
     + [("kesten", "--d", str(d), "--nmax", "24") for d in range(1, 5)]
+    + [("kesten", "--d", str(d), "--nmax", "200") for d in (1, 2, 3, 5)]
     + [("wick", "--n", str(n)) for n in range(17)]
     + [("wick", "--n", str(n), "--N", "3") for n in range(17)]
     + [("weingarten", "--perm", p, "--N", "5") for p in _PERMS]
