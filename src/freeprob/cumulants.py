@@ -8,8 +8,9 @@ lattice,
     m_n = sum_{k=1}^{n} C(n-1, k-1) kappa_k m_{n-k}
 
 (choose the other k-1 elements of that block), and on the free lattice the
-functional equation L(z) = K(zL(z)) solved by :mod:`freeprob.series`.  Both
-are O(n^2) coefficient recursions, exact when fed exact rationals.
+functional equation L(z) = K(zL(z)) solved by :mod:`freeprob.series`: O(n^2)
+and O(n^3) operations (n^2 entries of the powers of L, each an O(n) sum).
+Both run exact rationals in integers (``series._graded``), exactly.
 
 Mixed cumulants of a word w split off the same first block B, over its
 2^(n-1) choices: kappa(w|B) times tau[w without B] (classical), or times the
@@ -22,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .series import free_cumulants_from_moments, free_moments_from_cumulants
+from .series import _graded, free_cumulants_from_moments, free_moments_from_cumulants
 
 __all__ = [
     "MomentFunctional",
@@ -54,12 +55,13 @@ def moments_to_cumulants(moments, lattice: str = "classical") -> list:
     moments = _exact(moments)
     if lattice == "free":
         return free_cumulants_from_moments(moments)
+    moments, unscale = _graded(moments)
     m = [1] + moments
     kappa: list = []
     for n in range(1, len(m)):
         proper = sum(comb(n - 1, k - 1) * kappa[k - 1] * m[n - k] for k in range(1, n))
         kappa.append(m[n] - proper)
-    return kappa
+    return [unscale(n, v) for n, v in enumerate(kappa, 1)]
 
 
 def cumulants_to_moments(cumulants, lattice: str = "classical") -> list:
@@ -69,10 +71,11 @@ def cumulants_to_moments(cumulants, lattice: str = "classical") -> list:
     if lattice == "free":
         out = free_moments_from_cumulants(cumulants)
     else:
+        kappa, unscale = _graded(cumulants)
         m: list = [1]
-        for n in range(1, len(cumulants) + 1):
-            m.append(sum(comb(n - 1, k - 1) * cumulants[k - 1] * m[n - k] for k in range(1, n + 1)))
-        out = m[1:]
+        for n in range(1, len(kappa) + 1):
+            m.append(sum(comb(n - 1, k - 1) * kappa[k - 1] * m[n - k] for k in range(1, n + 1)))
+        out = [unscale(n, v) for n, v in enumerate(m[1:], 1)]
     return [total if total != 0 else Fraction(0) for total in out]
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 __all__ = [
     "free_moments_from_cumulants",
@@ -29,10 +30,8 @@ __all__ = [
 
 
 def _graded(values):
-    """(values, unscale) for the graded recursions below, which start from
-    the unit 1.
-
-    The recursions are graded: the degree-n output is a sum of products of
+    """(values, unscale) for a graded recursion that starts from the unit 1,
+    such as those below: its degree-n output is a sum of products of
     inputs whose degrees add up to n.  So when every input is an int or a
     Fraction, with D the lcm of their denominators, scaling the degree-n
     input by D^n gives integer inputs, integer arithmetic throughout and a
@@ -41,7 +40,7 @@ def _graded(values):
     """
     if all(isinstance(v, (int, Fraction)) for v in values):
         d = math.lcm(*(v.denominator for v in values))
-        scaled = [(v * d**n).numerator for n, v in enumerate(values, 1)]
+        scaled = [v.numerator * (d**n // v.denominator) for n, v in enumerate(values, 1)]
         return scaled, lambda n, v: Fraction(v, d**n)
     return values, lambda n, v: v
 
@@ -49,25 +48,36 @@ def _graded(values):
 class _PowerTable:
     """rows[s][j] = [z^j] L(z)^s for L = m[0] + m[1] z + ..., m[0] = 1.
 
-    ``grow(n)`` appends the entries of degree s + j = n for s = 1..n, which
-    need m up to m[n - 1] only, so the table can grow while m is solved for.
-    Each entry sums rows[s-1][i] * m[j-i] over ascending i, skipping the
-    terms with m[j-i] = 0, and a zero sum is stored as the int 0.
+    ``grow(n)`` appends and returns, in s order, the entries of degree
+    s + j = n for s = 1..n, which need m up to m[n - 1] only.  Each sums
+    rows[s-1][i] * m[j-i] over ascending i, skipping the terms with
+    m[j-i] = 0 (so no inf * 0 turns a sum into NaN); a zero sum is stored as
+    the int 0.  While m[:n] holds only ints, neither the order of the terms
+    nor a zero term changes a sum, so all are summed, in descending i.
     """
 
     def __init__(self, m: list):
         self.m = m
         self.rows = [[1]]
+        self.ints = True
 
-    def grow(self, n: int):
+    def grow(self, n: int) -> list:
         m, rows = self.m, self.rows
-        rows[0].append(0)
+        self.ints = self.ints and isinstance(m[n - 1], int)
+        if self.ints:
+            new = [sum(map(mul, reversed(rows[s - 1]), m)) for s in range(1, n + 1)]
+        else:
+            new, nonzero = [], []  # the t <= j with m[t] != 0, descending
+            for j in range(n):
+                if m[j] != 0:
+                    nonzero.insert(0, j)
+                prev = rows[n - j - 1]
+                val = sum([prev[j - t] * m[t] for t in nonzero])
+                new.insert(0, val if val != 0 else 0)
         rows.append([])
-        for s in range(1, n + 1):
-            j = n - s
-            prev = rows[s - 1]
-            val = sum(prev[i] * m[j - i] for i in range(j + 1) if m[j - i] != 0)
-            rows[s].append(val if val != 0 else 0)
+        for row, val in zip(rows, [0] + new):
+            row.append(val)
+        return new
 
 
 def free_moments_from_cumulants(kappa) -> list:
@@ -85,8 +95,7 @@ def free_moments_from_cumulants(kappa) -> list:
     m = [1]
     powers = _PowerTable(m)
     for n in range(1, len(kappa) + 1):
-        powers.grow(n)
-        m.append(sum(kappa[s - 1] * powers.rows[s][n - s] for s in range(1, n + 1)))
+        m.append(sum(map(mul, kappa, powers.grow(n))))
     return [unscale(n, v) for n, v in enumerate(m[1:], 1)]
 
 
@@ -98,7 +107,5 @@ def free_cumulants_from_moments(m) -> list:
     powers = _PowerTable(full)
     kappa: list = []
     for n in range(1, len(m) + 1):
-        powers.grow(n)
-        s = sum(kappa[j - 1] * powers.rows[j][n - j] for j in range(1, n))
-        kappa.append(full[n] - s)
+        kappa.append(full[n] - sum(map(mul, kappa, powers.grow(n))))
     return [unscale(n, v) for n, v in enumerate(kappa, 1)]

@@ -20,15 +20,17 @@ r_j(n) = e_j(n) / (2d)^n, has no cancellation: rho_d(n) = r_0(n) costs
 O(n d) for every d.
 
 For F_d the loop-generating function equals the moment generating function
-of the d-fold free additive convolution of the arcsine law; `kesten_loops`
-counts the loops directly, by a dynamic programme over the distance from the
-identity in the Cayley tree (the tests check it against that identity).
-`kesten_green` also evaluates two closed forms.  `closed_form_value` has a
-denominator (1 - 16 z^2) specific to d = 2 while its numerator is written
-for general d, so it agrees with the truncated series (built on the exact
-tree-distance DP) only at d = 2; `general_closed_form_value` has the
-denominator 1 - 4 d^2 z^2 and agrees at every d.  All three are reported
-side by side rather than silently reconciling them.
+of the d-fold free additive convolution of the arcsine law.  Kesten's form
+(Trans. AMS 92, 1959), (1 - 4 d^2 u) F(u) = d sqrt(1 - 4 (2d-1) u) - (d-1)
+in u = z^2, read at u^k gives `kesten_loops` a one-term integer recurrence,
+lambda(2k) = 4 d^2 lambda(2k-2) - 2d (2d-1)^k C_(k-1), C the Catalan numbers:
+O(n_max) steps.  The O(n_max^2) tree-distance dynamic programme it replaced
+lives on in the tests.  `kesten_green` also evaluates two closed forms.
+`closed_form_value` has a denominator (1 - 16 z^2) specific to d = 2 while
+its numerator is written for general d, so it agrees with the truncated
+series only at d = 2; `general_closed_form_value` has the denominator
+1 - 4 d^2 z^2 and agrees at every d.  All three are reported side by side
+rather than silently reconciling them.
 """
 
 from __future__ import annotations
@@ -65,11 +67,13 @@ class LoopCounts:
         if not values or values[0] != 1:
             raise ValueError("lambda(0) must equal 1")
         degree = 2 * rank
+        bound = 1  # degree^n
         for n, lam in enumerate(values):
             if n % 2 == 1 and lam != 0:
                 raise ValueError(f"lambda({n}) must vanish for odd n, got {lam}")
-            if lam < 0 or lam > degree**n:
+            if lam < 0 or lam > bound:
                 raise ValueError(f"lambda({n})={lam} outside [0, degree^n]")
+            bound *= degree
         self.group = group
         self.rank = rank
         self.values = values
@@ -125,7 +129,8 @@ def loops_lattice(d: int, n_max: int) -> LoopCounts:
 
     Runs e_j(n) of the module docstring in Python ints; lambda_d(n) = e_0(n).
     Only j <= min(n, d, n_max - n) is kept: a larger j cannot come back to 0
-    by n_max.
+    by n_max.  Two zeros pad e past the kept j, so that e[j + 1] past them,
+    and e[-1] at j = 0, read 0.
 
     >>> loops_lattice(2, 6).values
     (1, 0, 4, 0, 36, 0, 400)
@@ -136,18 +141,15 @@ def loops_lattice(d: int, n_max: int) -> LoopCounts:
         raise ValueError(f"d must be >= 1, got {d}")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    e = [1]
+    e = [1, 0, 0]
     lam = [1]
     for n in range(1, n_max + 1):
         top = min(n, d, n_max - n)
-        nxt = [0] * (top + 1)
-        for j in range(n % 2, top + 1, 2):
-            acc = 4 * j * e[j - 1] if j else 0
-            if j + 1 < len(e):
-                acc += (d - j) * e[j + 1]
-            nxt[j] = n * acc // (n + j)
+        nxt = [0] * (top + 3)
+        for j in range(n & 1, top + 1, 2):
+            nxt[j] = n * (4 * j * e[j - 1] + (d - j) * e[j + 1]) // (n + j)
         e = nxt
-        lam.append(e[0] if n % 2 == 0 else 0)
+        lam.append(0 if n & 1 else e[0])
     label = "Z" if d == 1 else f"Z^{d}"
     return LoopCounts(group=label, rank=d, values=tuple(lam))
 
@@ -156,33 +158,33 @@ def _log_return_probs_lattice(d: int, n_max: int) -> np.ndarray:
     """log rho_d(n) for n <= n_max on Z^d; odd entries are -inf.
 
     Runs the recurrence of the module docstring in floats on
-    r_j(n) = e_j(n) / (2d)^n, so rho_d(n) = r_0(n).  The vector carries a
-    power-of-two scale: whenever its largest entry leaves [2^-64, 2^63) it is
-    multiplied back (exactly) and the exponent added to a running total,
-    which keeps large d from underflowing (log rho_1000(1000) is about -910).
+    r_j(n) = e_j(n) / (2d)^n, so rho_d(n) = r_0(n), padded as in
+    `loops_lattice`.  The vector carries a power-of-two scale: whenever its
+    largest entry leaves [2^-64, 2^63) it is multiplied back (exactly) and
+    the exponent added to a running total, which keeps large d from
+    underflowing (log rho_1000(1000) is about -910).
     """
-    log_rho = [-math.inf] * (n_max + 1)
-    log_rho[0] = 0.0
-    r = [1.0]
+    evens = [0.0]
+    r = [1.0, 0.0, 0.0]
     exp2 = 0
     ln2 = math.log(2.0)
     for n in range(1, n_max + 1):
         top = min(n, d, n_max - n)
-        nxt = [0.0] * (top + 1)
+        nxt = [0.0] * (top + 3)
         step = n / (2 * d)
-        for j in range(n % 2, top + 1, 2):
-            acc = 4 * j * r[j - 1] if j else 0.0
-            if j + 1 < len(r):
-                acc += (d - j) * r[j + 1]
-            nxt[j] = acc * step / (n + j)
-        e = math.frexp(max(nxt))[1]
-        if not -64 < e < 64:
+        for j in range(n & 1, top + 1, 2):
+            nxt[j] = (4 * j * r[j - 1] + (d - j) * r[j + 1]) * step / (n + j)
+        big = max(nxt)
+        if not 2.0**-64 <= big < 2.0**63:
+            e = math.frexp(big)[1]
             nxt = [math.ldexp(v, -e) for v in nxt]
             exp2 += e
         r = nxt
-        if n % 2 == 0:
-            log_rho[n] = math.log(r[0]) + exp2 * ln2
-    return np.array(log_rho)
+        if not n & 1:
+            evens.append(math.log(r[0]) + exp2 * ln2)
+    log_rho = np.full(n_max + 1, -math.inf)
+    log_rho[::2] = evens
+    return log_rho
 
 
 def polya_diagnostic(d: int, n_max: int) -> tuple[float, float]:
@@ -207,37 +209,26 @@ def polya_diagnostic(d: int, n_max: int) -> tuple[float, float]:
 
 
 def kesten_loops(d: int, n_max: int) -> LoopCounts:
-    """Exact loop counts on the free group F_d.
+    """Exact loop counts on the free group F_d, by Kesten's recurrence.
 
-    A radial walk on the Cayley tree: from the identity all 2d letters move
-    one step out; from distance r > 0 exactly one letter moves in and 2d - 1
-    move out.  lambda(n) is the number of length-n walks that end at the
-    identity.  Only distances that can still return by n_max are kept.
+    lambda(n) counts the length-n words in the 2d generators that reduce to
+    the identity.  t_k = 2d (2d-1)^k C_(k-1) of the module docstring's
+    recurrence obeys t_(k+1) = t_k 2(2d-1)(2k-1) / (k+1), exactly in ints.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    out = 2 * d - 1
-    counts = [1]  # counts[r]: walks of the current length at distance r
+    q = 2 * d - 1
+    lam, t = 1, 2 * d * q
     values = [1]
-    for n in range(1, n_max + 1):
-        reach = min(n, n_max - n)
-        nxt = [0] * (reach + 1)
-        for r, c in enumerate(counts):
-            if not c:
-                continue
-            if r == 0:
-                if reach >= 1:
-                    nxt[1] += 2 * d * c
-                continue
-            nxt[r - 1] += c
-            if r + 1 <= reach:
-                nxt[r + 1] += out * c
-        counts = nxt
-        values.append(counts[0])
-    label = "Z" if d == 1 else f"F_{d}"
-    return LoopCounts(group=label, rank=d, values=tuple(values))
+    for k in range(1, n_max // 2 + 1):
+        lam = 4 * d * d * lam - t
+        t = t * (2 * q * (2 * k - 1)) // (k + 1)
+        values += (0, lam)
+    if n_max % 2:
+        values.append(0)
+    return LoopCounts(group="Z" if d == 1 else f"F_{d}", rank=d, values=tuple(values))
 
 
 class KestenGreen(NamedTuple):
@@ -256,12 +247,11 @@ def kesten_green(d: int, z: complex) -> KestenGreen:
     closed_form_value evaluates
     (-(d-1) + d*sqrt(1 - 4(2d-1) z^2)) / (1 - 16 z^2) verbatim;
     series_value sums the exact loop counts through order 64.  The two agree
-    for d = 2 only (see the module docstring); tests adjudicate with the
-    tree DP.  general_closed_form_value is Kesten's form for every d,
-    (-(d-1) + d*sqrt(1 - 4(2d-1) z^2)) / (1 - 4 d^2 z^2), which agrees with
-    series_value.  decay_base estimates lim rho_d(n)^{1/n} from the series by a
-    Richardson-extrapolated even-term ratio, which strips the n^{-3/2}
-    prefactor; the limit is sqrt(2d-1)/d.
+    for d = 2 only (see the module docstring).  general_closed_form_value,
+    (-(d-1) + d*sqrt(1 - 4(2d-1) z^2)) / (1 - 4 d^2 z^2), is Kesten's form
+    for every d and agrees with series_value.  decay_base estimates
+    lim rho_d(n)^{1/n} from the series by a Richardson-extrapolated even-term
+    ratio, which strips the n^{-3/2} prefactor; the limit is sqrt(2d-1)/d.
     """
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")

@@ -1,11 +1,13 @@
 """The free moment-cumulant recursion L(z) = K(zL(z)), both directions."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import exact_oracles
 from freeprob.series import free_cumulants_from_moments, free_moments_from_cumulants
 
 CATALAN = [Fraction(c) for c in (1, 1, 2, 5, 14, 42, 132, 429)]
@@ -135,3 +137,68 @@ def test_float_recursion_is_bit_identical_to_memoised_one():
             free_cumulants_from_moments(seq), old_cumulants_from_moments(seq))
         assert same_values_and_types(
             free_moments_from_cumulants(seq), old_moments_from_cumulants(seq))
+
+
+# ---------------------------------------------------------------------------
+# The power table that tested m[j - i] != 0 term by term (tests/exact_oracles.py).
+
+PAIRS = [
+    (free_moments_from_cumulants, exact_oracles.free_moments_from_cumulants),
+    (free_cumulants_from_moments, exact_oracles.free_cumulants_from_moments),
+]
+
+
+def same_bits(a, b):
+    """Equal types and reprs, with NaN matching NaN."""
+    return [(type(x), "nan" if x != x else repr(x)) for x in a] == \
+        [(type(x), "nan" if x != x else repr(x)) for x in b]
+
+
+def sequences_with_zeros(rng, draw, count=20):
+    for _ in range(count):
+        yield [draw() if rng.random() < 0.6 else 0 for _ in range(rng.randint(0, 16))]
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "float", "mixed"])
+def test_power_table_matches_the_term_by_term_one(kind):
+    rng = random.Random(13)
+    draw = {
+        "int": lambda: rng.randint(-9, 9),
+        "fraction": lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+        "float": lambda: rng.uniform(-3, 3),
+        # ints and Fractions among floats keep the whole run in floats
+        "mixed": lambda: rng.choice([rng.uniform(-3, 3), rng.randint(-3, 3), Fraction(1, 3),
+                                     Fraction(0), 0.0, -0.0]),
+    }[kind]
+    for seq in sequences_with_zeros(rng, draw):
+        if kind == "float":
+            seq = [rng.uniform(-3, 3)] + seq
+        elif kind == "mixed":  # the run is in floats, but starts with ints
+            seq = [rng.randint(-3, 3) for _ in range(rng.randint(0, 4))] + seq + [0.5]
+        for new, old in PAIRS:
+            assert same_bits(new(seq), old(seq)), seq
+
+
+def test_power_table_keeps_nan_where_the_term_by_term_one_has_it():
+    rng = random.Random(17)
+    hits = 0
+    for seq in sequences_with_zeros(rng, lambda: rng.choice(
+            [rng.uniform(-3, 3), math.inf, -math.inf, 0.0]), count=40):
+        seq = [rng.uniform(-3, 3)] + seq
+        for new, old in PAIRS:
+            got, want = new(seq), old(seq)
+            assert same_bits(got, want), seq
+            hits += any(x != x for x in want)
+    assert hits  # some inputs did reach NaN
+
+
+def test_power_table_matches_the_term_by_term_one_at_order_40():
+    from freeprob.measures import named_cumulants
+
+    for x, y, params in (("semicircle", "bernoulli", {}),
+                         ("arcsine", "marchenko_pastur", {"lam": 0.5})):
+        kappa = [a + b for a, b in zip(named_cumulants(x, 40), named_cumulants(y, 40, **params))]
+        for new, old in PAIRS:
+            assert same_bits(new(kappa), old(kappa))
+            floats = [float(k) for k in kappa]
+            assert same_bits(new(floats), old(floats))

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from exact_oracles import log_return_probs_lattice, tree_dp_loops
 from freeprob import walks
 from freeprob.series import free_cumulants_from_moments, free_moments_from_cumulants
 from freeprob.walks import (
@@ -95,6 +96,12 @@ def test_kesten_loops_match_radial_dp():
         lam = kesten_loops(d, 10).values
         for n in range(0, 11, 2):
             assert lam[n] == brute_tree_loops(d, n)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_kesten_recurrence_matches_the_pruned_tree_dp(d):
+    for n_max in (0, 1, 2, 3, 199, 200):
+        assert kesten_loops(d, n_max).values == tree_dp_loops(d, n_max)
 
 
 def test_kesten_loops_match_word_reduction():
@@ -341,3 +348,14 @@ def test_kesten_green_general_closed_form_matches_series():
             assert abs(g.general_closed_form_value - g.series_value) < 1e-12
     g = kesten_green(2, 0.1)
     assert g.general_closed_form_value == g.closed_form_value
+
+
+@pytest.mark.parametrize("d,n_max", [
+    (1, 300), (2, 1001), (3, 5000), (5, 777), (7, 201), (40, 3000), (1000, 1000),
+    (1, 0), (3, 1), (2, 2), (1000, 1),
+])
+def test_float_recurrence_is_bit_identical_to_the_branching_one(d, n_max):
+    # (1000, 1000) leaves [2^-64, 2^63) and rescales; (1000, 1) ends on an
+    # all-zero vector, whose rescale is by 2^0
+    got = walks._log_return_probs_lattice(d, n_max)
+    assert got.tobytes() == log_return_probs_lattice(d, n_max).tobytes()
