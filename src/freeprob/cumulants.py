@@ -10,7 +10,7 @@ lattice,
 (choose the other k-1 elements of that block), and on the free lattice the
 functional equation L(z) = K(zL(z)) solved by :mod:`freeprob.series`: O(n^2)
 and O(n^3) operations (n^2 entries of the powers of L, each an O(n) sum).
-Both run exact rationals in integers (``series._graded``), exactly.
+On both lattices exact rationals run in integers (``series._graded``).
 
 Mixed cumulants of a word w split off the same first block B, over its
 2^(n-1) choices: kappa(w|B) times tau[w without B] (classical), or times the
