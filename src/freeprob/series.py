@@ -51,29 +51,23 @@ class _PowerTable:
     ``grow(n)`` appends and returns, in s order, the entries of degree
     s + j = n for s = 1..n, which need m up to m[n - 1] only.  Each sums
     rows[s-1][i] * m[j-i] over ascending i, skipping the terms with
-    m[j-i] = 0 (so no inf * 0 turns a sum into NaN); a zero sum is stored as
-    the int 0.  While m[:n] holds only ints, neither the order of the terms
-    nor a zero term changes a sum, so all are summed, in descending i.
+    m[j-i] = 0 (so no inf * 0 turns a sum into NaN); the nonzero positions
+    of m are found once per degree.  A zero sum is stored as the int 0.
     """
 
     def __init__(self, m: list):
         self.m = m
         self.rows = [[1]]
-        self.ints = True
 
     def grow(self, n: int) -> list:
         m, rows = self.m, self.rows
-        self.ints = self.ints and isinstance(m[n - 1], int)
-        if self.ints:
-            new = [sum(map(mul, reversed(rows[s - 1]), m)) for s in range(1, n + 1)]
-        else:
-            new, nonzero = [], []  # the t <= j with m[t] != 0, descending
-            for j in range(n):
-                if m[j] != 0:
-                    nonzero.insert(0, j)
-                prev = rows[n - j - 1]
-                val = sum([prev[j - t] * m[t] for t in nonzero])
-                new.insert(0, val if val != 0 else 0)
+        new, nonzero = [], []  # the t <= j with m[t] != 0, descending
+        for j in range(n):
+            if m[j] != 0:
+                nonzero.insert(0, j)
+            prev = rows[n - j - 1]
+            val = sum([prev[j - t] * m[t] for t in nonzero])
+            new.insert(0, val if val != 0 else 0)
         rows.append([])
         for row, val in zip(rows, [0] + new):
             row.append(val)

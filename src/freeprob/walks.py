@@ -168,8 +168,8 @@ def _log_return_probs_lattice(d: int, n_max: int) -> np.ndarray:
     r = [1.0, 0.0, 0.0]
     exp2 = 0
     ln2 = math.log(2.0)
-    ns = np.arange(1, n_max + 1)
-    for n, top in enumerate(np.minimum(np.minimum(ns, d), n_max - ns).tolist(), 1):
+    for n in range(1, n_max + 1):
+        top = min(n, d, n_max - n)
         nxt = [0.0] * (top + 3)
         step = n / (2 * d)
         for j in range(n & 1, top + 1, 2):

@@ -352,10 +352,17 @@ def test_kesten_green_general_closed_form_matches_series():
 
 @pytest.mark.parametrize("d,n_max", [
     (1, 300), (2, 1001), (3, 5000), (5, 777), (7, 201), (40, 3000), (1000, 1000),
-    (1, 0), (3, 1), (2, 2), (1000, 1),
+    (1, 0), (3, 1), (2, 2), (1000, 1), (2**63, 300), (10**30, 200),
 ])
 def test_float_recurrence_is_bit_identical_to_the_branching_one(d, n_max):
     # (1000, 1000) leaves [2^-64, 2^63) and rescales; (1000, 1) ends on an
-    # all-zero vector, whose rescale is by 2^0
+    # all-zero vector, whose rescale is by 2^0; d = 2^63 and 10^30 do not fit
+    # an int64, so the kept range must stay in Python ints
     got = walks._log_return_probs_lattice(d, n_max)
     assert got.tobytes() == log_return_probs_lattice(d, n_max).tobytes()
+
+
+def test_polya_accepts_a_rank_past_int64():
+    partial_sum, slope = polya_diagnostic(2**63, 300)
+    assert partial_sum == 1.0
+    assert math.isfinite(slope) and slope < 0
