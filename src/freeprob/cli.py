@@ -15,8 +15,8 @@ mass).
 
 Each input rule is checked once, by the library function that consumes the
 input, which raises ValueError: law names and parameters in
-`measures.resolve_law`, the grid floor in `measures.make_named`, eta in
-`freeconv.free_convolve_analytic`, z, r and h in
+`measures.resolve_law`, the grid floor in `measures.make_named` and, with
+eta, in `freeconv.free_convolve_analytic`, z, r and h in
 `freeconv.semicircle_flow_residual`, the Monte Carlo settings in
 `rmt.freeness_experiment`, the Wick order and N in `rmt.wick_trace_moment`,
 the Weingarten size and truncation order in `rmt.weingarten_series` and N in
@@ -36,6 +36,16 @@ value whatever it begins with, except ``--``: ``--z -0.5+2j`` is a value.
 The last occurrence of an option wins.  ``-h``, ``--help`` or a prefix of it
 prints the help of the program or of the command on stdout, with exit code 0.
 A parse error exits 2 with a usage line on stderr.
+
+freeconv's analytic route reads each law with a closed form (all but
+sato_tate) from the law itself, with no grid cells: its atoms, support,
+exact moments and closed-form G.  sato_tate enters as its cell measure on
+--grid-size points.  ``moments_quadrature`` is the float free moment-cumulant
+recursion run on the inputs' moments m_1..m_n, n the smaller of --order and
+6: a closed-form law's exact moments rounded to floats, so that
+``route_agreement`` reads about 0 for a pair of such laws, and sato_tate's
+quadrature moments on its cells.  An entry that the recursion cannot
+determine (past the float range) is null.
 
 Settings resolve in the order: built-in default < FREEPROB_SEED environment
 variable (seed only) < --config key=value file < explicit flags.  The file is
@@ -74,7 +84,33 @@ def _fmt_float(x: float) -> str:
     return '"Infinity"' if x > 0 else '"-Infinity"'
 
 
+def _fmt_complex(z: complex) -> str:
+    return '{"re": ' + _fmt_float(z.real) + ', "im": ' + _fmt_float(z.imag) + "}"
+
+
+def _quote(obj) -> str:
+    s = str(obj).replace("\\", "\\\\").replace('"', '\\"')
+    return f'"{s}"'
+
+
+# The leaves by exact type, looked up before the isinstance tests of `_jdump`
+# (an isinstance test against Fraction walks the numbers ABCs); subclasses,
+# such as numpy's float64, take those tests.
+_LEAVES = {
+    bool: lambda v: "true" if v else "false",
+    int: str,
+    float: _fmt_float,
+    Fraction: lambda v: f'"{v}"',
+    complex: _fmt_complex,
+    type(None): lambda v: "null",
+    str: _quote,
+}
+
+
 def _jdump(obj, indent: int = 0) -> str:
+    leaf = _LEAVES.get(type(obj))
+    if leaf is not None:
+        return leaf(obj)
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, dict):
@@ -90,20 +126,15 @@ def _jdump(obj, indent: int = 0) -> str:
         else:
             rows = [f"{inner}{_jdump(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
     if isinstance(obj, Fraction):
         return f'"{obj}"'
     if isinstance(obj, complex):
-        return '{"re": ' + _fmt_float(obj.real) + ', "im": ' + _fmt_float(obj.imag) + "}"
+        return _fmt_complex(obj)
     if isinstance(obj, float):
         return _fmt_float(obj)
     if isinstance(obj, int):
         return str(obj)
-    if obj is None:
-        return "null"
-    s = str(obj).replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{s}"'
+    return _quote(obj)
 
 
 def _report(config: dict, result: dict, diagnostics: dict) -> str:
@@ -368,6 +399,12 @@ def _worst_error(got: list, exact: list, relative: bool) -> float:
     return float(worst) if worst < sys.float_info.max else math.inf
 
 
+def _law_input(tag: str, params: dict, grid_size: int):
+    """The analytic route's input of a named law: its closed form, else its
+    cell measure on ``grid_size`` points."""
+    return measures.named_input(tag, **params) or measures.make_named(tag, grid_size, **params)
+
+
 def _cmd_freeconv(args) -> str:
     analytic_wanted = args.route in ("analytic", "both")
     if analytic_wanted and (args.law_x is None or args.law_y is None):
@@ -381,13 +418,12 @@ def _cmd_freeconv(args) -> str:
     diagnostics: dict = {}
     laws = [_parse_law(text) if text is not None else None
             for text in (args.law_x, args.law_y)]
-    cells = None
+    inputs = None
     if analytic_wanted:
-        (tag_x, params_x), (tag_y, params_y) = laws
-        mux = measures.make_named(tag_x, args.grid_size, **params_x)
-        # mu boxplus mu: one cell measure serves both sides
-        cells = [mux, mux if laws[0] == laws[1] else
-                 measures.make_named(tag_y, args.grid_size, **params_y)]
+        # a law with a closed form enters as itself, sato_tate as its cell
+        # measure; mu boxplus mu: one input serves both sides
+        first = _law_input(*laws[0], args.grid_size)
+        inputs = [first, first if laws[1] == laws[0] else _law_input(*laws[1], args.grid_size)]
 
     def cumulants(i: int, order: int) -> list:
         """Free cumulants kappa_1.. of side i: its law's own up to ``order``,
@@ -400,7 +436,7 @@ def _cmd_freeconv(args) -> str:
         exact = measures.named_cumulants(tag, order, **params)
         if exact is not None:
             return exact
-        mu = cells[i] if cells else measures.make_named(tag, args.grid_size, **params)
+        mu = inputs[i] if inputs else measures.make_named(tag, args.grid_size, **params)
         return series.free_cumulants_from_moments(
             [float(v) for v in measures.moments(mu, order)])
 
@@ -411,11 +447,8 @@ def _cmd_freeconv(args) -> str:
         result["moments_provenance"] = "exact" if exact else "quadrature"
 
     if analytic_wanted:
-        mux, muy = cells
-        cauchy_x, cauchy_y = [measures.named_cauchy(tag, **params) for tag, params in laws]
         conv = freeconv.free_convolve_analytic(
-            mux, muy, grid_size=args.grid_size, eta=args.eta,
-            n_moments=min(args.order, 6), cauchy_x=cauchy_x, cauchy_y=cauchy_y)
+            *inputs, grid_size=args.grid_size, eta=args.eta, n_moments=min(args.order, 6))
         diagnostics["continuation_residual"] = conv.solver.residual
         diagnostics["functional_residual"] = conv.solver.functional
         diagnostics["iterations"] = conv.solver.iterations
@@ -460,7 +493,7 @@ def _cmd_kesten(args) -> str:
     loops = walks.kesten_loops(args.d, args.nmax)
     diag: dict = {"degree": loops.degree}
     if args.d >= 2:
-        kg = walks.kesten_green(args.d, 0.1 / (2 * args.d))
+        kg = walks.kesten_green(args.d, 0.1 / (2 * args.d), loops)
         diag["decay_base"] = kg.decay_base
     return _report(
         config,

@@ -35,11 +35,16 @@ Voiculescu, "Regularity questions for free convolution", Oper. Theory Adv.
 Appl. 104, 1998).  Their poles are subtracted from the solved G, and
 Stieltjes inversion of the rest near the axis gives the density.
 
-The solver reads each input only through a (G, G') evaluator (see
-`measures`): by default the cell kernel on the input measure
-(`measures.cauchy_evaluator`), or one handed in, such as the closed forms of
+Each input is a `measures.LawInput`: its atoms, the support of its
+density, its low moments and its (G, G') evaluator.  Those give the
+inversion's support hint, the output's atoms, the start's mean and variance,
+the moments of the output by the float recursion, and every value of G the
+solve reads.  A named law with a closed form gives them from the law itself
+(`measures.named_input`): exact moments, and the closed forms of
 `measures.named_cauchy`, which cost a few operations per point where the
-kernel sums every grid cell.
+cell kernel sums every grid cell.  A `Measure` gives them from its own
+quadrature: its moments (`measures.moments`) and the cell kernel
+(`measures.cauchy_evaluator`), or an evaluator handed in.
 
 The semicircle flow f_mu(s) = mu boxplus (semicircle of variance s) satisfies
 the complex inviscid Burgers equation d_s G + G d_z G = 0 in the variance
@@ -60,7 +65,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .measures import InversionError, Measure, cauchy_evaluator, named_cauchy
+from .measures import InversionError, LawInput, Measure, cauchy_evaluator, named_cauchy
 from .measures import moments as measure_moments
 from .measures import stieltjes_invert
 from .series import free_cumulants_from_moments, free_moments_from_cumulants
@@ -167,7 +172,7 @@ def free_convolve_moments(mx, my) -> list:
     return free_convolve_cumulants(kx, kx if my is mx else free_cumulants_from_moments(my))
 
 
-def _bounds(mu: Measure) -> tuple:
+def _bounds(mu: LawInput) -> tuple:
     lo = math.inf
     hi = -math.inf
     for loc, _ in mu.atoms:
@@ -312,67 +317,81 @@ def convolved_cauchy(mu_x: Measure, mu_y: Measure, z) -> complex:
     return complex(solved[0])
 
 
+def _as_input(mu, cauchy=None) -> LawInput:
+    """``mu`` as a `LawInput`: a `Measure` through its quadrature moments and
+    ``cauchy``, by default its cell kernel; a `LawInput` as it is, with
+    ``cauchy`` in place of its evaluator if given."""
+    if isinstance(mu, LawInput):
+        return mu if cauchy is None else mu._replace(cauchy=cauchy)
+    return LawInput(atoms=mu.atoms, support=mu.support, cauchy=cauchy or cauchy_evaluator(mu),
+                    moments=lambda order: measure_moments(mu, order).tolist())
+
+
 def free_convolve_analytic(
-    mu_x: Measure,
-    mu_y: Measure,
+    mu_x: LawInput | Measure,
+    mu_y: LawInput | Measure,
     grid_size: int = 512,
     eta: float = 1e-3,
     n_moments: int = 6,
     cauchy_x=None,
     cauchy_y=None,
 ) -> ConvolutionResult:
-    """Voiculescu's algorithm on measures; returns moments, measure, the
+    """Voiculescu's algorithm on two inputs; returns moments, measure, the
     solve's residuals and step counts, and the inverted measure's mass defect
     before normalisation.
 
-    The solve reads X through ``cauchy_x``, a (G, G') evaluator of the same
-    law as ``mu_x`` (`measures.named_cauchy` gives the named laws' closed
-    forms); None takes the cell kernel on ``mu_x``.  Likewise for Y.  The
-    measures themselves give the support hint, the atoms and the quadrature
-    moments, whose mean and variance also give the solve's start (see
-    `_free_clt_start`).  The output's atoms follow from the inputs' atoms
-    (see the module docstring); their poles are subtracted from the solved
-    G, and `stieltjes_invert` inverts the rest into the density, at height
-    ``eta``, which must be positive and finite.  Atoms that carry the whole
-    mass make the output, with no solve.
+    Each input is a `measures.LawInput` (`measures.named_input` gives the
+    named laws' closed forms) or a `Measure`, read through its quadrature
+    moments and its cell kernel.  The inputs give the support hint, the
+    atoms, the moments m_1..m_n_moments that the float recursion convolves,
+    their mean and variance, which give the solve's start (see
+    `_free_clt_start`), and the (G, G') evaluator that the solve reads;
+    ``cauchy_x``, if given, replaces X's evaluator by another one of the same
+    law, and likewise ``cauchy_y``.  The output's atoms follow from the
+    inputs' atoms (see the module docstring); their poles are subtracted from
+    the solved G, and `stieltjes_invert` inverts the rest into the density, at
+    height ``eta``, which must be positive and finite.  Atoms that carry the
+    whole mass make the output, with no solve.
     """
     if not 0 < eta < math.inf:
         raise ValueError(f"eta must be positive and finite, got {eta}")
+    if grid_size < 64:
+        raise ValueError("grid_size must be at least 64")
     if n_moments < 1:
         raise ValueError(f"n_moments must be at least 1, got {n_moments}")
     for mu in (mu_x, mu_y):
         if mu.support is None and not mu.atoms:
             raise ValueError("input measure is empty")
+    x = _as_input(mu_x, cauchy_x)
+    y = _as_input(mu_y, cauchy_y)
     # no two pairs share a location: their masses would total more than 2
-    atoms = tuple((x + y, mx + my - 1.0) for x, mx in mu_x.atoms for y, my in mu_y.atoms
-                  if mx + my - 1.0 > ATOM_TOL)
+    atoms = tuple((a + b, ma + mb - 1.0) for a, ma in x.atoms for b, mb in y.atoms
+                  if ma + mb - 1.0 > ATOM_TOL)
     missing = 1.0 - sum(m for _, m in atoms)
-    # mu boxplus mu (one object on both sides) sums its quadrature once
-    mx = measure_moments(mu_x, max(n_moments, 2))
-    my = mx if mu_y is mu_x else measure_moments(mu_y, max(n_moments, 2))
-    lx = mx[:n_moments].tolist()
+    # mu boxplus mu (one object on both sides) reads its moments once
+    mx = x.moments(max(n_moments, 2))
+    my = mx if mu_y is mu_x else y.moments(max(n_moments, 2))
+    lx = mx[:n_moments]
     # moments beyond the float range overflow the recursion, whose entries
     # from then on are inf or an undetermined inf - inf = NaN: Python floats
     # give these without a warning
-    moms = tuple(free_convolve_moments(lx, lx if my is mx else my[:n_moments].tolist()))
+    moms = tuple(free_convolve_moments(lx, lx if my is mx else my[:n_moments]))
     solver = SolverCounters()
     if missing <= 1e-9:
         # the atoms carry the whole mass, so the output has no density
         return ConvolutionResult(moments=moms, measure=Measure(atoms=atoms), solver=solver,
                                  mass_defect=missing)
 
-    ax, bx = _bounds(mu_x)
-    ay, by = _bounds(mu_y)
+    ax, bx = _bounds(x)
+    ay, by = _bounds(y)
     a, b = ax + ay, bx + by
     pad = 0.1 * max(b - a, 1.0)
-    cauchy_x = cauchy_x or cauchy_evaluator(mu_x)
-    cauchy_y = cauchy_y or cauchy_evaluator(mu_y)
-    # quadrature (mean, variance): rounding can take m_2 - m_1^2 below 0
-    x, y = ((m[0], max(m[1] - m[0] * m[0], 0.0)) for m in (mx, my))
+    # (mean, variance): rounding can take m_2 - m_1^2 below 0
+    clt_x, clt_y = ((m[0], max(m[1] - m[0] * m[0], 0.0)) for m in (mx, my))
 
     def transform(zs: np.ndarray) -> np.ndarray:
-        g = _subordinate(zs, cauchy_x, cauchy_y, solver,
-                         start=_free_clt_start(zs, x, y)).reshape(zs.shape)
+        g = _subordinate(zs, x.cauchy, y.cauchy, solver,
+                         start=_free_clt_start(zs, clt_x, clt_y)).reshape(zs.shape)
         for loc, mass in atoms:
             g -= mass / (zs - loc)
         return g

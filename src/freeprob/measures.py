@@ -25,7 +25,11 @@ arcsine, bernoulli, marchenko_pastur(lam=1, alpha=1), sato_tate, point(c=0).
   Marchenko-Pastur G = 2/(z + alpha(1 - lam) + s) (or its conjugate form near
   its atom at 0).  Bernoulli and point masses have none: their own
   `cauchy_evaluator` is already an exact pole sum.  Sato-Tate has no
-  elementary G, so it has no evaluator and no rational moments or cumulants.
+  elementary G, so it has no evaluator and no rational moments or cumulants;
+* `named_input`: the law as an input of the analytic route (`LawInput`):
+  atoms, support, exact moments as floats and (G, G') evaluator, the pole
+  sum `_kernels.pole_sum` for Bernoulli and point masses.  None for
+  Sato-Tate, which enters that route as its cell measure.
 
 A `Measure` is built once into the one form that its Cauchy transform,
 moments and mass are read from: point masses ``_weights`` at ``_poles`` (the
@@ -41,7 +45,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -56,6 +60,8 @@ __all__ = [
     "named_moments",
     "named_cumulants",
     "named_cauchy",
+    "LawInput",
+    "named_input",
     "moments",
     "cauchy",
     "cauchy_evaluator",
@@ -261,51 +267,58 @@ def _mp_support(lam: float, alpha: float) -> tuple:
     return alpha * (1.0 - math.sqrt(lam)) ** 2, alpha * (1.0 + math.sqrt(lam)) ** 2
 
 
+def _atoms_and_support(law: str, p: dict) -> tuple:
+    """A named law's atoms ((location, mass), ...) and the ends of its
+    density's support (None without a density), from its resolved
+    parameters ``p``."""
+    if law == "bernoulli":
+        return ((-1.0, 0.5), (1.0, 0.5)), None
+    if law == "point":
+        return ((p["c"], 1.0),), None
+    if law == "semicircle":
+        return (), (-p["r"], p["r"])
+    if law == "arcsine":
+        return (), (-2.0, 2.0)
+    if law == "sato_tate":
+        return (), (0.0, math.pi)
+    lam = p["lam"]  # marchenko_pastur
+    return ((0.0, 1.0 - lam),) if lam < 1.0 else (), _mp_support(lam, p["alpha"])
+
+
 def make_named(law: str, grid_size: int = 2048, **params) -> Measure:
     """A named law's density sampled on `grid_size` points, with its edge model."""
     p = resolve_law(law, **params)
     if grid_size < 64:
         raise ValueError("grid_size must be at least 64")
+    atoms, support = _atoms_and_support(law, p)
+    if support is None:
+        return Measure(atoms=atoms)
+    t = np.linspace(*support, grid_size)
+    edges = ("regular", "regular")
 
     if law == "semicircle":
         r = p["r"]
-        t = np.linspace(-r, r, grid_size)
         dens = (2.0 / (math.pi * r * r)) * np.sqrt(np.maximum(r * r - t * t, 0.0))
-        return Measure(support=(-r, r), samples=dens, edges=("sqrt", "sqrt"))
-
-    if law == "arcsine":
-        t = np.linspace(-2.0, 2.0, grid_size)
+        edges = ("sqrt", "sqrt")
+    elif law == "arcsine":
         dens = np.zeros_like(t)
         inner = slice(1, -1)
         dens[inner] = 1.0 / (math.pi * np.sqrt(4.0 - t[inner] ** 2))
-        return Measure(support=(-2.0, 2.0), samples=dens, edges=("invsqrt", "invsqrt"))
-
-    if law == "bernoulli":
-        return Measure(atoms=((-1.0, 0.5), (1.0, 0.5)))
-
-    if law == "marchenko_pastur":
+        edges = ("invsqrt", "invsqrt")
+    elif law == "marchenko_pastur":
         lam, alpha = p["lam"], p["alpha"]
-        t_lo, t_hi = _mp_support(lam, alpha)
-        t = np.linspace(t_lo, t_hi, grid_size)
         rad = 4.0 * lam * alpha * alpha - (t - alpha * (1.0 + lam)) ** 2
         with np.errstate(divide="ignore", invalid="ignore"):
             dens = np.sqrt(np.maximum(rad, 0.0)) / (2.0 * math.pi * alpha * t)
         dens[~np.isfinite(dens)] = 0.0
         dens[dens < 0.0] = 0.0
-        atoms = ()
-        if lam < 1.0:
-            atoms = ((0.0, 1.0 - lam),)
         left = "invsqrt" if abs(lam - 1.0) < 1e-12 else "sqrt"
         if left == "invsqrt":
             dens[0] = 0.0
-        return Measure(atoms=atoms, support=(t_lo, t_hi), samples=dens, edges=(left, "sqrt"))
-
-    if law == "sato_tate":
-        t = np.linspace(0.0, math.pi, grid_size)
+        edges = (left, "sqrt")
+    else:  # sato_tate
         dens = (2.0 / math.pi) * np.sin(t) ** 2
-        return Measure(support=(0.0, math.pi), samples=dens)
-
-    return Measure(atoms=((p["c"], 1.0),))  # point
+    return Measure(atoms=atoms, support=support, samples=dens, edges=edges)
 
 
 def named_moments(law: str, order: int, **params) -> list | None:
@@ -395,12 +408,15 @@ def named_cauchy(law: str, **params) -> Callable | None:
         def evaluate(z):
             # G = (q - s)/(2 alpha z) = 2/(q + s), as (q - s)(q + s) = 4 alpha z;
             # take the form whose denominator does not cancel (q - s near the
-            # atom at 0 when lam < 1, q + s elsewhere)
+            # atom at 0 when lam < 1, q + s elsewhere), each only where taken
             s = _edge_root(z, a, b)
             q = z + shift
             plus, minus = q + s, q - s
+            near = np.abs(plus) < np.abs(minus)
             with np.errstate(divide="ignore", invalid="ignore"):
-                g = np.where(np.abs(plus) >= np.abs(minus), 2.0 / plus, minus / (2.0 * alpha * z))
+                g = 2.0 / plus
+                if near.any():
+                    g[near] = minus[near] / (2.0 * alpha * z[near])
             return g, g * (alpha * g - 1.0) / s
 
     else:
@@ -408,14 +424,56 @@ def named_cauchy(law: str, **params) -> Callable | None:
     return evaluate
 
 
+class LawInput(NamedTuple):
+    """One side of the analytic route (`freeconv.free_convolve_analytic`):
+    the atoms ((location, mass), ...), the ends of the density's support
+    (None without a density), the (G, G') evaluator, and ``moments``, which
+    maps an order n to the floats m_1..m_n."""
+
+    atoms: tuple
+    support: tuple | None
+    cauchy: Callable
+    moments: Callable
+
+
+def _float(q: Fraction) -> float:
+    """q as the nearest float, or the infinity of its sign past the range."""
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf if q > 0 else -math.inf
+
+
+def named_input(law: str, **params) -> LawInput | None:
+    """A named law's analytic-route input, read from the law itself: its
+    atoms and support, its `named_cauchy` evaluator (for bernoulli and point
+    the pole sum `_kernels.pole_sum` of their atoms) and its exact
+    `named_moments` as floats.  None for sato_tate, which has no closed form.
+    """
+    p = resolve_law(law, **params)
+    atoms, support = _atoms_and_support(law, p)
+    if support is None:
+        locs, masses = (np.array(column) for column in zip(*atoms))
+
+        def evaluate(z):
+            return _kernels.pole_sum(z, locs, masses)
+
+    else:
+        evaluate = named_cauchy(law, **p)
+        if evaluate is None:
+            return None  # sato_tate
+    return LawInput(atoms=atoms, support=support, cauchy=evaluate,
+                    moments=lambda order: [_float(m) for m in named_moments(law, order, **p)])
+
+
 def moments(mu: Measure, n_max: int) -> np.ndarray:
     """Moments m_1..m_n_max (index i holds m_{i+1})."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     p, w, t, tw = mu._poles, mu._weights, mu._t, mu._tw
+    ns = np.arange(1.0, n_max + 1.0)[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.array([float(np.sum(w * p**n)) + float(np.sum(tw * t**n))
-                        for n in range(1, n_max + 1)])
+        out = np.sum(w * p**ns, axis=1) + np.sum(tw * t**ns, axis=1)
         # a power that overflows gives inf, and 0 * inf or inf - inf gives
         # NaN: recompute those moments as s^n sum w (p/s)^n, s = max |p|
         bad = np.flatnonzero(~np.isfinite(out))

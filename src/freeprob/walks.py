@@ -168,8 +168,11 @@ def _log_return_probs_lattice(d: int, n_max: int) -> np.ndarray:
     r = [1.0, 0.0, 0.0]
     exp2 = 0
     ln2 = math.log(2.0)
-    for n in range(1, n_max + 1):
-        top = min(n, d, n_max - n)
+    # the kept range of every step at once; d is clipped to n_max first, so
+    # numpy sees no int past the int64 range
+    ns = np.arange(1, n_max + 1)
+    tops = np.minimum(np.minimum(ns, min(d, n_max)), n_max - ns).tolist()
+    for n, top in enumerate(tops, 1):
         nxt = [0.0] * (top + 3)
         step = n / (2 * d)
         for j in range(n & 1, top + 1, 2):
@@ -241,7 +244,7 @@ class KestenGreen(NamedTuple):
 _KESTEN_SERIES_ORDER = 64
 
 
-def kesten_green(d: int, z: complex) -> KestenGreen:
+def kesten_green(d: int, z: complex, loops: LoopCounts | None = None) -> KestenGreen:
     """Loop generating function of F_d at z, three ways, plus the decay base.
 
     closed_form_value evaluates
@@ -252,6 +255,8 @@ def kesten_green(d: int, z: complex) -> KestenGreen:
     for every d and agrees with series_value.  decay_base estimates
     lim rho_d(n)^{1/n} from the series by a Richardson-extrapolated even-term
     ratio, which strips the n^{-3/2} prefactor; the limit is sqrt(2d-1)/d.
+    ``loops``, the `kesten_loops` of F_d through order 64 or beyond, is read
+    instead of computing them again; shorter counts are not.
     """
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
@@ -263,14 +268,16 @@ def kesten_green(d: int, z: complex) -> KestenGreen:
     numerator = -(d - 1) + d * np.sqrt(1.0 - 4.0 * (2 * d - 1) * z * z)
     closed = numerator / (1.0 - 16.0 * z * z)
     general = numerator / (1.0 - 4.0 * d * d * z * z)
-    loops = kesten_loops(d, _KESTEN_SERIES_ORDER)
-    series = complex(sum(lam * z**n for n, lam in enumerate(loops.values)))
+    if loops is not None and loops.group != f"F_{d}":
+        raise ValueError(f"loops count walks on {loops.group}, not on F_{d}")
+    if loops is None or len(loops.values) <= _KESTEN_SERIES_ORDER:
+        loops = kesten_loops(d, _KESTEN_SERIES_ORDER)
+    values = loops.values[: _KESTEN_SERIES_ORDER + 1]
+    series = complex(sum(lam * z**n for n, lam in enumerate(values)))
     deg = 2 * d
     k2 = _KESTEN_SERIES_ORDER // 2 - 1
     k1 = k2 - 1
-    ratio = [
-        loops.values[2 * k + 2] / (loops.values[2 * k] * deg * deg) for k in (k1, k2)
-    ]
+    ratio = [values[2 * k + 2] / (values[2 * k] * deg * deg) for k in (k1, k2)]
     extrapolated = k2 * ratio[1] - k1 * ratio[0]
     return KestenGreen(
         closed_form_value=complex(closed),

@@ -12,6 +12,9 @@ same values (and, for floats, the same bits) from both:
 * ``PowerTable`` and the two free moment-cumulant functions built on it:
   each entry of the table of [z^j] L(z)^s tests m[j - i] != 0 term by term in
   a filtered generator.
+* ``moments_per_order``: a measure's moments by two sums per order, over
+  its point masses and over its density's nodes (the library sums one power
+  table per node set).
 """
 
 from __future__ import annotations
@@ -115,3 +118,20 @@ def free_cumulants_from_moments(m) -> list:
         s = sum(kappa[j - 1] * powers.rows[j][n - j] for j in range(1, n))
         kappa.append(full[n] - s)
     return [unscale(n, v) for n, v in enumerate(kappa, 1)]
+
+
+def moments_per_order(mu, n_max: int) -> np.ndarray:
+    """m_1..m_n_max of a `Measure`, order by order; a moment that overflows
+    is taken again as s^n sum w (p/s)^n, s the largest |node|."""
+    p, w, t, tw = mu._poles, mu._weights, mu._t, mu._tw
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.array([float(np.sum(w * p**n)) + float(np.sum(tw * t**n))
+                        for n in range(1, n_max + 1)])
+        bad = np.flatnonzero(~np.isfinite(out))
+        if bad.size:
+            s = max(np.abs(p).max(initial=0.0), np.abs(t).max(initial=0.0))
+            for i in bad:
+                n = i + 1
+                scaled = float(np.sum(w * (p / s) ** n)) + float(np.sum(tw * (t / s) ** n))
+                out[i] = np.float64(s) ** n * scaled if scaled else 0.0
+    return out

@@ -7,13 +7,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import freeprob
 import freeprob.cli as cli
-from freeprob import _kernels, measures, rmt
+from freeprob import _kernels, measures, rmt, walks
 from freeprob.freeconv import ContinuationError, free_convolve_moments
 
 
@@ -499,8 +500,10 @@ def _fresh_interpreter(code: str) -> str:
 def test_cli_import_loads_only_what_the_cli_runs():
     # every process pays for its imports: scipy, the thread pool and the
     # models of freeness serve no command, and the records need no
-    # dataclasses (nor the csv writer or cmath)
-    unwanted = ("scipy", "concurrent.futures", "freeprob.models", "dataclasses", "csv", "cmath")
+    # dataclasses (nor the csv writer or cmath); numpy's random, polynomial
+    # and fft packages load only where a command uses them
+    unwanted = ("scipy", "concurrent.futures", "freeprob.models", "dataclasses", "csv", "cmath",
+                "numpy.random", "numpy.polynomial", "numpy.fft", "secrets")
     code = ("import sys, freeprob.cli; "
             f"print(sorted(m for m in sys.modules if m.startswith({unwanted!r})))")
     assert _fresh_interpreter(code) == "[]"
@@ -812,3 +815,41 @@ def test_cli_run_leaves_argparse_unloaded():
             "    assert cli.run(['kesten', '--d', '2', '--nmax', '4']) == 0\n"
             "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))")
     assert _fresh_interpreter(code) == "[]"
+
+
+@pytest.mark.parametrize("law_x,law_y,cells", [
+    ("arcsine", "arcsine", []),
+    ("marchenko_pastur:lam=1", "bernoulli", []),
+    ("semicircle", "point:c=1.5", []),
+    ("marchenko_pastur:lam=0.5", "semicircle:r=3", []),
+    ("sato_tate", "bernoulli", ["sato_tate"]),
+    ("arcsine", "sato_tate", ["sato_tate"]),
+    ("sato_tate", "sato_tate", ["sato_tate"]),
+])
+def test_freeconv_builds_a_cell_measure_only_for_sato_tate(capsys, monkeypatch, law_x, law_y,
+                                                           cells):
+    # a law with a closed form enters the analytic route as itself
+    calls = []
+    make = measures.make_named
+    monkeypatch.setattr(measures, "make_named",
+                        lambda law, *a, **k: calls.append(law) or make(law, *a, **k))
+    doc = run_json(capsys, ["freeconv", "--law-x", law_x, "--law-y", law_y,
+                            "--route", "both", "--grid-size", "64"])
+    assert calls == cells
+    if not cells:  # the float recursion on the exact moments
+        assert doc["diagnostics"]["route_agreement"] < 1e-12
+
+
+def test_kesten_computes_its_loop_counts_once(capsys, monkeypatch):
+    calls = []
+    loops = walks.kesten_loops
+    monkeypatch.setattr(walks, "kesten_loops", lambda d, n: calls.append(n) or loops(d, n))
+    run_json(capsys, ["kesten", "--d", "3", "--nmax", "120"])
+    assert calls == [120]
+
+
+def test_leaves_of_subclassed_types_keep_their_form():
+    # the exact-type table of the serializer leaves subclasses to isinstance
+    assert cli._jdump([np.float64(0.5), np.float64("nan")]) == '[\n  0.5,\n  "NaN"\n]'
+    assert cli._jdump([1, True, None, "a\"b", Fraction(1, 3), 1 - 2j]) == (
+        '[\n  1,\n  true,\n  null,\n  "a\\"b",\n  "1/3",\n  {"re": 1, "im": -2}\n]')

@@ -21,7 +21,14 @@ from freeprob.freeconv import (
     free_poisson,
     semicircle_flow_residual,
 )
-from freeprob.measures import cauchy_evaluator, make_named, moments, named_cauchy
+from freeprob.measures import (
+    cauchy_evaluator,
+    make_named,
+    moments,
+    named_cauchy,
+    named_input,
+    named_moments,
+)
 
 BERN = [Fraction(0), Fraction(1)] * 3
 
@@ -437,3 +444,44 @@ def test_closed_form_inputs_give_the_summed_semicircle():
     exact = 2.0 / (math.pi * r * r) * np.sqrt(np.maximum(r * r - t * t, 0.0))
     assert np.max(np.abs(res.measure.samples - exact)) < 1e-4
     assert res.solver.residual < 1e-8
+
+
+def test_atom_law_inputs_give_the_bytes_of_their_measures():
+    # the pole sum is the kernel's, and the quadrature moments of atoms are exact
+    by_law = free_convolve_analytic(named_input("bernoulli"), named_input("bernoulli"),
+                                    grid_size=128)
+    by_cells = free_convolve_analytic(make_named("bernoulli"), make_named("bernoulli"),
+                                      grid_size=128)
+    assert by_law.moments == by_cells.moments
+    assert by_law.solver == by_cells.solver
+    assert by_law.measure.samples.tobytes() == by_cells.measure.samples.tobytes()
+
+
+@pytest.mark.parametrize("x,y", [
+    (("arcsine", {}), ("arcsine", {})),
+    (("marchenko_pastur", {"lam": 0.5}), ("semicircle", {"r": 3.0})),
+    (("point", {"c": 1.5}), ("marchenko_pastur", {"lam": 1.0})),
+])
+def test_closed_form_inputs_convolve_their_exact_moments(monkeypatch, x, y):
+    # no quadrature: the float recursion runs on the exact moments
+    monkeypatch.setattr(freeconv, "measure_moments", None)
+    res = free_convolve_analytic(named_input(x[0], **x[1]), named_input(y[0], **y[1]),
+                                 grid_size=128)
+    exact = free_convolve_moments(named_moments(x[0], 6, **x[1]), named_moments(y[0], 6, **y[1]))
+    assert max(abs(a - float(b)) / max(1.0, abs(b)) for a, b in zip(res.moments, exact)) < 1e-14
+    assert abs(res.measure.total_mass() - 1.0) < 1e-12
+
+
+def test_evaluator_handed_in_replaces_the_inputs_own():
+    calls = []
+    closed = named_cauchy("arcsine")
+
+    def counted(z):
+        calls.append(z.size)
+        return closed(z)
+
+    arcsine = named_input("arcsine")
+    res = free_convolve_analytic(arcsine, arcsine, grid_size=64, cauchy_x=counted)
+    assert calls
+    plain = free_convolve_analytic(arcsine, arcsine, grid_size=64)
+    assert res.measure.samples.tobytes() == plain.measure.samples.tobytes()

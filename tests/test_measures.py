@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from exact_oracles import moments_per_order
 from freeprob import _kernels, series
 from freeprob.measures import (
     InversionError,
@@ -19,6 +20,7 @@ from freeprob.measures import (
     moments,
     named_cauchy,
     named_cumulants,
+    named_input,
     named_moments,
     resolve_law,
     stieltjes_invert,
@@ -423,3 +425,76 @@ def test_overflowing_moments_are_infinite_not_nan():
     # the entries that fit a float keep the plain sum's bits
     p, w, t, tw = mu._poles, mu._weights, mu._t, mu._tw
     assert m[1] == float(np.sum(w * p**2)) + float(np.sum(tw * t**2))
+
+
+@pytest.mark.parametrize("law,params,grid", [
+    ("semicircle", {}, 64),
+    ("semicircle", {"r": 3.0}, 2048),
+    ("semicircle", {"r": 1e100}, 128),  # moments past the float range
+    ("arcsine", {}, 64),
+    ("arcsine", {}, 512),
+    ("bernoulli", {}, 64),
+    ("point", {"c": 1e6}, 64),
+    ("marchenko_pastur", {"lam": 0.5}, 512),
+    ("marchenko_pastur", {"lam": 2.0, "alpha": 0.5}, 256),
+    ("sato_tate", {}, 128),
+])
+def test_moments_power_table_is_bit_identical_to_the_per_order_sums(law, params, grid):
+    mu = make_named(law, grid, **params)
+    for order in (1, 2, 6, 8, 12, 40):
+        assert moments(mu, order).tobytes() == moments_per_order(mu, order).tobytes()
+
+
+@pytest.mark.parametrize("law,params", [
+    ("semicircle", {}),
+    ("semicircle", {"r": 3.0}),
+    ("arcsine", {}),
+    ("bernoulli", {}),
+    ("point", {"c": 1.5}),
+    ("marchenko_pastur", {"lam": 1.0}),
+    ("marchenko_pastur", {"lam": 0.5}),
+    ("marchenko_pastur", {"lam": 2.0, "alpha": 0.5}),
+])
+def test_named_input_is_read_from_the_law(law, params):
+    # the atoms and support of the cell measure, the exact moments as floats
+    law_input = named_input(law, **params)
+    mu = make_named(law, 256, **params)
+    assert law_input.atoms == mu.atoms
+    assert law_input.support == mu.support
+    assert law_input.moments(12) == [float(m) for m in named_moments(law, 12, **params)]
+
+
+def test_named_input_moments_past_the_float_range_are_infinite():
+    m = named_input("semicircle", r=1e100).moments(6)
+    assert m[:3] == [0.0, float((Fraction(1e100) / 2) ** 2), 0.0]
+    assert m[3:] == [math.inf, 0.0, math.inf]
+    assert named_input("point", c=-1e200).moments(3) == [-1e200, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("law,params", [("bernoulli", {}), ("point", {"c": 1.5})])
+def test_atom_laws_enter_as_the_bare_pole_sum(law, params):
+    # the same bits as the kernel on their measure
+    z = np.array([0.3 + 0.9j, -1.0 + 1e-6j, 1.5 + 1e-3j, 40.0 + 2.0j, 1e-9 + 1e300j])
+    g, gp = named_input(law, **params).cauchy(z)
+    g_cells, gp_cells = cauchy_evaluator(make_named(law, **params))(z)
+    assert g.tobytes() == g_cells.tobytes() and gp.tobytes() == gp_cells.tobytes()
+
+
+def test_sato_tate_has_no_named_input():
+    assert named_input("sato_tate") is None
+
+
+def test_marchenko_pastur_takes_each_form_only_where_it_is_chosen():
+    # the same bits as evaluating both forms everywhere and choosing
+    lam, alpha = 0.5, 2.0
+    a, b = alpha * (1 - math.sqrt(lam)) ** 2, alpha * (1 + math.sqrt(lam)) ** 2
+    x = np.concatenate([np.linspace(-1e-3, 1e-3, 41), np.linspace(a - 1.0, b + 1.0, 81)])
+    z = np.concatenate([x + 1e-8j, x + 0.3j])
+    g, gp = named_cauchy("marchenko_pastur", lam=lam, alpha=alpha)(z)
+    s = np.sqrt(z - a) * np.sqrt(z - b)
+    plus, minus = z + alpha * (1 - lam) + s, z + alpha * (1 - lam) - s
+    conjugate = np.abs(plus) < np.abs(minus)
+    assert conjugate.any() and not conjugate.all()
+    both = np.where(conjugate, minus / (2.0 * alpha * z), 2.0 / plus)
+    assert g.tobytes() == both.tobytes()
+    assert gp.tobytes() == (both * (alpha * both - 1.0) / s).tobytes()

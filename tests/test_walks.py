@@ -357,7 +357,7 @@ def test_kesten_green_general_closed_form_matches_series():
 def test_float_recurrence_is_bit_identical_to_the_branching_one(d, n_max):
     # (1000, 1000) leaves [2^-64, 2^63) and rescales; (1000, 1) ends on an
     # all-zero vector, whose rescale is by 2^0; d = 2^63 and 10^30 do not fit
-    # an int64, so the kept range must stay in Python ints
+    # an int64, so the kept range clips d to n_max before numpy sees it
     got = walks._log_return_probs_lattice(d, n_max)
     assert got.tobytes() == log_return_probs_lattice(d, n_max).tobytes()
 
@@ -366,3 +366,21 @@ def test_polya_accepts_a_rank_past_int64():
     partial_sum, slope = polya_diagnostic(2**63, 300)
     assert partial_sum == 1.0
     assert math.isfinite(slope) and slope < 0
+
+
+@pytest.mark.parametrize("n_max,computed", [(63, [64]), (64, []), (120, [])])
+def test_kesten_green_reads_the_callers_loop_counts(monkeypatch, n_max, computed):
+    # counts through order 64 serve the series; shorter ones are computed again
+    z = 0.1 / 6
+    fresh = kesten_green(3, z)
+    calls = []
+    monkeypatch.setattr(walks, "kesten_loops",
+                        lambda d, n: calls.append(n) or kesten_loops(d, n))
+    assert kesten_green(3, z, kesten_loops(3, n_max)) == fresh
+    assert calls == computed
+
+
+def test_kesten_green_rejects_loop_counts_of_another_walk():
+    for loops in (kesten_loops(2, 64), loops_lattice(3, 64)):
+        with pytest.raises(ValueError, match="not on F_3"):
+            kesten_green(3, 0.01, loops)
