@@ -13,6 +13,13 @@ needs come from one vectorised kernel (`freeprob._kernels`).
 `models` (the group-algebra and Fock-space models) is loaded on first access,
 ``freeprob.models`` or ``from freeprob import models``: nothing else in the
 package uses it, so importing the CLI does not pay for it.
+
+numpy, too, loads on first use: the modules take ``np`` from
+`freeprob._numpy`, a stand-in that imports numpy when one of its attributes
+is first read.  Importing the package loads no numpy, and neither do the
+exact computations: the loop counts of `walks.kesten_loops`, `cumulants`,
+`series`, `partitions`, the Wick and Weingarten calculus of `rmt` and the
+named laws' exact moments and cumulants in `measures`.
 """
 
 import importlib

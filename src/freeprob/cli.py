@@ -47,6 +47,12 @@ recursion run on the inputs' moments m_1..m_n, n the smaller of --order and
 quadrature moments on its cells.  An entry that the recursion cannot
 determine (past the float range) is null.
 
+numpy loads on first use (see `freeprob._numpy`), so the subcommands that
+compute in Fractions and ints never load it: ``kesten``, ``cumulants``,
+``wick``, ``weingarten`` and ``freeconv --route moments`` on laws with a
+closed form or on moment lists.  ``polya``, ``flow``, ``rmt``, the analytic
+route and sato_tate's moments, which come from its cells, do.
+
 Settings resolve in the order: built-in default < FREEPROB_SEED environment
 variable (seed only) < --config key=value file < explicit flags.  The file is
 named by ``--config FILE`` in any of the spellings above (``--config=FILE``,
@@ -493,8 +499,7 @@ def _cmd_kesten(args) -> str:
     loops = walks.kesten_loops(args.d, args.nmax)
     diag: dict = {"degree": loops.degree}
     if args.d >= 2:
-        kg = walks.kesten_green(args.d, 0.1 / (2 * args.d), loops)
-        diag["decay_base"] = kg.decay_base
+        diag["decay_base"] = walks.kesten_decay_base(args.d, loops)
     return _report(
         config,
         {"loops": list(loops.values), "provenance": "exact"},

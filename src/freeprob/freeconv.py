@@ -63,9 +63,8 @@ from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
-import numpy as np
-
-from .measures import InversionError, LawInput, Measure, cauchy_evaluator, named_cauchy
+from ._numpy import np
+from .measures import LawInput, Measure, cauchy_evaluator, named_cauchy
 from .measures import moments as measure_moments
 from .measures import stieltjes_invert
 from .series import free_cumulants_from_moments, free_moments_from_cumulants
@@ -396,20 +395,13 @@ def free_convolve_analytic(
             g -= mass / (zs - loc)
         return g
 
-    density = stieltjes_invert(transform, (a - pad, b + pad), grid_size=grid_size, eps=eta)
-    raw = Measure(atoms=atoms, support=density.support, samples=density.samples,
-                  normalize=False)
-    if not raw.samples.any():
-        raise InversionError(
-            f"the output has atoms of total mass {1.0 - missing:.6g} and a zero "
-            f"density, so mass {missing:.3g} is missing (eta={eta:g} too coarse?)"
-        )
-    measure = Measure(atoms=atoms, support=raw.support, samples=raw.samples, normalize=True)
+    measure = stieltjes_invert(transform, (a - pad, b + pad), grid_size=grid_size, eps=eta,
+                               atoms=atoms)
     return ConvolutionResult(
         moments=moms,
         measure=measure,
         solver=solver,
-        mass_defect=1.0 - raw.total_mass(),
+        mass_defect=1.0 - measure.raw_mass,
     )
 
 

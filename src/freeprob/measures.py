@@ -47,9 +47,8 @@ import math
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-import numpy as np
-
-from . import _kernels, series
+from . import _kernels
+from ._numpy import np
 
 __all__ = [
     "Measure",
@@ -96,8 +95,8 @@ class Measure:
 
     ``edges`` marks each side of the support as "regular", "sqrt" or "invsqrt".
     With ``normalize=True`` the density samples are rescaled so the measure's
-    own quadrature rule integrates to exactly 1 - (atom mass); inversion
-    output skips this so that mass defects stay visible to the caller.
+    own quadrature rule integrates to exactly 1 - (atom mass).  ``raw_mass``
+    is the total mass as given, before that rescaling.
     """
 
     def __init__(self, atoms: tuple = (), support: tuple | None = None,
@@ -140,6 +139,7 @@ class Measure:
         masses = np.array([m for _, m in self.atoms], dtype=np.float64)
         atom_mass = float(masses.sum())
         S = W = t = f = tw = np.empty(0)
+        self.raw_mass = atom_mass
         if self.samples is None:
             if self.normalize and abs(atom_mass - 1.0) > 1e-9:
                 raise ValueError(f"atom masses sum to {atom_mass}, not 1")
@@ -177,6 +177,7 @@ class Measure:
             tw[:-1] += half
             tw[1:] += half
             cont_mass = float(np.sum(tw * f[lo : hi + 1]) + W.sum())
+            self.raw_mass = atom_mass + cont_mass
             if self.normalize:
                 target = 1.0 - atom_mass
                 if target < -1e-12:
@@ -340,7 +341,14 @@ def named_moments(law: str, order: int, **params) -> list | None:
         half = Fraction(p["r"]) / 2
         return [Fraction(0) if n % 2 else half**n * (math.comb(n, n // 2) // (n // 2 + 1)) for n in ns]
     if law == "marchenko_pastur":
-        return series.free_moments_from_cumulants(named_cumulants(law, order, **p))
+        # the Narayana sum m_n = alpha^n sum_k N(n, k) lam^k, N(n, k) =
+        # C(n, k) C(n, k - 1) / n, over the common denominator (b d)^n of
+        # lam = a/b and alpha = c/d
+        a, b = Fraction(p["lam"]).as_integer_ratio()
+        c, d = Fraction(p["alpha"]).as_integer_ratio()
+        return [Fraction(c**n * sum(math.comb(n, k) * math.comb(n, k - 1) // n * a**k * b ** (n - k)
+                                    for k in range(1, n + 1)), (b * d) ** n)
+                for n in ns]
     return None  # sato_tate
 
 
@@ -522,17 +530,21 @@ def support_radius(mu: Measure) -> float:
     return r
 
 
-def stieltjes_invert(G: Callable, support_hint, grid_size: int = 2048, eps: float = 1e-3) -> Measure:
-    """Recover the density of a measure without atoms from its Cauchy
-    transform: G is the transform of such a measure, or of one whose known
-    poles were already subtracted (`freeconv.free_convolve_analytic` takes
-    the atoms of a free convolution from the Bercovici-Voiculescu rule).  A
-    pole left in G is smeared into the density, not reported.
+def stieltjes_invert(G: Callable, support_hint, grid_size: int = 2048, eps: float = 1e-3,
+                     atoms: tuple = ()) -> Measure:
+    """Recover the density of a measure from its Cauchy transform: G is the
+    transform of a measure without atoms, or of one whose known poles, the
+    ``atoms``, were already subtracted (`freeconv.free_convolve_analytic`
+    takes the atoms of a free convolution from the Bercovici-Voiculescu
+    rule).  A pole left in G is smeared into the density, not reported.
 
     G maps a 1-d complex array to the array of its values there.  It is
     called once, on the grid at both heights.  The density is -Im G(t + i*eps)/pi
     with Richardson extrapolation between eps and eps/2, for a positive and
-    finite eps.
+    finite eps.  The result is one normalised `Measure` of the ``atoms`` and
+    the density; its ``raw_mass`` is the mass before normalising, so the mass
+    defect of the inversion is 1 - raw_mass.  A zero density where the atoms
+    leave mass missing raises `InversionError`.
     """
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
@@ -561,7 +573,13 @@ def stieltjes_invert(G: Callable, support_hint, grid_size: int = 2048, eps: floa
             "(wrong branch or non-Nevanlinna input)"
         )
     dens = np.maximum(dens, 0.0)
-    return Measure(support=(a, b), samples=dens, normalize=False)
+    missing = 1.0 - sum(m for _, m in atoms)
+    if missing > 1e-9 and not dens.any():
+        raise InversionError(
+            f"the atoms have total mass {1.0 - missing:.6g} and the density is zero, "
+            f"so mass {missing:.3g} is missing (eps={eps:g} too coarse?)"
+        )
+    return Measure(atoms=atoms, support=(a, b), samples=dens)
 
 
 # -- serialization ----------------------------------------------------------

@@ -40,10 +40,9 @@ import threading
 from fractions import Fraction
 from typing import NamedTuple
 
-import numpy as np
-
+from ._numpy import np
 from .measures import named_cumulants, named_moments
-from .partitions import Permutation, is_geodesic
+from .partitions import Permutation
 from .series import free_moments_from_cumulants
 
 __all__ = [
@@ -59,7 +58,6 @@ __all__ = [
     "mc_word_moment",
     "freeness_experiment",
     "FREENESS_KINDS",
-    "geodesic_order_assembly",
 ]
 
 _KINDS = ("ginibre", "gue", "cue", "deterministic")
@@ -785,55 +783,3 @@ def freeness_experiment(
         mean, err = _mean_stderr(samples[:, j])
         rows.append(FreenessRow(label, mean, err, pred[j], _zscore(mean, pred[j], err)))
     return FreenessReport(kind=kind, N=N, trials=trials, degree=degree, rows=tuple(rows))
-
-
-def _contraction_cycles(rho: Permutation, sigma: Permutation) -> list[int]:
-    """Lengths of the cycles whose traces make up the index contraction of the
-    gluing (rho, sigma) in E tr[(U D U* D)^2].
-
-    The row gluing rho ties the indices of D around the cycles of rho gamma,
-    gamma the trace 2-cycle, and the column gluing sigma ties them around the
-    cycles of sigma, so the contraction is T(N) = prod_k tr D^k over these
-    lengths k.
-    """
-    return [len(c) for c in (rho * Permutation.full_cycle(2)).cycles() + sigma.cycles()]
-
-
-def geodesic_order_assembly() -> tuple:
-    """Order-N^0 part of E tr[(U D U* D)^2], summed two ways.
-
-    D is the diagonal alternating 1, 2 (deliberately non-centred so every
-    order-N^0 term is non-zero).  The unitary expectation expands over row
-    and column gluings (rho, sigma) in S(2) x S(2); each pair contributes an
-    index-contraction polynomial
-
-        T(N) = prod_{c in cyc(rho gamma)} t_|c|(N) prod_{c in cyc(sigma)} t_|c|(N),
-
-    t_k(N) = tr D^k = N (1 + 2^k)/2 at even N, so T has degree
-    #cyc(rho gamma) + #cyc(sigma) and leading coefficient the product of the
-    (1 + 2^|c|)/2.  It is multiplied by the leading Weingarten weight
-    a(sigma rho^{-1}) N^{-2-|sigma rho^{-1}|}, with one more 1/N from the
-    normalized trace.  Returns the order-N^0 sum over all pairs and the same
-    sum restricted to pairs on a Cayley geodesic id -> sigma -> rho ->
-    gamma^{-1}, gamma the trace 2-cycle.  The two agree: off-geodesic pairs
-    only enter at negative powers.  (Both equal 99/16, the free-product value
-    tau(abab) = m2 m1^2 + m1^2 m2 - m1^4 at m1 = 3/2, m2 = 5/2.)
-    """
-    perms = [Permutation.identity(2), Permutation.transposition(2, 1, 2)]
-    gamma_inv = Permutation.full_cycle(2).inverse()
-    total_all = Fraction(0)
-    total_geo = Fraction(0)
-    for rho in perms:
-        for sig in perms:
-            lengths = _contraction_cycles(rho, sig)
-            wg_pi = sig * rho.inverse()
-            order = len(lengths) - (2 + wg_pi.cayley_distance) - 1
-            if order > 0:
-                raise AssertionError("contraction exceeds order N^0; wiring bug")
-            if order == 0:
-                lead = math.prod(Fraction(1 + 2**k, 2) for k in lengths)
-                term = lead * weingarten_series(wg_pi).leading
-                total_all += term
-                if is_geodesic(sig, rho, gamma_inv):
-                    total_geo += term
-    return total_all, total_geo

@@ -39,7 +39,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-import numpy as np
+from ._numpy import np
 
 __all__ = [
     "LoopCounts",
@@ -49,6 +49,7 @@ __all__ = [
     "loops_lattice",
     "polya_diagnostic",
     "kesten_loops",
+    "kesten_decay_base",
     "kesten_green",
 ]
 
@@ -244,6 +245,34 @@ class KestenGreen(NamedTuple):
 _KESTEN_SERIES_ORDER = 64
 
 
+def _series_loops(d: int, loops: LoopCounts | None) -> LoopCounts:
+    """Loop counts of F_d through order 64 at least: the caller's ``loops``
+    when they reach it, else counted here."""
+    if loops is not None and loops.group != f"F_{d}":
+        raise ValueError(f"loops count walks on {loops.group}, not on F_{d}")
+    if loops is None or len(loops.values) <= _KESTEN_SERIES_ORDER:
+        loops = kesten_loops(d, _KESTEN_SERIES_ORDER)
+    return loops
+
+
+def kesten_decay_base(d: int, loops: LoopCounts | None = None) -> float:
+    """lim rho_d(n)^{1/n} on F_d, estimated from the loop counts through
+    order 64 by a Richardson-extrapolated even-term ratio, which strips the
+    n^{-3/2} prefactor; the limit is sqrt(2d-1)/d.  ``loops`` as in
+    `kesten_green`.  The ``kesten`` command reads this alone: it needs none
+    of `kesten_green`'s complex values, nor cmath.
+    """
+    if d < 2:
+        raise ValueError(f"d must be >= 2, got {d}")
+    values = _series_loops(d, loops).values
+    deg = 2 * d
+    k2 = _KESTEN_SERIES_ORDER // 2 - 1
+    k1 = k2 - 1
+    ratio = [values[2 * k + 2] / (values[2 * k] * deg * deg) for k in (k1, k2)]
+    extrapolated = k2 * ratio[1] - k1 * ratio[0]
+    return float(math.sqrt(extrapolated))
+
+
 def kesten_green(d: int, z: complex, loops: LoopCounts | None = None) -> KestenGreen:
     """Loop generating function of F_d at z, three ways, plus the decay base.
 
@@ -252,11 +281,10 @@ def kesten_green(d: int, z: complex, loops: LoopCounts | None = None) -> KestenG
     series_value sums the exact loop counts through order 64.  The two agree
     for d = 2 only (see the module docstring).  general_closed_form_value,
     (-(d-1) + d*sqrt(1 - 4(2d-1) z^2)) / (1 - 4 d^2 z^2), is Kesten's form
-    for every d and agrees with series_value.  decay_base estimates
-    lim rho_d(n)^{1/n} from the series by a Richardson-extrapolated even-term
-    ratio, which strips the n^{-3/2} prefactor; the limit is sqrt(2d-1)/d.
-    ``loops``, the `kesten_loops` of F_d through order 64 or beyond, is read
-    instead of computing them again; shorter counts are not.
+    for every d and agrees with series_value.  decay_base is
+    `kesten_decay_base`.  ``loops``, the `kesten_loops` of F_d through order
+    64 or beyond, is read instead of computing them again; shorter counts
+    are not.
     """
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
@@ -265,23 +293,17 @@ def kesten_green(d: int, z: complex, loops: LoopCounts | None = None) -> KestenG
         raise ValueError(
             f"|z|={abs(z):.4f} outside the series radius guard {0.9 / (2 * d):.4f}"
         )
-    numerator = -(d - 1) + d * np.sqrt(1.0 - 4.0 * (2 * d - 1) * z * z)
+    import cmath  # here, not at the top: importing the CLI loads no cmath
+
+    numerator = -(d - 1) + d * cmath.sqrt(1.0 - 4.0 * (2 * d - 1) * z * z)
     closed = numerator / (1.0 - 16.0 * z * z)
     general = numerator / (1.0 - 4.0 * d * d * z * z)
-    if loops is not None and loops.group != f"F_{d}":
-        raise ValueError(f"loops count walks on {loops.group}, not on F_{d}")
-    if loops is None or len(loops.values) <= _KESTEN_SERIES_ORDER:
-        loops = kesten_loops(d, _KESTEN_SERIES_ORDER)
+    loops = _series_loops(d, loops)
     values = loops.values[: _KESTEN_SERIES_ORDER + 1]
     series = complex(sum(lam * z**n for n, lam in enumerate(values)))
-    deg = 2 * d
-    k2 = _KESTEN_SERIES_ORDER // 2 - 1
-    k1 = k2 - 1
-    ratio = [values[2 * k + 2] / (values[2 * k] * deg * deg) for k in (k1, k2)]
-    extrapolated = k2 * ratio[1] - k1 * ratio[0]
     return KestenGreen(
         closed_form_value=complex(closed),
         series_value=series,
-        decay_base=float(math.sqrt(extrapolated)),
+        decay_base=kesten_decay_base(d, loops),
         general_closed_form_value=complex(general),
     )

@@ -1,4 +1,4 @@
-"""Earlier forms of three exact-layer routines, kept as oracles.
+"""Earlier forms of exact-layer routines, kept as oracles.
 
 The library computes these in fewer operations now; the tests require the
 same values (and, for floats, the same bits) from both:
@@ -15,11 +15,15 @@ same values (and, for floats, the same bits) from both:
 * ``moments_per_order``: a measure's moments by two sums per order, over
   its point masses and over its density's nodes (the library sums one power
   table per node set).
+* ``marchenko_pastur_moments``: the Marchenko-Pastur law's exact moments by
+  the free moment-cumulant recursion on its cumulants lam alpha^n (the
+  library takes the Narayana sum).
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -135,3 +139,10 @@ def moments_per_order(mu, n_max: int) -> np.ndarray:
                 scaled = float(np.sum(w * (p / s) ** n)) + float(np.sum(tw * (t / s) ** n))
                 out[i] = np.float64(s) ** n * scaled if scaled else 0.0
     return out
+
+
+def marchenko_pastur_moments(order: int, lam: float, alpha: float) -> list:
+    """m_1..m_order of Marchenko-Pastur(lam, alpha), as Fractions of the float
+    parameters, from its free cumulants kappa_n = lam alpha^n."""
+    lam, alpha = Fraction(lam), Fraction(alpha)
+    return free_moments_from_cumulants([lam * alpha**n for n in range(1, order + 1)])

@@ -459,11 +459,12 @@ def test_zero_density_with_missing_mass_is_a_numerical_failure(capsys, monkeypat
     assert doc["result"]["density"]["atoms"] == [[0.5, 0.5], [2.5, 0.5]]
     assert doc["diagnostics"]["output_moment_error"] == 0
 
-    # Bernoulli boxplus Bernoulli has no atom, so a zero density loses it all
-    def zero_density(G, hint, grid_size, eps):
-        return measures.Measure(support=hint, samples=np.zeros(grid_size), normalize=False)
+    # Bernoulli boxplus Bernoulli has no atom, so a zero density loses it all;
+    # a real G inverts to one
+    def real_transform(zs, *args, **kwargs):
+        return np.zeros(zs.shape, dtype=np.complex128)
 
-    monkeypatch.setattr(cli.freeconv, "stieltjes_invert", zero_density)
+    monkeypatch.setattr(cli.freeconv, "_subordinate", real_transform)
     argv = ["freeconv", "--law-x", "bernoulli", "--law-y", "bernoulli",
             "--route", "analytic", "--grid-size", "128"]
     assert cli.run(argv) == 3
@@ -500,13 +501,33 @@ def _fresh_interpreter(code: str) -> str:
 def test_cli_import_loads_only_what_the_cli_runs():
     # every process pays for its imports: scipy, the thread pool and the
     # models of freeness serve no command, and the records need no
-    # dataclasses (nor the csv writer or cmath); numpy's random, polynomial
-    # and fft packages load only where a command uses them
+    # dataclasses (nor the csv writer or cmath); numpy loads only where a
+    # command uses it
     unwanted = ("scipy", "concurrent.futures", "freeprob.models", "dataclasses", "csv", "cmath",
-                "numpy.random", "numpy.polynomial", "numpy.fft", "secrets")
+                "numpy", "secrets")
     code = ("import sys, freeprob.cli; "
             f"print(sorted(m for m in sys.modules if m.startswith({unwanted!r})))")
     assert _fresh_interpreter(code) == "[]"
+
+
+@pytest.mark.parametrize("argv,loads_numpy", [
+    (["kesten", "--d", "3", "--nmax", "120"], False),
+    (["cumulants", "--moments", "1,2,3,4,5,6,7,8,9"], False),
+    (["wick", "--n", "14", "--N", "5"], False),
+    (["weingarten", "--perm", "2,3,4,5,6,1", "--N", "9"], False),
+    (["freeconv", "--law-x", "semicircle", "--law-y", "marchenko_pastur:lam=0.5",
+      "--route", "moments"], False),
+    (["freeconv", "--moments-x", "0,1,0,2", "--moments-y", "1,2,5,14", "--route", "moments"],
+     False),
+    (["polya", "--d", "3", "--nmax", "200"], True),
+], ids=["kesten", "cumulants", "wick", "weingarten", "freeconv-laws", "freeconv-lists", "polya"])
+def test_exact_subcommands_never_load_numpy(argv, loads_numpy):
+    # the exact subcommands compute in Fractions and ints; numpy loads on the
+    # first use of the lazy `np`, as polya shows, and none needs cmath
+    code = ("import contextlib, io, sys; from freeprob import cli\n"
+            f"with contextlib.redirect_stdout(io.StringIO()): code = cli.run({argv!r})\n"
+            "print(code, 'numpy' in sys.modules, 'cmath' in sys.modules)")
+    assert _fresh_interpreter(code).split() == ["0", str(loads_numpy), "False"]
 
 
 def test_models_import_without_scipy():

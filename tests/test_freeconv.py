@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freeprob import freeconv
+from freeprob import freeconv, measures
 from freeprob.freeconv import (
     ContinuationError,
     SolverCounters,
@@ -470,6 +470,30 @@ def test_closed_form_inputs_convolve_their_exact_moments(monkeypatch, x, y):
     exact = free_convolve_moments(named_moments(x[0], 6, **x[1]), named_moments(y[0], 6, **y[1]))
     assert max(abs(a - float(b)) / max(1.0, abs(b)) for a, b in zip(res.moments, exact)) < 1e-14
     assert abs(res.measure.total_mass() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("x,y", [
+    (("arcsine", {}), ("arcsine", {})),
+    (("marchenko_pastur", {"lam": 1.0}), ("bernoulli", {})),
+    (("point", {"c": 1.5}), ("marchenko_pastur", {"lam": 0.25})),  # an atom and a density
+])
+def test_analytic_output_measure_is_built_once(monkeypatch, x, y):
+    # the inversion builds the output, atoms included and normalised, and the
+    # mass defect is read from that one build
+    builds = []
+    init = measures.Measure.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(kwargs)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(measures.Measure, "__init__", counted)
+    res = free_convolve_analytic(named_input(x[0], **x[1]), named_input(y[0], **y[1]),
+                                 grid_size=64)
+    assert len(builds) == 1
+    assert abs(res.measure.total_mass() - 1.0) < 1e-12
+    assert res.mass_defect == 1.0 - res.measure.raw_mass
+    assert abs(res.mass_defect) < 1e-2
 
 
 def test_evaluator_handed_in_replaces_the_inputs_own():

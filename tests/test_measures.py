@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exact_oracles import moments_per_order
+from exact_oracles import marchenko_pastur_moments, moments_per_order
 from freeprob import _kernels, series
 from freeprob.measures import (
     InversionError,
@@ -67,6 +67,15 @@ def test_density_and_exact_moments_describe_one_law(law, params):
     exact = named_moments(law, 6, **params)
     for got, m in zip(grid, exact):
         assert abs(got - float(m)) <= 1e-5 * max(1.0, abs(float(m)))
+
+
+@pytest.mark.parametrize("lam,alpha", [
+    (1.0, 1.0), (0.5, 1.0), (2.0, 0.5), (0.3, 1.7), (1e-6, 3.1), (1e6, 1e-3), (0.1, 7.0),
+])
+def test_marchenko_pastur_narayana_sum_is_the_cumulant_recursion(lam, alpha):
+    got = named_moments("marchenko_pastur", 24, lam=lam, alpha=alpha)
+    assert all(type(m) is Fraction for m in got)
+    assert got == marchenko_pastur_moments(24, lam, alpha)
 
 
 def test_sato_tate_has_no_exact_moments():
@@ -251,6 +260,27 @@ def test_stieltjes_invert_needs_a_vectorised_transform():
 def test_stieltjes_invert_rejects_non_herglotz_input():
     with pytest.raises(InversionError):
         stieltjes_invert(lambda w: 1j * abs(w), (-1, 1))
+
+
+def test_stieltjes_invert_normalises_and_keeps_the_raw_mass():
+    # half a semicircle's transform, alone and beside an atom of mass 1/2 at 3
+    sc = make_named("semicircle")
+    half = lambda w: 0.5 * cauchy(sc, w)
+    alone = stieltjes_invert(half, (-2.2, 2.2), grid_size=256)
+    assert abs(alone.total_mass() - 1.0) < 1e-12
+    assert abs(alone.raw_mass - 0.5) < 1e-3
+    rec = stieltjes_invert(half, (-2.2, 2.2), grid_size=256, atoms=((3.0, 0.5),))
+    assert rec.atoms == ((3.0, 0.5),)
+    assert abs(rec.total_mass() - 1.0) < 1e-12
+    assert rec.raw_mass == 0.5 + alone.raw_mass
+
+
+def test_stieltjes_invert_rejects_a_zero_density_that_leaves_mass_missing():
+    real = lambda w: np.zeros(w.shape, dtype=np.complex128)
+    with pytest.raises(InversionError, match="so mass 0.25 is missing"):
+        stieltjes_invert(real, (-1, 1), atoms=((0.0, 0.75),))
+    # atoms of unit mass need no density
+    assert stieltjes_invert(real, (-1, 1), atoms=((0.0, 1.0),)).raw_mass == 1.0
 
 
 def test_csv_has_grid_rows():

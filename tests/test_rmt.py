@@ -10,12 +10,11 @@ import numpy as np
 import pytest
 
 from freeprob import rmt
-from freeprob.partitions import Permutation
+from freeprob.partitions import Permutation, is_geodesic
 from freeprob.rmt import (
     EnsembleSpec,
     MCEstimate,
     freeness_experiment,
-    geodesic_order_assembly,
     mc_word_moment,
     sample,
     weingarten_series,
@@ -226,6 +225,58 @@ def test_freeness_experiment_validation():
         freeness_experiment("rotated_diagonal", 21, 20, 4)  # N must be even
 
 
+def contraction_cycles(rho: Permutation, sigma: Permutation) -> list[int]:
+    """Lengths of the cycles whose traces make up the index contraction of the
+    gluing (rho, sigma) in E tr[(U D U* D)^2].
+
+    The row gluing rho ties the indices of D around the cycles of rho gamma,
+    gamma the trace 2-cycle, and the column gluing sigma ties them around the
+    cycles of sigma, so the contraction is T(N) = prod_k tr D^k over these
+    lengths k.
+    """
+    return [len(c) for c in (rho * Permutation.full_cycle(2)).cycles() + sigma.cycles()]
+
+
+def geodesic_order_assembly() -> tuple:
+    """Order-N^0 part of E tr[(U D U* D)^2], summed two ways.
+
+    D is the diagonal alternating 1, 2 (deliberately non-centred so every
+    order-N^0 term is non-zero).  The unitary expectation expands over row
+    and column gluings (rho, sigma) in S(2) x S(2); each pair contributes an
+    index-contraction polynomial
+
+        T(N) = prod_{c in cyc(rho gamma)} t_|c|(N) prod_{c in cyc(sigma)} t_|c|(N),
+
+    t_k(N) = tr D^k = N (1 + 2^k)/2 at even N, so T has degree
+    #cyc(rho gamma) + #cyc(sigma) and leading coefficient the product of the
+    (1 + 2^|c|)/2.  It is multiplied by the leading Weingarten weight
+    a(sigma rho^{-1}) N^{-2-|sigma rho^{-1}|}, with one more 1/N from the
+    normalized trace.  Returns the order-N^0 sum over all pairs and the same
+    sum restricted to pairs on a Cayley geodesic id -> sigma -> rho ->
+    gamma^{-1}, gamma the trace 2-cycle.  The two agree: off-geodesic pairs
+    only enter at negative powers.  (Both equal 99/16, the free-product value
+    tau(abab) = m2 m1^2 + m1^2 m2 - m1^4 at m1 = 3/2, m2 = 5/2.)
+    """
+    perms = [Permutation.identity(2), Permutation.transposition(2, 1, 2)]
+    gamma_inv = Permutation.full_cycle(2).inverse()
+    total_all = Fraction(0)
+    total_geo = Fraction(0)
+    for rho in perms:
+        for sig in perms:
+            lengths = contraction_cycles(rho, sig)
+            wg_pi = sig * rho.inverse()
+            order = len(lengths) - (2 + wg_pi.cayley_distance) - 1
+            if order > 0:
+                raise AssertionError("contraction exceeds order N^0; wiring bug")
+            if order == 0:
+                lead = math.prod(Fraction(1 + 2**k, 2) for k in lengths)
+                term = lead * weingarten_series(wg_pi).leading
+                total_all += term
+                if is_geodesic(sig, rho, gamma_inv):
+                    total_geo += term
+    return total_all, total_geo
+
+
 def test_geodesic_order_assembly_sums_match():
     full, geo = geodesic_order_assembly()
     assert full == Fraction(99, 16)
@@ -257,7 +308,7 @@ def test_contraction_is_a_product_of_traces_over_cycles(nn):
     for rho in perms:
         for sig in perms:
             # tr D^k = nn (1 + 2^k) / 2 for even nn
-            traces = [Fraction(nn * (1 + 2**k), 2) for k in rmt._contraction_cycles(rho, sig)]
+            traces = [Fraction(nn * (1 + 2**k), 2) for k in contraction_cycles(rho, sig)]
             assert brute_contraction(rho, sig, nn) == math.prod(traces)
 
 

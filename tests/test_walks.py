@@ -15,6 +15,7 @@ from freeprob.walks import (
     LoopCounts,
     ReturnProbabilities,
     first_return,
+    kesten_decay_base,
     kesten_green,
     kesten_loops,
     loops_lattice,
@@ -384,3 +385,15 @@ def test_kesten_green_rejects_loop_counts_of_another_walk():
     for loops in (kesten_loops(2, 64), loops_lattice(3, 64)):
         with pytest.raises(ValueError, match="not on F_3"):
             kesten_green(3, 0.01, loops)
+        with pytest.raises(ValueError, match="not on F_3"):
+            kesten_decay_base(3, loops)
+
+
+@pytest.mark.parametrize("d", [2, 3, 7])
+def test_kesten_decay_base_is_the_one_kesten_green_reports(d):
+    loops = kesten_loops(d, 120)
+    base = kesten_decay_base(d, loops)
+    assert base == kesten_decay_base(d) == kesten_green(d, 0.01, loops).decay_base
+    assert abs(base - math.sqrt(2 * d - 1) / d) < 5e-3
+    with pytest.raises(ValueError, match="d must be >= 2"):
+        kesten_decay_base(1)
