@@ -37,21 +37,22 @@ The last occurrence of an option wins.  ``-h``, ``--help`` or a prefix of it
 prints the help of the program or of the command on stdout, with exit code 0.
 A parse error exits 2 with a usage line on stderr.
 
-freeconv's analytic route reads each law with a closed form (all but
-sato_tate) from the law itself, with no grid cells: its atoms, support,
-exact moments and closed-form G.  sato_tate enters as its cell measure on
---grid-size points.  ``moments_quadrature`` is the float free moment-cumulant
-recursion run on the inputs' moments m_1..m_n, n the smaller of --order and
-6: a closed-form law's exact moments rounded to floats, so that
-``route_agreement`` reads about 0 for a pair of such laws, and sato_tate's
-quadrature moments on its cells.  An entry that the recursion cannot
-determine (past the float range) is null.
+freeconv's analytic route reads each named law from its record in
+`measures` (`measures.named_input`), with no grid cells: its atoms, support,
+exact moments and closed-form G.  A law without a closed-form G enters as
+its cell measure on --grid-size points.  ``moments_quadrature`` is the float
+free moment-cumulant recursion run on the inputs' moments m_1..m_n, n the
+smaller of --order and 6: a closed-form law's exact moments rounded to
+floats, so that ``route_agreement`` reads about 0 for a pair of such laws,
+and a cell measure's quadrature moments.  An entry that the recursion
+cannot determine (past the float range) is null.
 
 numpy loads on first use (see `freeprob._numpy`), so the subcommands that
 compute in Fractions and ints never load it: ``kesten``, ``cumulants``,
-``wick``, ``weingarten`` and ``freeconv --route moments`` on laws with a
-closed form or on moment lists.  ``polya``, ``flow``, ``rmt``, the analytic
-route and sato_tate's moments, which come from its cells, do.
+``wick``, ``weingarten`` and ``freeconv --route moments`` on laws with exact
+cumulants or on moment lists.  ``polya``, ``flow``, ``rmt``, the analytic
+route and the moments of a law without exact ones, which come from its
+cells, do.
 
 Settings resolve in the order: built-in default < FREEPROB_SEED environment
 variable (seed only) < --config key=value file < explicit flags.  The file is
@@ -406,8 +407,9 @@ def _worst_error(got: list, exact: list, relative: bool) -> float:
 
 
 def _law_input(tag: str, params: dict, grid_size: int):
-    """The analytic route's input of a named law: its closed form, else its
-    cell measure on ``grid_size`` points."""
+    """The analytic route's input of a named law: its record's closed form,
+    else, for a law without a closed-form G, its cell measure on
+    ``grid_size`` points."""
     return measures.named_input(tag, **params) or measures.make_named(tag, grid_size, **params)
 
 
@@ -426,7 +428,7 @@ def _cmd_freeconv(args) -> str:
             for text in (args.law_x, args.law_y)]
     inputs = None
     if analytic_wanted:
-        # a law with a closed form enters as itself, sato_tate as its cell
+        # a law with a closed form enters as itself, one without as its cell
         # measure; mu boxplus mu: one input serves both sides
         first = _law_input(*laws[0], args.grid_size)
         inputs = [first, first if laws[1] == laws[0] else _law_input(*laws[1], args.grid_size)]

@@ -39,11 +39,12 @@ Each input is a `measures.LawInput`: its atoms, the support of its
 density, its low moments and its (G, G') evaluator.  Those give the
 inversion's support hint, the output's atoms, the start's mean and variance,
 the moments of the output by the float recursion, and every value of G the
-solve reads.  A named law with a closed form gives them from the law itself
-(`measures.named_input`): exact moments, and the closed forms of
-`measures.named_cauchy`, which cost a few operations per point where the
-cell kernel sums every grid cell.  A `Measure` gives them from its own
-quadrature: its moments (`measures.moments`) and the cell kernel
+solve reads.  A named law with a closed-form G gives them from its record
+(`measures.named_input`): exact moments, and that G (for a law of atoms
+alone, the pole sum of its atoms), which costs a few operations per point
+where the cell kernel sums every grid cell.  A law without a closed-form G
+enters as its cell `Measure`, which gives them from its own quadrature: its
+moments (`measures.moments`) and the cell kernel
 (`measures.cauchy_evaluator`), or an evaluator handed in.
 
 The semicircle flow f_mu(s) = mu boxplus (semicircle of variance s) satisfies
@@ -76,7 +77,6 @@ __all__ = [
     "free_convolve_cumulants",
     "free_convolve_moments",
     "free_convolve_analytic",
-    "convolved_cauchy",
     "free_poisson",
     "free_clt",
     "semicircle_flow_residual",
@@ -304,16 +304,6 @@ def _subordinate(
             len(failed),
         )
     return out
-
-
-def convolved_cauchy(mu_x: Measure, mu_y: Measure, z) -> complex:
-    """G of mu_x boxplus mu_y at one point z (Im z > 0), by subordination."""
-    z = complex(z)
-    if z.imag <= 0:
-        raise ValueError("convolved_cauchy needs Im z > 0")
-    solved = _subordinate(
-        np.array([z]), cauchy_evaluator(mu_x), cauchy_evaluator(mu_y), SolverCounters())
-    return complex(solved[0])
 
 
 def _as_input(mu, cauchy=None) -> LawInput:

@@ -10,35 +10,34 @@ trapezoid rule on a fractional power.  Interior cells use plain trapezoid
 weights for real integrals and an exact piecewise-linear formula for the
 Cauchy transform, which stays accurate for Im z far below the grid spacing.
 
-Named laws, with their parameters and defaults in one table: semicircle(r=2),
-arcsine, bernoulli, marchenko_pastur(lam=1, alpha=1), sato_tate, point(c=0).
-`resolve_law` checks a law's parameters.  The table's other columns are:
+Named laws live in one table, `_LAWS`, which maps each tag to its
+parameters' defaults and to the factory of its record, `_Law`: semicircle
+(r=2), arcsine, bernoulli, marchenko_pastur (lam=1, alpha=1), sato_tate and
+point (c=0).  `resolve_law` checks the parameters.  At them a record holds
+the law's atoms, the support of its density (None without one) and these
+columns, each None where the law has none:
 
-* `make_named`: the gridded cell density and its edge model;
-* `named_moments`: the exact Fraction moments;
-* `named_cumulants`: the exact Fraction free cumulants;
-* `named_cauchy`: a (G, G') evaluator.  Semicircle, arcsine and
-  Marchenko-Pastur have closed forms in the root s = sqrt(z - a) sqrt(z - b)
-  of their support [a, b], a product of principal roots, so the cut is the
-  support and s ~ z at infinity.  Each is written so that nothing cancels far
-  from the support: semicircle G = 2/(z + s), arcsine G = 1/s, and
-  Marchenko-Pastur G = 2/(z + alpha(1 - lam) + s) (or its conjugate form near
-  its atom at 0).  Bernoulli and point masses have none: their own
-  `cauchy_evaluator` is already an exact pole sum.  Sato-Tate has no
-  elementary G, so it has no evaluator and no rational moments or cumulants;
-* `named_input`: the law as an input of the analytic route (`LawInput`):
-  atoms, support, exact moments as floats and (G, G') evaluator, the pole
-  sum `_kernels.pole_sum` for Bernoulli and point masses.  None for
-  Sato-Tate, which enters that route as its cell measure.
+* ``density``: the density on a grid and its edge model (`make_named`);
+* ``moment``, ``cumulant``: the exact moments and free cumulants, as
+  Fractions of the float parameters (`named_moments`, `named_cumulants`);
+* ``cauchy``: the closed-form (G, G') evaluator (`named_cauchy`), written in
+  the root s = sqrt(z - a) sqrt(z - b) of the support [a, b], a product of
+  principal roots, so the cut is the support and s ~ z at infinity, and so
+  that nothing cancels far from the support: semicircle G = 2/(z + s),
+  arcsine G = 1/s, Marchenko-Pastur G = 2/(z + alpha(1 - lam) + s) or its
+  conjugate form near its atom at 0.
+
+`named_input` reads a record as an input of the analytic route (`LawInput`):
+a law without a density enters as the pole sum of its atoms, and a law
+with a density but no ``cauchy`` has none.
 
 A `Measure` is built once into the one form that its Cauchy transform,
 moments and mass are read from: point masses ``_weights`` at ``_poles`` (the
 atoms, then the nodes of the singular edge bands), the density's nodes
 ``_t``, ``_f`` between the bands (empty without a density) and their
-trapezoid weights ``_tw``.  Any measure's
-own evaluator is `cauchy_evaluator`, the kernel `_kernels.cauchy_many` on
-that form.  An evaluator maps a 1-d complex array z to the arrays
-(G(z), G'(z)).
+trapezoid weights ``_tw``.  Any measure's own evaluator is
+`cauchy_evaluator`, the kernel `_kernels.cauchy_many` on that form.  An
+evaluator maps a 1-d complex array z to the arrays (G(z), G'(z)).
 """
 
 from __future__ import annotations
@@ -68,21 +67,6 @@ __all__ = [
     "to_csv",
     "support_radius",
 ]
-
-# Each named law's parameters and their defaults.
-_LAW_PARAMS = {
-    "semicircle": {"r": 2.0},
-    "arcsine": {},
-    "bernoulli": {},
-    "marchenko_pastur": {"lam": 1.0, "alpha": 1.0},
-    "sato_tate": {},
-    "point": {"c": 0.0},
-}
-_POSITIVE = ("r", "lam", "alpha")  # parameters that must exceed 0
-# ... and lie in this range: far outside it the cell densities under- or
-# overflow (r = 1e-300 squares to 0; at r = 1e-150 the edge bands overflow)
-_RANGE = (1e-100, 1e100)
-NAMED_TAGS = tuple(_LAW_PARAMS)
 
 
 class InversionError(RuntimeError):
@@ -239,15 +223,156 @@ class Measure:
         return float(self._weights.sum()) + float(self._tw.sum())
 
 
+class _Law(NamedTuple):
+    """A named law at resolved parameters: one column per field, None where
+    the law has no such column (see the module docstring)."""
+
+    atoms: tuple
+    support: tuple | None
+    density: Callable | None
+    moment: Callable | None
+    cumulant: Callable | None
+    cauchy: Callable | None
+
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+def _edge_root(z, a: float, b: float):
+    """sqrt(z - a) sqrt(z - b) with principal roots: cut on [a, b], ~ z at infinity."""
+    return np.sqrt(z - a) * np.sqrt(z - b)
+
+
+def _catalan_cumulant(scale: int) -> Callable:
+    """kappa_2k = scale (-1)^(k-1) Cat(k-1), no odd ones: the free cumulants of
+    Bernoulli (scale 1) and of arcsine = Bernoulli boxplus Bernoulli (2)."""
+    return lambda n: _ZERO if n % 2 else Fraction(
+        scale * (-1) ** (n // 2 - 1) * math.comb(n - 2, n // 2 - 1) // (n // 2))
+
+
+def _semicircle(r: float) -> _Law:
+    half = Fraction(r) / 2
+    variance = half**2
+
+    def density(t):
+        dens = (2.0 / (math.pi * r * r)) * np.sqrt(np.maximum(r * r - t * t, 0.0))
+        return dens, ("sqrt", "sqrt")
+
+    def cauchy(z):
+        s = _edge_root(z, -r, r)
+        g = 2.0 / (z + s)
+        return g, -g / s
+
+    return _Law((), (-r, r), density,
+                lambda n: _ZERO if n % 2 else half**n * (math.comb(n, n // 2) // (n // 2 + 1)),
+                lambda n: variance if n == 2 else _ZERO, cauchy)
+
+
+def _arcsine_density(t):
+    dens = np.zeros_like(t)
+    inner = slice(1, -1)
+    dens[inner] = 1.0 / (math.pi * np.sqrt(4.0 - t[inner] ** 2))
+    return dens, ("invsqrt", "invsqrt")
+
+
+def _arcsine_cauchy(z):
+    g = 1.0 / _edge_root(z, -2.0, 2.0)
+    return g, -z * g**3
+
+
+def _arcsine() -> _Law:
+    return _Law((), (-2.0, 2.0), _arcsine_density,
+                lambda n: _ZERO if n % 2 else Fraction(math.comb(n, n // 2)),
+                _catalan_cumulant(2), _arcsine_cauchy)
+
+
+def _bernoulli() -> _Law:
+    return _Law(((-1.0, 0.5), (1.0, 0.5)), None, None, lambda n: _ZERO if n % 2 else _ONE,
+                _catalan_cumulant(1), None)
+
+
+def _point(c: float) -> _Law:
+    c_q = Fraction(c)
+    return _Law(((c, 1.0),), None, None, lambda n: c_q**n,
+                lambda n: c_q if n == 1 else _ZERO, None)
+
+
+def _marchenko_pastur(lam: float, alpha: float) -> _Law:
+    a, b = alpha * (1.0 - math.sqrt(lam)) ** 2, alpha * (1.0 + math.sqrt(lam)) ** 2
+    shift = alpha * (1.0 - lam)
+    left = "invsqrt" if abs(lam - 1.0) < 1e-12 else "sqrt"
+    lam_q, alpha_q = Fraction(lam), Fraction(alpha)
+    (p, q), (u, v) = lam.as_integer_ratio(), alpha.as_integer_ratio()
+
+    def density(t):
+        rad = 4.0 * lam * alpha * alpha - (t - alpha * (1.0 + lam)) ** 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dens = np.sqrt(np.maximum(rad, 0.0)) / (2.0 * math.pi * alpha * t)
+        dens[~np.isfinite(dens)] = 0.0
+        dens[dens < 0.0] = 0.0
+        if left == "invsqrt":
+            dens[0] = 0.0
+        return dens, (left, "sqrt")
+
+    def moment(n):
+        # the Narayana sum m_n = alpha^n sum_k N(n, k) lam^k, N(n, k) =
+        # C(n, k) C(n, k - 1) / n, over the common denominator (q v)^n of
+        # lam = p/q and alpha = u/v
+        return Fraction(u**n * sum(math.comb(n, k) * math.comb(n, k - 1) // n * p**k * q ** (n - k)
+                                   for k in range(1, n + 1)), (q * v) ** n)
+
+    def cauchy(z):
+        # G = (w - s)/(2 alpha z) = 2/(w + s), as (w - s)(w + s) = 4 alpha z;
+        # take the form whose denominator does not cancel (w - s near the
+        # atom at 0 when lam < 1, w + s elsewhere), each only where taken
+        s = _edge_root(z, a, b)
+        w = z + shift
+        plus, minus = w + s, w - s
+        near = np.abs(plus) < np.abs(minus)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = 2.0 / plus
+            if near.any():
+                g[near] = minus[near] / (2.0 * alpha * z[near])
+        return g, g * (alpha * g - 1.0) / s
+
+    return _Law(((0.0, 1.0 - lam),) if lam < 1.0 else (), (a, b), density, moment,
+                lambda n: lam_q * alpha_q**n, cauchy)
+
+
+def _sato_tate_density(t):
+    return (2.0 / math.pi) * np.sin(t) ** 2, ("regular", "regular")
+
+
+def _sato_tate() -> _Law:
+    return _Law((), (0.0, math.pi), _sato_tate_density, None, None, None)
+
+
+# Each tag's record factory, called with the resolved parameters, and their defaults
+_LAWS = {
+    "semicircle": (_semicircle, {"r": 2.0}),
+    "arcsine": (_arcsine, {}),
+    "bernoulli": (_bernoulli, {}),
+    "marchenko_pastur": (_marchenko_pastur, {"lam": 1.0, "alpha": 1.0}),
+    "sato_tate": (_sato_tate, {}),
+    "point": (_point, {"c": 0.0}),
+}
+NAMED_TAGS = tuple(_LAWS)
+_POSITIVE = ("r", "lam", "alpha")  # parameters that must exceed 0
+# ... and lie in this range: far outside it the cell densities under- or
+# overflow (r = 1e-300 squares to 0; at r = 1e-150 the edge bands overflow)
+_RANGE = (1e-100, 1e100)
+
+
 def resolve_law(law: str, **params) -> dict:
     """A named law's parameters as floats, defaults filled in and checked.
 
     >>> resolve_law("marchenko_pastur", lam=0.5)
     {'lam': 0.5, 'alpha': 1.0}
     """
-    defaults = _LAW_PARAMS.get(law)
-    if defaults is None:
+    entry = _LAWS.get(law)
+    if entry is None:
         raise ValueError(f"unknown law {law!r}; expected one of {NAMED_TAGS}")
+    defaults = entry[1]
     extra = sorted(set(params) - set(defaults))
     if extra:
         raise ValueError(f"unexpected parameters for {law}: {extra}")
@@ -263,173 +388,50 @@ def resolve_law(law: str, **params) -> dict:
     return p
 
 
-def _mp_support(lam: float, alpha: float) -> tuple:
-    """Ends of the Marchenko-Pastur density's support."""
-    return alpha * (1.0 - math.sqrt(lam)) ** 2, alpha * (1.0 + math.sqrt(lam)) ** 2
-
-
-def _atoms_and_support(law: str, p: dict) -> tuple:
-    """A named law's atoms ((location, mass), ...) and the ends of its
-    density's support (None without a density), from its resolved
-    parameters ``p``."""
-    if law == "bernoulli":
-        return ((-1.0, 0.5), (1.0, 0.5)), None
-    if law == "point":
-        return ((p["c"], 1.0),), None
-    if law == "semicircle":
-        return (), (-p["r"], p["r"])
-    if law == "arcsine":
-        return (), (-2.0, 2.0)
-    if law == "sato_tate":
-        return (), (0.0, math.pi)
-    lam = p["lam"]  # marchenko_pastur
-    return ((0.0, 1.0 - lam),) if lam < 1.0 else (), _mp_support(lam, p["alpha"])
+def _law(law: str, params: dict) -> _Law:
+    """The record of a named law at its parameters, resolved and checked."""
+    p = resolve_law(law, **params)  # before the lookup: it names an unknown law
+    return _LAWS[law][0](**p)
 
 
 def make_named(law: str, grid_size: int = 2048, **params) -> Measure:
-    """A named law's density sampled on `grid_size` points, with its edge model."""
-    p = resolve_law(law, **params)
+    """A named law's atoms and density on `grid_size` points, with its edge model."""
+    rec = _law(law, params)
     if grid_size < 64:
         raise ValueError("grid_size must be at least 64")
-    atoms, support = _atoms_and_support(law, p)
-    if support is None:
-        return Measure(atoms=atoms)
-    t = np.linspace(*support, grid_size)
-    edges = ("regular", "regular")
-
-    if law == "semicircle":
-        r = p["r"]
-        dens = (2.0 / (math.pi * r * r)) * np.sqrt(np.maximum(r * r - t * t, 0.0))
-        edges = ("sqrt", "sqrt")
-    elif law == "arcsine":
-        dens = np.zeros_like(t)
-        inner = slice(1, -1)
-        dens[inner] = 1.0 / (math.pi * np.sqrt(4.0 - t[inner] ** 2))
-        edges = ("invsqrt", "invsqrt")
-    elif law == "marchenko_pastur":
-        lam, alpha = p["lam"], p["alpha"]
-        rad = 4.0 * lam * alpha * alpha - (t - alpha * (1.0 + lam)) ** 2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dens = np.sqrt(np.maximum(rad, 0.0)) / (2.0 * math.pi * alpha * t)
-        dens[~np.isfinite(dens)] = 0.0
-        dens[dens < 0.0] = 0.0
-        left = "invsqrt" if abs(lam - 1.0) < 1e-12 else "sqrt"
-        if left == "invsqrt":
-            dens[0] = 0.0
-        edges = (left, "sqrt")
-    else:  # sato_tate
-        dens = (2.0 / math.pi) * np.sin(t) ** 2
-    return Measure(atoms=atoms, support=support, samples=dens, edges=edges)
+    if rec.density is None:
+        return Measure(atoms=rec.atoms)
+    samples, edges = rec.density(np.linspace(*rec.support, grid_size))
+    return Measure(atoms=rec.atoms, support=rec.support, samples=samples, edges=edges)
 
 
 def named_moments(law: str, order: int, **params) -> list | None:
     """Exact moments m_1..m_order of a named law, as Fractions of its float
-    parameters; None for sato_tate, whose moments are not rational.
+    parameters; None for a law without them.
 
     >>> [str(m) for m in named_moments("arcsine", 6)]
     ['0', '2', '0', '6', '0', '20']
     """
-    p = resolve_law(law, **params)
-    ns = range(1, order + 1)
-    if law == "bernoulli":
-        return [Fraction(0 if n % 2 else 1) for n in ns]
-    if law == "arcsine":
-        return [Fraction(0 if n % 2 else math.comb(n, n // 2)) for n in ns]
-    if law == "point":
-        return [Fraction(p["c"]) ** n for n in ns]
-    if law == "semicircle":
-        half = Fraction(p["r"]) / 2
-        return [Fraction(0) if n % 2 else half**n * (math.comb(n, n // 2) // (n // 2 + 1)) for n in ns]
-    if law == "marchenko_pastur":
-        # the Narayana sum m_n = alpha^n sum_k N(n, k) lam^k, N(n, k) =
-        # C(n, k) C(n, k - 1) / n, over the common denominator (b d)^n of
-        # lam = a/b and alpha = c/d
-        a, b = Fraction(p["lam"]).as_integer_ratio()
-        c, d = Fraction(p["alpha"]).as_integer_ratio()
-        return [Fraction(c**n * sum(math.comb(n, k) * math.comb(n, k - 1) // n * a**k * b ** (n - k)
-                                    for k in range(1, n + 1)), (b * d) ** n)
-                for n in ns]
-    return None  # sato_tate
+    moment = _law(law, params).moment
+    return None if moment is None else [moment(n) for n in range(1, order + 1)]
 
 
 def named_cumulants(law: str, order: int, **params) -> list | None:
     """Exact free cumulants kappa_1..kappa_order of a named law, as Fractions
-    of its float parameters; None for sato_tate.
-
-    Bernoulli has kappa_2n = (-1)^(n-1) Cat(n-1) and no odd cumulants, and
-    arcsine = Bernoulli boxplus Bernoulli has twice those.
+    of its float parameters; None for a law without them.
 
     >>> [str(k) for k in named_cumulants("bernoulli", 8)]
     ['0', '1', '0', '-1', '0', '2', '0', '-5']
     """
-    p = resolve_law(law, **params)
-    ns = range(1, order + 1)
-    zero = Fraction(0)
-    if law in ("bernoulli", "arcsine"):
-        scale = 2 if law == "arcsine" else 1
-        return [zero if n % 2 else
-                Fraction(scale * (-1) ** (n // 2 - 1) * math.comb(n - 2, n // 2 - 1) // (n // 2))
-                for n in ns]
-    if law == "point":
-        return [Fraction(p["c"]) if n == 1 else zero for n in ns]
-    if law == "semicircle":
-        return [(Fraction(p["r"]) / 2) ** 2 if n == 2 else zero for n in ns]
-    if law == "marchenko_pastur":
-        lam, alpha = Fraction(p["lam"]), Fraction(p["alpha"])
-        return [lam * alpha**n for n in ns]
-    return None  # sato_tate
-
-
-def _edge_root(z, a: float, b: float):
-    """sqrt(z - a) sqrt(z - b) with principal roots: cut on [a, b], ~ z at infinity."""
-    return np.sqrt(z - a) * np.sqrt(z - b)
+    cumulant = _law(law, params).cumulant
+    return None if cumulant is None else [cumulant(n) for n in range(1, order + 1)]
 
 
 def named_cauchy(law: str, **params) -> Callable | None:
-    """A named law's closed-form (G, G') evaluator, exact up to rounding.
-
-    The evaluator takes a 1-d complex array z off the support and returns
-    the arrays (G(z), G'(z)); see the module docstring for the forms.  None
-    for bernoulli and point, whose own `cauchy_evaluator` is exact, and for
-    sato_tate, which has no elementary G.
-    """
-    p = resolve_law(law, **params)
-    if law == "semicircle":
-        r = p["r"]
-
-        def evaluate(z):
-            s = _edge_root(z, -r, r)
-            g = 2.0 / (z + s)
-            return g, -g / s
-
-    elif law == "arcsine":
-
-        def evaluate(z):
-            g = 1.0 / _edge_root(z, -2.0, 2.0)
-            return g, -z * g**3
-
-    elif law == "marchenko_pastur":
-        lam, alpha = p["lam"], p["alpha"]
-        a, b = _mp_support(lam, alpha)
-        shift = alpha * (1.0 - lam)
-
-        def evaluate(z):
-            # G = (q - s)/(2 alpha z) = 2/(q + s), as (q - s)(q + s) = 4 alpha z;
-            # take the form whose denominator does not cancel (q - s near the
-            # atom at 0 when lam < 1, q + s elsewhere), each only where taken
-            s = _edge_root(z, a, b)
-            q = z + shift
-            plus, minus = q + s, q - s
-            near = np.abs(plus) < np.abs(minus)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                g = 2.0 / plus
-                if near.any():
-                    g[near] = minus[near] / (2.0 * alpha * z[near])
-            return g, g * (alpha * g - 1.0) / s
-
-    else:
-        return None  # bernoulli, point, sato_tate
-    return evaluate
+    """A named law's closed-form (G, G') evaluator, exact up to rounding, or
+    None.  It takes a 1-d complex array z off the support and returns the
+    arrays (G(z), G'(z)); see the module docstring for the forms."""
+    return _law(law, params).cauchy
 
 
 class LawInput(NamedTuple):
@@ -453,25 +455,23 @@ def _float(q: Fraction) -> float:
 
 
 def named_input(law: str, **params) -> LawInput | None:
-    """A named law's analytic-route input, read from the law itself: its
-    atoms and support, its `named_cauchy` evaluator (for bernoulli and point
-    the pole sum `_kernels.pole_sum` of their atoms) and its exact
-    `named_moments` as floats.  None for sato_tate, which has no closed form.
-    """
-    p = resolve_law(law, **params)
-    atoms, support = _atoms_and_support(law, p)
-    if support is None:
-        locs, masses = (np.array(column) for column in zip(*atoms))
+    """A named law's analytic-route input, read from its record: its atoms
+    and support, its exact moments as floats, and its closed-form (G, G'),
+    which for a law of atoms alone is the pole sum `_kernels.pole_sum` of
+    its atoms.  None for a law with a density and no closed-form G."""
+    rec = _law(law, params)
+    if rec.density is None:
+        locs, masses = (np.array(column) for column in zip(*rec.atoms))
 
         def evaluate(z):
             return _kernels.pole_sum(z, locs, masses)
 
+    elif rec.cauchy is None:
+        return None
     else:
-        evaluate = named_cauchy(law, **p)
-        if evaluate is None:
-            return None  # sato_tate
-    return LawInput(atoms=atoms, support=support, cauchy=evaluate,
-                    moments=lambda order: [_float(m) for m in named_moments(law, order, **p)])
+        evaluate = rec.cauchy
+    return LawInput(atoms=rec.atoms, support=rec.support, cauchy=evaluate,
+                    moments=lambda order: [_float(rec.moment(n)) for n in range(1, order + 1)])
 
 
 def moments(mu: Measure, n_max: int) -> np.ndarray:

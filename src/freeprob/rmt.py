@@ -1,8 +1,6 @@
-"""Random-matrix ensembles, exact trace-moment calculus, and MC experiments.
+"""Random matrices: exact trace-moment calculus and the freeness experiments.
 
-Sampling covers Ginibre, GUE, CUE (QR of a Ginibre with the phases of R's
-diagonal moved into Q), and fixed deterministic matrices.  The GUE
-normalization is defined by its pair correlation E[X(ij) X(lk)] =
+The GUE normalization is defined by its pair correlation E[X(ij) X(lk)] =
 delta_ik delta_jl / N — diagonal entries real with variance 1/N,
 off-diagonal complex with per-component variance 1/(2N) — since every exact
 formula below is derived from that covariance; note the symmetrization
@@ -18,19 +16,18 @@ of complete homogeneous polynomials read off through the characters of S(n),
 to expand unitary correlators in 1/N, with exact geometric resummation when
 the coefficient tail is periodic.
 
-Monte Carlo: `mc_word_moment` estimates (E tr) of matrix words with
-counter-based per-trial RNG streams, so results are bit-identical for any
-worker count; `freeness_experiment` packages the standard asymptotic
-freeness checks with exact predictions and z-scores.  Its trials compute
-each trace by an exact identity rather than by multiplying out the word,
-and draw from tridiagonal matrix models wherever only the joint law of
-unitarily invariant traces matters; its docstring gives the models and their
-sources.  Every trial reduction is summed by numpy's own loops rather than a
-BLAS dot, so the output bytes do not depend on the BLAS thread count.
-`workers` threads run the trials of the kinds whose trials do dense N x N
-work, which numpy does with the GIL released; the O(N) trials of
-rotated_diagonal would only pass the GIL between threads, so they run in
-the calling thread as one batch.
+Monte Carlo: `freeness_experiment` packages the standard asymptotic
+freeness checks with exact predictions and z-scores.  Each trial draws from
+its own counter-based RNG stream, so results are bit-identical for any
+worker count.  Its trials compute each trace by an exact identity rather
+than by multiplying out the word, and draw from tridiagonal matrix models
+wherever only the joint law of unitarily invariant traces matters; its
+docstring gives the models and their sources.  Every trial reduction is
+summed by numpy's own loops rather than a BLAS dot, so the output bytes do
+not depend on the BLAS thread count.  `workers` threads run the trials of
+the kinds whose trials do dense N x N work, which numpy does with the GIL
+released; the O(N) trials of rotated_diagonal would only pass the GIL
+between threads, so they run in the calling thread as one batch.
 """
 
 from __future__ import annotations
@@ -46,47 +43,17 @@ from .partitions import Permutation
 from .series import free_moments_from_cumulants
 
 __all__ = [
-    "EnsembleSpec",
     "WeingartenExpansion",
     "WeingartenValue",
-    "MCEstimate",
     "FreenessRow",
     "FreenessReport",
-    "sample",
     "wick_trace_moment",
     "weingarten_series",
-    "mc_word_moment",
     "freeness_experiment",
     "FREENESS_KINDS",
 ]
 
-_KINDS = ("ginibre", "gue", "cue", "deterministic")
 FREENESS_KINDS = ("gue_gue", "gue_deterministic", "rotated_diagonal")
-
-
-class EnsembleSpec:
-    """What to sample: ensemble kind, dimension, and RNG seed.
-
-    deterministic specs carry their matrix in `payload`; the seed is then
-    inert but kept so specs stay interchangeable in words.
-    """
-
-    def __init__(self, kind: str, N: int, seed: int = 0, payload: np.ndarray | None = None):
-        if kind not in _KINDS:
-            raise ValueError(f"unknown ensemble kind {kind!r}; expected {_KINDS}")
-        if N < 1:
-            raise ValueError(f"dimension must be >= 1, got {N}")
-        if kind == "deterministic":
-            if payload is None:
-                raise ValueError("deterministic spec needs a payload matrix")
-            if getattr(payload, "shape", None) != (N, N):
-                raise ValueError(f"payload must be an ndarray of shape ({N}, {N})")
-        elif payload is not None:
-            raise ValueError("payload only makes sense for deterministic specs")
-        self.kind = kind
-        self.N = N
-        self.seed = seed
-        self.payload = payload
 
 
 def _rng(seed: int, trial: int = 0, stream: int = 0) -> np.random.Generator:
@@ -97,24 +64,6 @@ def _rng(seed: int, trial: int = 0, stream: int = 0) -> np.random.Generator:
         dtype=np.uint64,
     )
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def _complex_normal(rng: np.random.Generator, shape: tuple) -> np.ndarray:
-    """standard_normal(shape) + 1j * standard_normal(shape), bit for bit and
-    with the same draws, filled in place instead of through two temporaries."""
-    z = np.empty(shape, dtype=np.complex128)
-    z.real[...] = rng.standard_normal(shape)
-    z.imag[...] = rng.standard_normal(shape)
-    return z
-
-
-def _haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    """QR of a complex Ginibre, each column of Q multiplied by the phase of
-    R's diagonal entry there: that makes R's diagonal positive, which is what
-    makes the law Haar (Mezzadri, math-ph/0609050)."""
-    q, r = np.linalg.qr(_complex_normal(rng, (n, n)))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
 
 
 def _gue(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -136,23 +85,6 @@ def _gue(rng: np.random.Generator, n: int) -> np.ndarray:
     # reciprocal; scaling the float view the same way skips complex division
     h.view(np.float64)[...] *= 1.0 / (2.0 * math.sqrt(n))
     return h
-
-
-def _sample_rng(spec: EnsembleSpec, rng: np.random.Generator) -> np.ndarray:
-    """One draw of spec from rng."""
-    n = spec.N
-    if spec.kind == "deterministic":
-        return spec.payload.astype(np.complex128)
-    if spec.kind == "ginibre":
-        return _complex_normal(rng, (n, n)) / math.sqrt(2 * n)
-    if spec.kind == "gue":
-        return _gue(rng, n)
-    return _haar_unitary(rng, n)
-
-
-def sample(spec: EnsembleSpec, trial: int = 0) -> np.ndarray:
-    """One draw from the ensemble; trial selects an independent stream."""
-    return _sample_rng(spec, _rng(spec.seed, trial))
 
 
 def _genus_counts(k: int) -> tuple:
@@ -353,16 +285,6 @@ def weingarten_series(permutation: Permutation, R: int | None = None) -> Weingar
     )
 
 
-class MCEstimate:
-    def __init__(self, mean: complex, stderr: float, trials: int, seed: int):
-        if stderr < 0:
-            raise ValueError("stderr must be non-negative")
-        self.mean = mean
-        self.stderr = stderr
-        self.trials = trials
-        self.seed = seed
-
-
 def _run_trials(run, trials: int, workers: int):
     """run(t) for every trial t, in order or on ``workers`` threads.
 
@@ -405,61 +327,6 @@ def _mean_stderr(vals: np.ndarray) -> tuple:
     if trials == 1:
         return mean, 0.0
     return mean, math.sqrt(float(np.sum(np.abs(vals - mean) ** 2)) / (trials - 1) / trials)
-
-
-def _normalize_word(word) -> list[tuple[int, bool]]:
-    out = []
-    for item in word:
-        if isinstance(item, (tuple, list)):
-            idx, adj = item
-            out.append((int(idx), bool(adj)))
-        else:
-            out.append((int(item), False))
-    if not out:
-        raise ValueError("word must be non-empty")
-    return out
-
-
-def mc_word_moment(specs, word, trials: int, workers: int = 1) -> MCEstimate:
-    """Monte Carlo (E tr) of a matrix word, bit-reproducible across workers.
-
-    word entries are spec indices or (index, adjoint) pairs.  Each trial
-    samples every referenced spec from its own counter-based stream keyed by
-    (spec seed, trial, spec position), so the estimate depends only on the
-    specs, the word, and the trial count; per-trial values land in a
-    trial-indexed array and are reduced with a single pairwise sum.  The
-    last letter is never multiplied in: tr(P M) = sum_ij P_ij M_ji.
-    """
-    specs = list(specs)
-    letters = _normalize_word(word)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    ns = {s.N for s in specs}
-    if len(ns) != 1:
-        raise ValueError(f"dimension mismatch across specs: {sorted(ns)}")
-    (n,) = ns
-    used = sorted({idx for idx, _ in letters})
-    for idx in used:
-        if not 0 <= idx < len(specs):
-            raise ValueError(f"word references spec {idx}, have {len(specs)}")
-    vals = np.empty(trials, dtype=np.complex128)
-
-    def run(trial: int):
-        mats = {i: _sample_rng(specs[i], _rng(specs[i].seed, trial, i)) for i in used}
-        factors = [mats[idx].conj().T if adj else mats[idx] for idx, adj in letters]
-        prod = factors[0]
-        for m in factors[1:-1]:
-            prod = prod @ m
-        if len(factors) == 1:
-            vals[trial] = np.trace(prod) / n
-        else:
-            vals[trial] = np.sum(prod * factors[-1].T) / n
-
-    _run_trials(run, trials, workers)
-    mean, stderr = _mean_stderr(vals)
-    return MCEstimate(mean=mean, stderr=stderr, trials=trials, seed=specs[0].seed)
 
 
 class FreenessRow(NamedTuple):

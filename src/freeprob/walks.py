@@ -25,12 +25,8 @@ of the d-fold free additive convolution of the arcsine law.  Kesten's form
 in u = z^2, read at u^k gives `kesten_loops` a one-term integer recurrence,
 lambda(2k) = 4 d^2 lambda(2k-2) - 2d (2d-1)^k C_(k-1), C the Catalan numbers:
 O(n_max) steps.  The O(n_max^2) tree-distance dynamic programme it replaced
-lives on in the tests.  `kesten_green` also evaluates two closed forms.
-`closed_form_value` has a denominator (1 - 16 z^2) specific to d = 2 while
-its numerator is written for general d, so it agrees with the truncated
-series only at d = 2; `general_closed_form_value` has the denominator
-1 - 4 d^2 z^2 and agrees at every d.  All three are reported side by side
-rather than silently reconciling them.
+lives on in the tests.  `kesten_green` reports Kesten's closed form and the
+truncated series side by side, rather than silently reconciling them.
 """
 
 from __future__ import annotations
@@ -236,7 +232,6 @@ def kesten_loops(d: int, n_max: int) -> LoopCounts:
 
 
 class KestenGreen(NamedTuple):
-    closed_form_value: complex
     series_value: complex
     decay_base: float
     general_closed_form_value: complex
@@ -274,15 +269,12 @@ def kesten_decay_base(d: int, loops: LoopCounts | None = None) -> float:
 
 
 def kesten_green(d: int, z: complex, loops: LoopCounts | None = None) -> KestenGreen:
-    """Loop generating function of F_d at z, three ways, plus the decay base.
+    """Loop generating function of F_d at z, two ways, plus the decay base.
 
-    closed_form_value evaluates
-    (-(d-1) + d*sqrt(1 - 4(2d-1) z^2)) / (1 - 16 z^2) verbatim;
-    series_value sums the exact loop counts through order 64.  The two agree
-    for d = 2 only (see the module docstring).  general_closed_form_value,
-    (-(d-1) + d*sqrt(1 - 4(2d-1) z^2)) / (1 - 4 d^2 z^2), is Kesten's form
-    for every d and agrees with series_value.  decay_base is
-    `kesten_decay_base`.  ``loops``, the `kesten_loops` of F_d through order
+    series_value sums the exact loop counts through order 64, and
+    general_closed_form_value evaluates Kesten's form
+    (-(d-1) + d*sqrt(1 - 4(2d-1) z^2)) / (1 - 4 d^2 z^2), which agrees with
+    it at every d.  decay_base is `kesten_decay_base`.  ``loops``, the `kesten_loops` of F_d through order
     64 or beyond, is read instead of computing them again; shorter counts
     are not.
     """
@@ -296,13 +288,11 @@ def kesten_green(d: int, z: complex, loops: LoopCounts | None = None) -> KestenG
     import cmath  # here, not at the top: importing the CLI loads no cmath
 
     numerator = -(d - 1) + d * cmath.sqrt(1.0 - 4.0 * (2 * d - 1) * z * z)
-    closed = numerator / (1.0 - 16.0 * z * z)
     general = numerator / (1.0 - 4.0 * d * d * z * z)
     loops = _series_loops(d, loops)
     values = loops.values[: _KESTEN_SERIES_ORDER + 1]
     series = complex(sum(lam * z**n for n, lam in enumerate(values)))
     return KestenGreen(
-        closed_form_value=complex(closed),
         series_value=series,
         decay_base=kesten_decay_base(d, loops),
         general_closed_form_value=complex(general),

@@ -517,10 +517,14 @@ def test_cli_import_loads_only_what_the_cli_runs():
     (["weingarten", "--perm", "2,3,4,5,6,1", "--N", "9"], False),
     (["freeconv", "--law-x", "semicircle", "--law-y", "marchenko_pastur:lam=0.5",
       "--route", "moments"], False),
+    (["freeconv", "--law-x", "bernoulli", "--law-y", "point:c=1.5", "--route", "moments"],
+     False),
+    (["freeconv", "--law-x", "arcsine", "--law-y", "bernoulli", "--route", "moments"], False),
     (["freeconv", "--moments-x", "0,1,0,2", "--moments-y", "1,2,5,14", "--route", "moments"],
      False),
     (["polya", "--d", "3", "--nmax", "200"], True),
-], ids=["kesten", "cumulants", "wick", "weingarten", "freeconv-laws", "freeconv-lists", "polya"])
+], ids=["kesten", "cumulants", "wick", "weingarten", "freeconv-laws", "freeconv-atom-laws",
+        "freeconv-arcsine-bernoulli", "freeconv-lists", "polya"])
 def test_exact_subcommands_never_load_numpy(argv, loads_numpy):
     # the exact subcommands compute in Fractions and ints; numpy loads on the
     # first use of the lazy `np`, as polya shows, and none needs cmath

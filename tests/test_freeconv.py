@@ -12,7 +12,6 @@ from freeprob import freeconv, measures
 from freeprob.freeconv import (
     ContinuationError,
     SolverCounters,
-    convolved_cauchy,
     free_clt,
     free_convolve_analytic,
     free_convolve_moments,
@@ -29,6 +28,7 @@ from freeprob.measures import (
     named_input,
     named_moments,
 )
+from mc_oracles import convolved_cauchy
 
 BERN = [Fraction(0), Fraction(1)] * 3
 

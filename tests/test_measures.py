@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from exact_oracles import marchenko_pastur_moments, moments_per_order
 from freeprob import _kernels, series
 from freeprob.measures import (
+    NAMED_TAGS,
     InversionError,
     Measure,
     cauchy,
@@ -33,8 +34,14 @@ UPPER = st.complex_numbers(min_magnitude=0.1, max_magnitude=5).map(
 )
 
 
+def with_every_default(cases):
+    """``cases``, plus every named law at its default parameters, so that a
+    new law is covered by the table-wide tests with no edit to them."""
+    return cases + [(tag, {}) for tag in NAMED_TAGS if (tag, {}) not in cases]
+
+
 def test_named_laws_have_unit_mass():
-    for law, params in [
+    for law, params in with_every_default([
         ("semicircle", {}),
         ("arcsine", {}),
         ("bernoulli", {}),
@@ -42,7 +49,7 @@ def test_named_laws_have_unit_mass():
         ("marchenko_pastur", {"lam": 0.5}),
         ("sato_tate", {}),
         ("point", {"c": 1.5}),
-    ]:
+    ]):
         mu = make_named(law, **params)
         assert abs(mu.total_mass() - 1.0) < 1e-9
 
@@ -382,7 +389,7 @@ def test_sato_tate_has_no_closed_forms():
     assert named_cumulants("sato_tate", 4) is None
 
 
-@pytest.mark.parametrize("law,params", [
+@pytest.mark.parametrize("law,params", with_every_default([
     ("semicircle", {}),
     ("semicircle", {"r": 3.0}),
     ("arcsine", {}),
@@ -390,11 +397,13 @@ def test_sato_tate_has_no_closed_forms():
     ("point", {"c": 1.5}),
     ("marchenko_pastur", {"lam": 0.5}),
     ("marchenko_pastur", {"lam": 2.0, "alpha": 0.5}),
-])
+]))
 def test_cumulant_column_equals_extracted_cumulants(law, params):
-    kappa = named_cumulants(law, 40, **params)
-    assert kappa == series.free_cumulants_from_moments(named_moments(law, 40, **params))
-    assert all(isinstance(k, Fraction) for k in kappa)
+    kappa, m = named_cumulants(law, 40, **params), named_moments(law, 40, **params)
+    assert (kappa is None) == (m is None)  # sato_tate has neither column
+    if m is not None:
+        assert kappa == series.free_cumulants_from_moments(m)
+        assert all(isinstance(k, Fraction) for k in kappa)
 
 
 @pytest.mark.parametrize("law,params", [
@@ -475,7 +484,7 @@ def test_moments_power_table_is_bit_identical_to_the_per_order_sums(law, params,
         assert moments(mu, order).tobytes() == moments_per_order(mu, order).tobytes()
 
 
-@pytest.mark.parametrize("law,params", [
+@pytest.mark.parametrize("law,params", with_every_default([
     ("semicircle", {}),
     ("semicircle", {"r": 3.0}),
     ("arcsine", {}),
@@ -484,11 +493,15 @@ def test_moments_power_table_is_bit_identical_to_the_per_order_sums(law, params,
     ("marchenko_pastur", {"lam": 1.0}),
     ("marchenko_pastur", {"lam": 0.5}),
     ("marchenko_pastur", {"lam": 2.0, "alpha": 0.5}),
-])
+]))
 def test_named_input_is_read_from_the_law(law, params):
-    # the atoms and support of the cell measure, the exact moments as floats
+    # the atoms and support of the cell measure, the exact moments as floats;
+    # no input for a law with a density and no closed-form G (sato_tate)
     law_input = named_input(law, **params)
     mu = make_named(law, 256, **params)
+    assert (law_input is None) == (mu.support is not None and named_cauchy(law, **params) is None)
+    if law_input is None:
+        return
     assert law_input.atoms == mu.atoms
     assert law_input.support == mu.support
     assert law_input.moments(12) == [float(m) for m in named_moments(law, 12, **params)]

@@ -9,17 +9,11 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+import mc_oracles
 from freeprob import rmt
 from freeprob.partitions import Permutation, is_geodesic
-from freeprob.rmt import (
-    EnsembleSpec,
-    MCEstimate,
-    freeness_experiment,
-    mc_word_moment,
-    sample,
-    weingarten_series,
-    wick_trace_moment,
-)
+from freeprob.rmt import freeness_experiment, weingarten_series, wick_trace_moment
+from mc_oracles import EnsembleSpec, MCEstimate, mc_word_moment, sample
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132]
 
@@ -412,7 +406,7 @@ def test_character_formula_matches_factorization_search():
 
 def test_qr_haar_matches_gram_schmidt():
     for seed, trial in ((0, 0), (7, 3), (101, 19)):
-        q = rmt._haar_unitary(rmt._rng(seed, trial), 50)
+        q = mc_oracles._haar_unitary(rmt._rng(seed, trial), 50)
         ref = gram_schmidt_haar(rmt._rng(seed, trial), 50)
         assert np.max(np.abs(q - ref)) < 1e-12
 
@@ -460,10 +454,10 @@ def gram_solve_moments(g, degree):
 def test_half_rank_reduction_matches_power_loop(N):
     d = rmt._bernoulli_diag(N)
     for seed, trial in ((0, 0), (5, 2), (31, 7)):
-        u = rmt._haar_unitary(rmt._rng(seed, trial), N)
+        u = mc_oracles._haar_unitary(rmt._rng(seed, trial), N)
         direct = direct_power_moments((u * d) @ u.conj().T + np.diag(d), 8)
         # any basis of the span will do: the orthonormal one, and a skewed one
-        r = rmt._complex_normal(rmt._rng(seed, trial, 1), (N // 2, N // 2))
+        r = mc_oracles._complex_normal(rmt._rng(seed, trial, 1), (N // 2, N // 2))
         for basis in (u[:, ::2], u[:, ::2] @ r):
             reduced = gram_solve_moments(basis, 8)
             assert np.all(np.abs(reduced - direct) <= 1e-12 * np.maximum(1.0, np.abs(direct)))
@@ -476,7 +470,7 @@ def test_rotated_diagonal_trials_match_orthonormalised_draws(N):
     d = rmt._bernoulli_diag(N)
     # the oracle against the thin QR of each draw: U D U* = 2 q q* - I
     for t in range(trials):
-        g = rmt._complex_normal(rmt._rng(seed, t, 0), (N, N // 2))
+        g = mc_oracles._complex_normal(rmt._rng(seed, t, 0), (N, N // 2))
         q = np.linalg.qr(g)[0]
         want = direct_power_moments(2.0 * q @ q.conj().T - np.eye(N) + np.diag(d), degree)
         got = gram_solve_moments(g, degree)
@@ -504,7 +498,7 @@ def test_rotated_diagonal_rows_match_the_gram_solve_oracle_in_law():
     N, trials, degree = 8, 3000, 6
     rep = freeness_experiment("rotated_diagonal", N, trials, degree, seed=41)
     rng = rmt._rng(42)
-    oracle = np.array([gram_solve_moments(rmt._complex_normal(rng, (N, N // 2)), degree)
+    oracle = np.array([gram_solve_moments(mc_oracles._complex_normal(rng, (N, N // 2)), degree)
                        for _ in range(trials)])
     for j in (1, 3, 5):
         mean, err = rmt._mean_stderr(oracle[:, j])
@@ -565,7 +559,7 @@ def test_jacobi_model_at_n_one_is_uniform():
 @pytest.mark.parametrize("shape", [(1,), (7, 3), (40, 20)])
 def test_complex_normal_fills_the_two_draws_in_place(shape):
     rng, ref = rmt._rng(9, 4), rmt._rng(9, 4)
-    z = rmt._complex_normal(rng, shape)
+    z = mc_oracles._complex_normal(rng, shape)
     assert np.array_equal(z, ref.standard_normal(shape) + 1j * ref.standard_normal(shape))
     assert rng.standard_normal() == ref.standard_normal()
 
@@ -773,7 +767,7 @@ def test_gue_draw_is_one_real_normal_matrix_symmetrised(N):
     assert np.array_equal(h, ((g + g.T) + 1j * (g - g.T)) / (2 * math.sqrt(N)))
     # the draw used exactly N^2 normals: both streams continue alike
     used = rmt._rng(13, 2)
-    rmt._sample_rng(EnsembleSpec("gue", N, seed=13), used)
+    mc_oracles._sample_rng(EnsembleSpec("gue", N, seed=13), used)
     assert used.standard_normal() == rng.standard_normal()
 
 
@@ -814,7 +808,7 @@ def test_mc_word_moment_matches_multiplied_out_word():
         letters = [(w, False) if isinstance(w, int) else w for w in word]
         vals = []
         for t in range(trials):
-            mats = {i: rmt._sample_rng(specs[i], rmt._rng(specs[i].seed, t, i)) for i in range(3)}
+            mats = {i: mc_oracles._sample_rng(specs[i], rmt._rng(specs[i].seed, t, i)) for i in range(3)}
             prod = np.eye(N, dtype=np.complex128)
             for idx, adj in letters:
                 prod = prod @ (mats[idx].conj().T if adj else mats[idx])

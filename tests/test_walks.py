@@ -208,24 +208,22 @@ def test_polya_guards():
 def test_kesten_green_series_matches_closed_form_d2():
     for z in (0.0, 0.1, 0.05 + 0.02j):
         g = kesten_green(2, z)
-        assert abs(g.closed_form_value - g.series_value) < 1e-9
+        assert abs(g.general_closed_form_value - g.series_value) < 1e-9
 
 
 def test_kesten_green_frozen_values():
     g = kesten_green(2, 0.1)
-    assert abs(g.closed_form_value - 1.0430551237254426) < 1e-12
+    assert abs(g.general_closed_form_value - 1.0430551237254426) < 1e-12
     assert abs(g.decay_base - 0.8639468332192504) < 1e-12
     # spectral-radius reading: rho(2n)^(1/2n) -> sqrt(2d-1)/d
     assert abs(g.decay_base - math.sqrt(3) / 2) < 5e-3
 
 
-def test_kesten_green_d3_closed_form_disagrees_with_series():
-    # the closed form is only exact for d = 2; at d = 3 it drifts from the
-    # series value while the decay base still tracks sqrt(2d-1)/d
+def test_kesten_green_d3_series_and_decay():
+    # at d = 3 the series holds its frozen value and the decay base still
+    # tracks sqrt(2d-1)/d
     g = kesten_green(3, 0.1)
     assert abs(g.series_value - 1.0676274578121057) < 1e-9
-    assert abs(g.closed_form_value - 0.8134304440473187) < 1e-9
-    assert abs(g.series_value - g.closed_form_value) > 0.1
     assert abs(g.decay_base - math.sqrt(5) / 3) < 5e-3
 
 
@@ -347,8 +345,6 @@ def test_kesten_green_general_closed_form_matches_series():
         for z in (0.0, 0.5 / (2 * d), 0.03 + 0.02j, -0.8 / (2 * d)):
             g = kesten_green(d, z)
             assert abs(g.general_closed_form_value - g.series_value) < 1e-12
-    g = kesten_green(2, 0.1)
-    assert g.general_closed_form_value == g.closed_form_value
 
 
 @pytest.mark.parametrize("d,n_max", [
