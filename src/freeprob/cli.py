@@ -43,9 +43,17 @@ exact moments and closed-form G.  A law without a closed-form G enters as
 its cell measure on --grid-size points.  ``moments_quadrature`` is the float
 free moment-cumulant recursion run on the inputs' moments m_1..m_n, n the
 smaller of --order and 6: a closed-form law's exact moments rounded to
-floats, so that ``route_agreement`` reads about 0 for a pair of such laws,
-and a cell measure's quadrature moments.  An entry that the recursion
-cannot determine (past the float range) is null.
+floats, and a cell measure's quadrature moments.  An entry that the
+recursion cannot determine (past the float range) is null.
+``route_agreement`` (with ``--route both``) is the worst absolute difference
+between ``moments_quadrature`` and the exact route's moments.  It never reads
+the inverted output: for a pair of closed-form laws it compares two
+evaluations of the same exact moments and reads about 0, float rounding
+only; for a cell measure it measures that measure's quadrature.  The output
+is judged by ``output_moment_error`` (``moments_output`` against the exact
+moments, relative to max(1, |m|)), ``mass_defect`` (1 minus the inverted
+mass before normalising) and ``clipped_negative_mass`` (the mass that
+clipping the inverted density at 0 removed, before normalising).
 
 numpy loads on first use (see `freeprob._numpy`), so the subcommands that
 compute in Fractions and ints never load it: ``kesten``, ``cumulants``,
@@ -464,6 +472,7 @@ def _cmd_freeconv(args) -> str:
         diagnostics["safeguarded_steps"] = conv.solver.safeguarded_steps
         diagnostics["worst_z"] = conv.solver.worst_z
         diagnostics["mass_defect"] = conv.mass_defect
+        diagnostics["clipped_negative_mass"] = conv.measure.clipped_negative_mass
         if args.format == "csv":
             header = _csv_header(config)
             return header + measures.to_csv(conv.measure)
@@ -653,7 +662,7 @@ _COMMANDS = {
         ("route", ("moments", "analytic", "both"), "both", ""),
         ("order", int, 8, "moment order for the exact route"),
         ("grid-size", int, 512, ""),
-        ("eta", float, 1e-3, ""),
+        ("eta", float, 1e-3, "the single height of the analytic route's Stieltjes inversion"),
     )),
     "kesten": (_cmd_kesten, "loop counts of the free-group walk", (
         ("d", int, ..., ""),

@@ -32,8 +32,12 @@ upper half-plane with Im w_0 >= Im z, since kappa_2 >= 0 and Im G <= 0.
 The output's atoms need no search: X boxplus Y has an atom at a + b exactly
 when mu_X({a}) + mu_Y({b}) > 1, and its mass is the excess (Bercovici &
 Voiculescu, "Regularity questions for free convolution", Oper. Theory Adv.
-Appl. 104, 1998).  Their poles are subtracted from the solved G, and
-Stieltjes inversion of the rest near the axis gives the density.
+Appl. 104, 1998).  The solve gives G and, from the same Newton round, G'
+at each point of one row t + i eta of the inversion grid (omega_1 is
+analytic, so G' = G_X'(omega_1) omega_1' in closed form, see `_subordinate`).
+The atoms' poles are subtracted from both, and `measures.stieltjes_invert`
+reads the density off that single row as (eta Re G' - Im G)/pi, which
+cancels the O(eta) smoothing with no second row.
 
 Each input is a `measures.LawInput`: its atoms, the support of its
 density, its low moments and its (G, G') evaluator.  Those give the
@@ -65,7 +69,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from ._numpy import np
-from .measures import LawInput, Measure, cauchy_evaluator, named_cauchy
+from .measures import LawInput, Measure, _edge_root, cauchy_evaluator, named_cauchy
 from .measures import moments as measure_moments
 from .measures import stieltjes_invert
 from .series import free_cumulants_from_moments, free_moments_from_cumulants
@@ -183,36 +187,43 @@ def _bounds(mu: LawInput) -> tuple:
     return lo, hi
 
 
+def _unit_semicircle(z: np.ndarray) -> np.ndarray:
+    """G of the semicircle of variance 1, by the arithmetic of its record
+    (`named_cauchy("semicircle", r=2.0)`), without its G'."""
+    return 2.0 / (z + _edge_root(z, -2.0, 2.0))
+
+
 def _free_clt_start(z: np.ndarray, x: tuple, y: tuple) -> np.ndarray:
     """The start w_0(z) = z - kappa_1(Y) - kappa_2(Y) G_sigma(z) of the solve
     (see the module docstring), from the (mean, variance) pairs ``x`` of X and
     ``y`` of Y; z itself when the summed variance is 0 or not finite.
 
-    G_sigma is the unit semicircle's closed form, scaled: a semicircle of
-    variance s has G(z) = G_1(z / sqrt(s)) / sqrt(s), with no bound on s.
+    G_sigma is the unit semicircle's closed form (`_unit_semicircle`),
+    scaled: a semicircle of variance s has G(z) = G_1(z / sqrt(s)) / sqrt(s),
+    with no bound on s.
     """
     (mean_x, var_x), (mean_y, var_y) = x, y
     s = var_x + var_y
     if not 0.0 < s < math.inf:
         return z
     root = math.sqrt(s)
-    g_unit, _ = named_cauchy("semicircle", r=2.0)((z - (mean_x + mean_y)) / root)
-    return z - mean_y - var_y * (g_unit / root)
+    return z - mean_y - var_y * (_unit_semicircle((z - (mean_x + mean_y)) / root) / root)
 
 
 def _subordinate(
     z: np.ndarray, cauchy_x, cauchy_y, solver: SolverCounters, after: int = 0,
     failed: list | None = None, start: np.ndarray | None = None,
-) -> np.ndarray:
-    """G of X boxplus Y at every point of z (Im z > 0), solved together.
+) -> tuple:
+    """(G, G') of X boxplus Y at every point of z (Im z > 0), solved together.
 
     ``cauchy_x`` and ``cauchy_y`` are the (G, G') evaluators of X and Y.
-    Returns G_X(w), w the fixed point of T(w) = z + h_Y(z + h_X(w)) with
-    h = 1/G - id, iterated from ``start`` (an array like z in the upper
-    half-plane, by default z itself; `free_convolve_analytic` passes the free
-    CLT's subordination function of Biane (1997), see `_free_clt_start`), and
-    adds its residuals and step counts to ``solver``.  Each round evaluates T
-    and T' at the iterate of every point still iterating:
+    Returns the arrays G_X(w) and G_X'(w) omega_1'(z), w = omega_1(z) the
+    fixed point of T(w) = z + h_Y(z + h_X(w)) with h = 1/G - id, iterated
+    from ``start`` (an array like z in the upper half-plane, by default z
+    itself; `free_convolve_analytic` passes the free CLT's subordination
+    function of Biane (1997), see `_free_clt_start`), and adds its residuals
+    and step counts to ``solver``.  Each round evaluates T and T' at the
+    iterate of every point still iterating:
 
     * Steps.  The next iterate is the full Newton step on F(w) = w - T(w),
       w - F(w)/(1 - h_Y'(u) h_X'(w)) with u = z + h_X(w).  Where that step is
@@ -227,11 +238,16 @@ def _subordinate(
       residual has stalled for ``STALL_ROUNDS`` rounds: where G is small one
       of the two subordination functions is huge, and rounding alone keeps
       the residual above ``SOLVE_TOL``.
+    * Derivative.  omega_1 is analytic, so differentiating w = T(w) in z
+      gives omega_1' = (1 + h_Y'(u))/(1 - h_Y'(u) h_X'(w)).  A point's G' is
+      G_X'(w) omega_1' from the G_X', h_X' and h_Y' of the round that
+      finishes it, at the w whose G_X(w) it returns.
     * Swap.  A point stalled for ``SWAP_ROUNDS`` rounds above ``ACCEPT_TOL``,
       or above it at ``MAX_ROUNDS``, is solved again as G_Y(omega_2), with X
       and Y swapped, ``after`` the rounds already spent: the rounding floor is
       lower in the order that iterates the smaller subordination function.
-      The swapped solve starts at z.
+      The swapped solve starts at z, and returns G_Y(omega_2) and
+      G_Y'(omega_2) omega_2', by the same rule with X and Y exchanged.
       In that order a point above ``ACCEPT_TOL`` at ``MAX_ROUNDS`` has
       failed: it goes to the list ``failed`` as (z, residual), and once every
       other point is solved the call raises ContinuationError with their
@@ -239,6 +255,7 @@ def _subordinate(
     """
     z = np.asarray(z, dtype=np.complex128).ravel()
     out = np.empty(z.shape, dtype=np.complex128)
+    out_p = np.empty(z.shape, dtype=np.complex128)
     if not after:
         failed = []
     n = z.size
@@ -278,9 +295,11 @@ def _subordinate(
                 functional = np.abs(g_done - gy[done]) / np.abs(g_done)
                 solver.add(zs[done], r[done], functional, after + rounds)
                 out[idx[done]] = g_done
+                dhy_done = dhy[done]
+                out_p[idx[done]] = gxp[done] * (1.0 + dhy_done) / (1.0 - dhy_done * dhx[done])
                 keep = ~done
             if not after and stuck.any():
-                out[idx[stuck]] = _subordinate(
+                out[idx[stuck]], out_p[idx[stuck]] = _subordinate(
                     zs[stuck], cauchy_y, cauchy_x, solver, after=rounds, failed=failed)
                 keep = ~(done | stuck)
             if rounds == MAX_ROUNDS or (keep is not None and not keep.any()):
@@ -303,7 +322,7 @@ def _subordinate(
             complex(z_bad),
             len(failed),
         )
-    return out
+    return out, out_p
 
 
 def _as_input(mu, cauchy=None) -> LawInput:
@@ -337,10 +356,11 @@ def free_convolve_analytic(
     `_free_clt_start`), and the (G, G') evaluator that the solve reads;
     ``cauchy_x``, if given, replaces X's evaluator by another one of the same
     law, and likewise ``cauchy_y``.  The output's atoms follow from the
-    inputs' atoms (see the module docstring); their poles are subtracted from
-    the solved G, and `stieltjes_invert` inverts the rest into the density, at
-    height ``eta``, which must be positive and finite.  Atoms that carry the
-    whole mass make the output, with no solve.
+    inputs' atoms (see the module docstring).  Each grid point at the single
+    height ``eta``, positive and finite, is solved once, for G and G'; each
+    atom's pole m/(z - a) is subtracted from G and its derivative from G'
+    (m/(z - a)^2 is added), and `stieltjes_invert` inverts the rest into the
+    density.  Atoms that carry the whole mass make the output, with no solve.
     """
     if not 0 < eta < math.inf:
         raise ValueError(f"eta must be positive and finite, got {eta}")
@@ -378,12 +398,14 @@ def free_convolve_analytic(
     # (mean, variance): rounding can take m_2 - m_1^2 below 0
     clt_x, clt_y = ((m[0], max(m[1] - m[0] * m[0], 0.0)) for m in (mx, my))
 
-    def transform(zs: np.ndarray) -> np.ndarray:
-        g = _subordinate(zs, x.cauchy, y.cauchy, solver,
-                         start=_free_clt_start(zs, clt_x, clt_y)).reshape(zs.shape)
+    def transform(zs: np.ndarray) -> tuple:
+        g, gp = _subordinate(zs, x.cauchy, y.cauchy, solver,
+                             start=_free_clt_start(zs, clt_x, clt_y))
         for loc, mass in atoms:
-            g -= mass / (zs - loc)
-        return g
+            pole = mass / (zs - loc)
+            g -= pole
+            gp += pole / (zs - loc)
+        return g, gp
 
     measure = stieltjes_invert(transform, (a - pad, b + pad), grid_size=grid_size, eps=eta,
                                atoms=atoms)
@@ -477,7 +499,7 @@ def semicircle_flow_residual(mu: Measure, r: float, z: complex, h: float) -> com
 
     def g_at(s: float, *zs: complex) -> list:
         member = named_cauchy("semicircle", r=2.0 * math.sqrt(s))
-        solved = _subordinate(np.array(zs), cauchy_mu, member, SolverCounters())
+        solved, _ = _subordinate(np.array(zs), cauchy_mu, member, SolverCounters())
         return [complex(g) for g in solved]
 
     g0, g_zp, g_zm = g_at(s0, z, z + h, z - h)

@@ -81,7 +81,11 @@ class Measure:
     With ``normalize=True`` the density samples are rescaled so the measure's
     own quadrature rule integrates to exactly 1 - (atom mass).  ``raw_mass``
     is the total mass as given, before that rescaling.
+    ``clipped_negative_mass`` is the mass that `stieltjes_invert` removed by
+    clipping a negative density at 0 (0 for samples given as they are).
     """
+
+    clipped_negative_mass = 0.0
 
     def __init__(self, atoms: tuple = (), support: tuple | None = None,
                  samples: np.ndarray | None = None, edges: tuple = ("regular", "regular"),
@@ -533,18 +537,30 @@ def support_radius(mu: Measure) -> float:
 def stieltjes_invert(G: Callable, support_hint, grid_size: int = 2048, eps: float = 1e-3,
                      atoms: tuple = ()) -> Measure:
     """Recover the density of a measure from its Cauchy transform: G is the
-    transform of a measure without atoms, or of one whose known poles, the
-    ``atoms``, were already subtracted (`freeconv.free_convolve_analytic`
+    (G, G') evaluator of a measure without atoms, or of one whose known poles,
+    the ``atoms``, were already subtracted (`freeconv.free_convolve_analytic`
     takes the atoms of a free convolution from the Bercovici-Voiculescu
     rule).  A pole left in G is smeared into the density, not reported.
 
-    G maps a 1-d complex array to the array of its values there.  It is
-    called once, on the grid at both heights.  The density is -Im G(t + i*eps)/pi
-    with Richardson extrapolation between eps and eps/2, for a positive and
-    finite eps.  The result is one normalised `Measure` of the ``atoms`` and
-    the density; its ``raw_mass`` is the mass before normalising, so the mass
-    defect of the inversion is 1 - raw_mass.  A zero density where the atoms
-    leave mass missing raises `InversionError`.
+    G maps a 1-d complex array to the arrays (G, G') of its values there, the
+    contract of `cauchy_evaluator` and `named_cauchy`.  It is called once, on
+    the grid t at the single height eps, positive and finite.  With
+    F(eps) = -Im G(t + i eps)/pi, so that F'(eps) = -Re G'(t + i eps)/pi, the
+    density is the first-order Taylor step to the axis,
+
+        f(t) = F(eps) - eps F'(eps) = (eps Re G' - Im G)/pi,
+
+    which cancels the O(eps) smoothing as the Richardson pair
+    2 F(eps/2) - F(eps) does; at an interior point its error is
+    -(eps^2/2) Im G''/pi + O(eps^3), at most eps^2 |G''|/(2 pi), against
+    eps^2 |G''|/(4 pi) for that pair, which solves every point twice.
+
+    The result is one normalised `Measure` of the ``atoms`` and the density.
+    Its ``raw_mass`` is the mass before normalising, so the mass defect of the
+    inversion is 1 - raw_mass, and its ``clipped_negative_mass`` is the mass
+    that clipping the density at 0 removed, by the grid's trapezoid weights,
+    before normalising.  A density below -1e-6, or zero where the atoms leave
+    mass missing, raises `InversionError`.
     """
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
@@ -557,14 +573,13 @@ def stieltjes_invert(G: Callable, support_hint, grid_size: int = 2048, eps: floa
     if n_grid % 2 == 0:
         n_grid += 1  # keep the hint midpoint on the grid
     t = np.linspace(a, b, n_grid)
-    zs = np.concatenate([t + 1j * eps, t + 1j * eps / 2.0])
-    g = np.asarray(G(zs), dtype=np.complex128)
-    if g.shape != zs.shape:
-        raise ValueError(f"the transform gave shape {g.shape} on points of shape {zs.shape}; "
-                         "it must map an array of points to an array of values")
-    d1 = -g[:n_grid].imag / math.pi
-    d2 = -g[n_grid:].imag / math.pi
-    dens = 2.0 * d2 - d1
+    zs = t + 1j * eps
+    g, gp = (np.asarray(v, dtype=np.complex128) for v in G(zs))
+    if g.shape != zs.shape or gp.shape != zs.shape:
+        raise ValueError(f"the transform gave shapes {g.shape} and {gp.shape} on points of "
+                         f"shape {zs.shape}; it must map an array of points to an array of "
+                         "values and one of derivatives")
+    dens = (eps * gp.real - g.imag) / math.pi
 
     if float(dens.min()) < -1e-6:
         k = int(np.argmin(dens))
@@ -572,6 +587,8 @@ def stieltjes_invert(G: Callable, support_hint, grid_size: int = 2048, eps: floa
             f"density {dens[k]:.3e} at t={t[k]:.6g}: negative beyond tolerance "
             "(wrong branch or non-Nevanlinna input)"
         )
+    below = np.maximum(-dens, 0.0)
+    clipped = float(np.sum(np.diff(t) * (below[:-1] + below[1:]))) / 2.0
     dens = np.maximum(dens, 0.0)
     missing = 1.0 - sum(m for _, m in atoms)
     if missing > 1e-9 and not dens.any():
@@ -579,7 +596,9 @@ def stieltjes_invert(G: Callable, support_hint, grid_size: int = 2048, eps: floa
             f"the atoms have total mass {1.0 - missing:.6g} and the density is zero, "
             f"so mass {missing:.3g} is missing (eps={eps:g} too coarse?)"
         )
-    return Measure(atoms=atoms, support=(a, b), samples=dens)
+    measure = Measure(atoms=atoms, support=(a, b), samples=dens)
+    measure.clipped_negative_mass = clipped
+    return measure
 
 
 # -- serialization ----------------------------------------------------------

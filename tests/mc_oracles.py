@@ -153,6 +153,6 @@ def convolved_cauchy(mu_x: Measure, mu_y: Measure, z) -> complex:
     z = complex(z)
     if z.imag <= 0:
         raise ValueError("convolved_cauchy needs Im z > 0")
-    solved = _subordinate(
+    solved, _ = _subordinate(
         np.array([z]), cauchy_evaluator(mu_x), cauchy_evaluator(mu_y), SolverCounters())
     return complex(solved[0])

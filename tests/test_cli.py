@@ -104,7 +104,10 @@ def named_pair_runs():
 def test_freeconv_every_named_pair_converges(named_pair_runs, law_x, law_y):
     code, out = named_pair_runs[law_x, law_y]
     assert code == 0, out
-    assert json.loads(out)["diagnostics"]["continuation_residual"] < 1e-8
+    diagnostics = json.loads(out)["diagnostics"]
+    assert diagnostics["continuation_residual"] < 1e-8
+    # at eta 1e-3 no inverted density dips below 0
+    assert diagnostics["clipped_negative_mass"] == 0
 
 
 def test_freeconv_named_pairs_take_fewer_rounds_than_from_z(named_pair_runs):
@@ -460,9 +463,9 @@ def test_zero_density_with_missing_mass_is_a_numerical_failure(capsys, monkeypat
     assert doc["diagnostics"]["output_moment_error"] == 0
 
     # Bernoulli boxplus Bernoulli has no atom, so a zero density loses it all;
-    # a real G inverts to one
+    # a real G (with a real G') inverts to one
     def real_transform(zs, *args, **kwargs):
-        return np.zeros(zs.shape, dtype=np.complex128)
+        return np.zeros(zs.shape, dtype=np.complex128), np.zeros(zs.shape, dtype=np.complex128)
 
     monkeypatch.setattr(cli.freeconv, "_subordinate", real_transform)
     argv = ["freeconv", "--law-x", "bernoulli", "--law-y", "bernoulli",

@@ -207,7 +207,8 @@ def test_flow_residual_solves_the_s0_member_once(monkeypatch):
 
     def g_at(s, zz):
         member = named_cauchy("semicircle", r=2.0 * math.sqrt(s))
-        solved = freeconv._subordinate(np.array([zz]), cauchy_evaluator(mu), member, SolverCounters())
+        solved, _ = freeconv._subordinate(np.array([zz]), cauchy_evaluator(mu), member,
+                                          SolverCounters())
         return complex(solved[0])
 
     ds = (g_at(s0 + h, z) - g_at(s0 - h, z)) / (2.0 * h)
@@ -255,11 +256,12 @@ def test_subordination_is_pointwise_across_batches(x, y, closed, hint, eta):
     for start in (lambda zs: None, lambda zs: freeconv._free_clt_start(zs, *clt)):
         zs = np.concatenate(parts)
         batched = SolverCounters()
-        whole = freeconv._subordinate(zs, cauchy_x, cauchy_y, batched, start=start(zs))
+        whole, whole_p = freeconv._subordinate(zs, cauchy_x, cauchy_y, batched, start=start(zs))
         apart = SolverCounters()
         pieces = [freeconv._subordinate(p, cauchy_x, cauchy_y, apart, start=start(p))
                   for p in parts]
-        assert whole.tobytes() == np.concatenate(pieces).tobytes()
+        assert whole.tobytes() == np.concatenate([g for g, _ in pieces]).tobytes()
+        assert whole_p.tobytes() == np.concatenate([gp for _, gp in pieces]).tobytes()
         assert batched.rounds_finished.total() == whole.size
         # worst_z is the first point found at the worst residual; one batch
         # finds the two levels' points in another order, so an exact tie could
@@ -277,20 +279,95 @@ def test_subordination_is_pointwise_across_batches(x, y, closed, hint, eta):
 ], ids=["semicircle+semicircle", "point+semicircle", "semicircle+point"])
 def test_free_clt_start_is_exact_for_semicircles_and_point_masses(x, y):
     # With X and Y semicircles, or Y a point mass, the start is omega_1 itself
-    # (Biane 1997): every point is done in the first round, and G is the
-    # semicircle of the summed mean and variance.
+    # (Biane 1997): every point is done in the first round, and G and G' are
+    # the semicircle's of the summed mean and variance.
     (tag_x, par_x, clt_x), (tag_y, par_y, clt_y) = x, y
     cauchy_x, cauchy_y = (named_cauchy(tag, **par) or cauchy_evaluator(make_named(tag, **par))
                           for tag, par in ((tag_x, par_x), (tag_y, par_y)))
     t = np.linspace(-4.0, 4.0, 81)
     z = np.concatenate([t + 1e-3j, t + 1j])
     solver = SolverCounters()
-    g = freeconv._subordinate(z, cauchy_x, cauchy_y, solver,
-                              start=freeconv._free_clt_start(z, clt_x, clt_y))
+    g, gp = freeconv._subordinate(z, cauchy_x, cauchy_y, solver,
+                                  start=freeconv._free_clt_start(z, clt_x, clt_y))
     assert solver.iterations == 1
     sigma = named_cauchy("semicircle", r=2.0 * math.sqrt(clt_x[1] + clt_y[1]))
-    exact, _ = sigma(z - (clt_x[0] + clt_y[0]))
+    exact, exact_p = sigma(z - (clt_x[0] + clt_y[0]))
     assert np.max(np.abs(g - exact) / np.abs(exact)) < 1e-12
+    assert np.max(np.abs(gp - exact_p) / np.abs(exact_p)) < 1e-12
+
+
+# perfbench's analytic argvs that solve: (law x, law y, grid size), all at
+# eta 1e-3; its fifth, point:c=1.5 boxplus bernoulli, is its atoms alone
+PERFBENCH_ANALYTIC = [
+    (("arcsine", {}), ("arcsine", {}), 64),
+    (("marchenko_pastur", {"lam": 1.0}), ("bernoulli", {}), 64),
+    (("semicircle", {}), ("bernoulli", {}), 64),
+    (("bernoulli", {}), ("bernoulli", {}), 256),
+]
+
+
+@pytest.mark.parametrize("x,y,grid", PERFBENCH_ANALYTIC,
+                         ids=lambda c: c[0] if isinstance(c, tuple) else str(c))
+def test_free_clt_start_computes_the_semicircle_records_bytes(monkeypatch, x, y, grid):
+    # the start's unit semicircle builds no record, and moves no byte
+    seen = []
+    unit = freeconv._unit_semicircle
+    monkeypatch.setattr(freeconv, "_unit_semicircle", lambda u: seen.append(u) or unit(u))
+    free_convolve_analytic(named_input(x[0], **x[1]), named_input(y[0], **y[1]),
+                           grid_size=grid)
+    (u,) = seen
+    assert unit(u).tobytes() == named_cauchy("semicircle", r=2.0)(u)[0].tobytes()
+
+
+@pytest.mark.parametrize("x,y,hint,eta,exact", [
+    # Bernoulli boxplus Bernoulli is the arcsine law, with G' = -z G^3
+    (("bernoulli", {}), ("bernoulli", {}), (-2.4, 2.4), 1e-3,
+     lambda z: named_cauchy("arcsine")(z)[1]),
+    (("bernoulli", {}), ("bernoulli", {}), (-2.4, 2.4), 1e-1,
+     lambda z: named_cauchy("arcsine")(z)[1]),
+    # (delta_0.5 + delta_2.5)/2: the point in its gap at 1.5 is solved swapped
+    (("point", {"c": 1.5}), ("bernoulli", {}), (0.3, 2.7), 1e-4,
+     lambda z: -0.5 / (z - 0.5) ** 2 - 0.5 / (z - 2.5) ** 2),
+], ids=["bernoulli+bernoulli-1e-3", "bernoulli+bernoulli-1e-1", "point+bernoulli-1e-4"])
+def test_subordination_derivative_matches_closed_forms(x, y, hint, eta, exact):
+    cauchy_x, cauchy_y = _evaluator(x, False), _evaluator(y, False)
+    z = np.linspace(*hint, 129) + 1j * eta
+    clt = [_mean_variance(law) for law in (x, y)]
+    for start in (None, freeconv._free_clt_start(z, *clt)):
+        solver = SolverCounters()
+        _, gp = freeconv._subordinate(z, cauchy_x, cauchy_y, solver, start=start)
+        want = exact(z)
+        assert np.max(np.abs(gp - want) / np.abs(want)) < 1e-9
+        if x[0] == "point":
+            assert solver.iterations > freeconv.SWAP_ROUNDS  # the swapped branch ran
+
+
+def _kesten_mckay_q4(t):
+    # arcsine boxplus arcsine = Bernoulli^(boxplus 4): the 4-regular tree's law
+    return 4.0 * np.sqrt(np.maximum(12.0 - t * t, 0.0)) / (2.0 * math.pi * (16.0 - t * t))
+
+
+def _semicircle_variance_2(t):
+    return np.sqrt(np.maximum(8.0 - t * t, 0.0)) / (4.0 * math.pi)
+
+
+@pytest.mark.parametrize("law,exact,edge", [
+    ("semicircle", _semicircle_variance_2, math.sqrt(8.0)),
+    ("arcsine", _kesten_mckay_q4, math.sqrt(12.0)),
+], ids=["semicircle+semicircle", "arcsine+arcsine"])
+def test_one_height_inversion_is_second_order_in_eta(law, exact, edge):
+    # (eta Re G' - Im G)/pi leaves an eta^2 error inside the support: it falls
+    # by 4 per halving of eta
+    mu = named_input(law)
+    errors = []
+    for eta in (4e-2, 2e-2, 1e-2):
+        out = free_convolve_analytic(mu, mu, grid_size=512, eta=eta).measure
+        t = out.grid
+        inner = np.abs(t) <= 0.5 * edge
+        raw = out.samples * out.raw_mass  # the density before normalising
+        errors.append(np.max(np.abs(raw[inner] - exact(t[inner]))))
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 3.5 <= coarse / fine <= 4.5
 
 
 def test_median_iterations_is_a_round_count_of_the_solve():

@@ -224,7 +224,7 @@ def test_cauchy_far_from_support_matches_moment_series(law, params):
 
 def test_stieltjes_invert_round_trip_density():
     sc = make_named("semicircle")
-    rec = stieltjes_invert(lambda w: cauchy(sc, w), (-2.2, 2.2))
+    rec = stieltjes_invert(cauchy_evaluator(sc), (-2.2, 2.2))
     assert rec.atoms == ()
     assert abs(rec.total_mass() - 1) < 1e-5
     assert np.max(np.abs(moments(rec, 4) - moments(sc, 4))) < 1e-4
@@ -247,32 +247,32 @@ def test_stieltjes_invert_calls_g_once(law, hint):
     # a transform with poles too: they are smeared into the density, and no
     # atom is looked for
     mu = make_named(law)
-    G, sizes = _counting(lambda w: cauchy(mu, w))
+    G, sizes = _counting(cauchy_evaluator(mu))
     rec = stieltjes_invert(G, hint, grid_size=256)
     assert rec.atoms == ()
-    assert sizes == [2 * 257]  # the grid at both heights, in one batch
+    assert sizes == [257]  # the grid at its one height, in one batch
 
 
 @pytest.mark.parametrize("eps", [0.0, -1e-3, math.nan, math.inf])
 def test_stieltjes_invert_needs_a_positive_finite_height(eps):
     with pytest.raises(ValueError, match="eps must be positive and finite"):
-        stieltjes_invert(lambda w: 1 / w, (-1, 1), eps=eps)
+        stieltjes_invert(lambda w: (1 / w, -1 / w**2), (-1, 1), eps=eps)
 
 
 def test_stieltjes_invert_needs_a_vectorised_transform():
     with pytest.raises(ValueError, match="must map an array of points"):
-        stieltjes_invert(lambda w: complex(np.sum(1 / w)), (-1, 1))
+        stieltjes_invert(lambda w: (complex(np.sum(1 / w)), complex(np.sum(-1 / w**2))), (-1, 1))
 
 
 def test_stieltjes_invert_rejects_non_herglotz_input():
     with pytest.raises(InversionError):
-        stieltjes_invert(lambda w: 1j * abs(w), (-1, 1))
+        stieltjes_invert(lambda w: (1j * abs(w), np.zeros_like(w)), (-1, 1))
 
 
 def test_stieltjes_invert_normalises_and_keeps_the_raw_mass():
     # half a semicircle's transform, alone and beside an atom of mass 1/2 at 3
     sc = make_named("semicircle")
-    half = lambda w: 0.5 * cauchy(sc, w)
+    half = lambda w: tuple(0.5 * v for v in cauchy_evaluator(sc)(w))
     alone = stieltjes_invert(half, (-2.2, 2.2), grid_size=256)
     assert abs(alone.total_mass() - 1.0) < 1e-12
     assert abs(alone.raw_mass - 0.5) < 1e-3
@@ -283,11 +283,30 @@ def test_stieltjes_invert_normalises_and_keeps_the_raw_mass():
 
 
 def test_stieltjes_invert_rejects_a_zero_density_that_leaves_mass_missing():
-    real = lambda w: np.zeros(w.shape, dtype=np.complex128)
+    real = lambda w: (np.zeros(w.shape, dtype=np.complex128),) * 2
     with pytest.raises(InversionError, match="so mass 0.25 is missing"):
         stieltjes_invert(real, (-1, 1), atoms=((0.0, 0.75),))
     # atoms of unit mass need no density
     assert stieltjes_invert(real, (-1, 1), atoms=((0.0, 1.0),)).raw_mass == 1.0
+
+
+def test_stieltjes_invert_reports_the_clipped_negative_mass():
+    # G = -i pi (c + s z) has G' = -i pi s, so the inversion reads the density
+    # c + s t exactly: it dips to -delta at t = -1 and is negative on
+    # [-1, -0.75), a grid cell edge, where clipping removes s 0.25^2 / 2
+    delta = 5e-7
+    s = delta / 0.25
+    c = 0.75 * s
+
+    def linear(w):
+        return -1j * math.pi * (c + s * w), np.full(w.shape, -1j * math.pi * s)
+
+    rec = stieltjes_invert(linear, (-1.0, 1.0), grid_size=64)
+    assert abs(rec.clipped_negative_mass - s * 0.25**2 / 2) <= 1e-9 * s * 0.25**2 / 2
+    t = rec.grid
+    assert np.all(rec.samples[t < -0.75] == 0.0) and np.all(rec.samples[t > -0.75] > 0.0)
+    # a measure built from its samples clipped nothing
+    assert Measure(atoms=((0.0, 1.0),)).clipped_negative_mass == 0.0
 
 
 def test_csv_has_grid_rows():
