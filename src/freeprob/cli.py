@@ -16,23 +16,24 @@ mass).
 Each input rule is checked once, by the library function that consumes the
 input, which raises ValueError: law names and parameters in
 `measures.resolve_law`, the grid floor in `measures.make_named` and, with
-eta, in `freeconv.free_convolve_analytic`, z, r and h in
+eta, in `freeconv.free_convolve_analytic`, z and the flow variance s in
 `freeconv.semicircle_flow_residual`, the Monte Carlo settings in
 `rmt.freeness_experiment`, the Wick order and N in `rmt.wick_trace_moment`,
 the Weingarten size and truncation order in `rmt.weingarten_series` and N in
 its `evaluate`, d and nmax in `walks`.  This module checks only what no
 library function sees: the argv syntax, the text forms of rationals, laws,
 permutations and complex numbers, which source feeds each side of freeconv,
-the moment order, which subcommands emit CSV, and whether --output can be
-written.
+the moment order, flow's radius, which subcommands emit CSV, and whether
+--output can be written.
 
 The argv syntax is ``COMMAND --option VALUE ...``, read against one option
 table (`_COMMANDS`) that gives each option's type, default, choices and
 whether it is required.  An option is written ``--name VALUE`` or
 ``--name=VALUE``; the name may be cut to a prefix that no other option of the
-command shares, and an exact name wins over a prefix (``wick --n`` is not
-``--N``, ``flow --h`` is not ``--help``).  The token after ``--name`` is its
-value whatever it begins with, except ``--``: ``--z -0.5+2j`` is a value.
+command shares, and an exact name wins over a prefix (an option ``--lam``
+beside ``--lambda`` is ``--lam``, an option ``--h`` is not ``--help``).  The
+token after ``--name`` is its value whatever it begins with, except ``--``:
+``--z -0.5+2j`` is a value.
 The last occurrence of an option wins.  ``-h``, ``--help`` or a prefix of it
 prints the help of the program or of the command on stdout, with exit code 0.
 A parse error exits 2 with a usage line on stderr.
@@ -40,11 +41,12 @@ A parse error exits 2 with a usage line on stderr.
 freeconv's analytic route reads each named law from its record in
 `measures` (`measures.named_input`), with no grid cells: its atoms, support,
 exact moments and closed-form G.  A law without a closed-form G enters as
-its cell measure on --grid-size points.  ``moments_quadrature`` is the float
-free moment-cumulant recursion run on the inputs' moments m_1..m_n, n the
-smaller of --order and 6: a closed-form law's exact moments rounded to
-floats, and a cell measure's quadrature moments.  An entry that the
-recursion cannot determine (past the float range) is null.
+its cell measure on --grid-size points (on 512 in ``flow``, which reads its
+law the same way).  ``moments_quadrature`` is the float free
+moment-cumulant recursion run on the inputs' moments m_1..m_n, n the smaller
+of --order and 6: a closed-form law's exact moments rounded to floats, and a
+cell measure's quadrature moments.  An entry that the recursion cannot
+determine (past the float range) is null.
 ``route_agreement`` (with ``--route both``) is the worst absolute difference
 between ``moments_quadrature`` and the exact route's moments.  It never reads
 the inverted output: for a pair of closed-form laws it compares two
@@ -421,6 +423,18 @@ def _law_input(tag: str, params: dict, grid_size: int):
     return measures.named_input(tag, **params) or measures.make_named(tag, grid_size, **params)
 
 
+def _solver_diagnostics(solver) -> dict:
+    """The counters of a subordination solve (`freeconv.SolverCounters`)."""
+    return {
+        "continuation_residual": solver.residual,
+        "functional_residual": solver.functional,
+        "iterations": solver.iterations,
+        "median_iterations": solver.median_iterations,
+        "safeguarded_steps": solver.safeguarded_steps,
+        "worst_z": solver.worst_z,
+    }
+
+
 def _cmd_freeconv(args) -> str:
     analytic_wanted = args.route in ("analytic", "both")
     if analytic_wanted and (args.law_x is None or args.law_y is None):
@@ -465,12 +479,7 @@ def _cmd_freeconv(args) -> str:
     if analytic_wanted:
         conv = freeconv.free_convolve_analytic(
             *inputs, grid_size=args.grid_size, eta=args.eta, n_moments=min(args.order, 6))
-        diagnostics["continuation_residual"] = conv.solver.residual
-        diagnostics["functional_residual"] = conv.solver.functional
-        diagnostics["iterations"] = conv.solver.iterations
-        diagnostics["median_iterations"] = conv.solver.median_iterations
-        diagnostics["safeguarded_steps"] = conv.solver.safeguarded_steps
-        diagnostics["worst_z"] = conv.solver.worst_z
+        diagnostics.update(_solver_diagnostics(conv.solver))
         diagnostics["mass_defect"] = conv.mass_defect
         diagnostics["clipped_negative_mass"] = conv.measure.clipped_negative_mass
         if args.format == "csv":
@@ -538,23 +547,21 @@ def _cmd_polya(args) -> str:
 
 def _cmd_flow(args) -> str:
     _require_json(args)
-    config = _resolved_config(args, ["law", "z", "r", "h"])
-    tag, params = _parse_law(args.law)
-    mu = measures.make_named(tag, 512, **params)
+    config = _resolved_config(args, ["law", "z", "r"])
+    if not args.r > 0:
+        raise _Usage(f"--r must be positive, got {args.r}")
+    mu = _law_input(*_parse_law(args.law), 512)
     z = _parse_complex(args.z)
+    solver = freeconv.SolverCounters()
+    s0 = args.r * args.r / 4.0
     rows = []
-    for h in (args.h, args.h / 2, args.h / 4):
-        res = freeconv.semicircle_flow_residual(mu, args.r, z, h)
-        rows.append({"h": h, "residual": res, "abs": abs(res)})
-    ratios = [
-        coarse["abs"] / fine["abs"] if fine["abs"] > 0 else float("inf")
-        for coarse, fine in zip(rows, rows[1:])
-    ]
-    return _report(
-        config,
-        {"rows": rows, "ratios": ratios, "provenance": "quadrature"},
-        {},
-    )
+    # Im z_s is linear in s, so once the s0 row is in the upper half-plane
+    # the other rows are too
+    for s in (s0, s0 / 2, s0 / 4):
+        point, residual = freeconv.semicircle_flow_residual(mu, s, z, solver)
+        rows.append({"s": s, "point": point, "residual": residual})
+    return _report(config, {"rows": rows, "provenance": "quadrature"},
+                   _solver_diagnostics(solver))
 
 
 def _cmd_rmt(args) -> str:
@@ -672,13 +679,11 @@ _COMMANDS = {
         ("d", int, ..., ""),
         ("nmax", int, 2000, ""),
     )),
-    "flow": (_cmd_flow, "semicircular-flow residual at steps h, h/2, h/4; "
-             "a ratio near 4 means second order", (
+    "flow": (_cmd_flow, "semicircular-flow residual along the characteristic from z "
+             "at s = r^2/4, s/2, s/4", (
         ("law", str, "point", "base measure (named law)"),
         ("z", str, "2j", "evaluation point, finite, Im z >= 0.1"),
-        ("r", float, 1.0, "flow radius"),
-        ("h", float, 0.02, "coarsest step; rows are at h, h/2 and h/4, and a ratio "
-                           "of neighbouring residuals near 4 means second order"),
+        ("r", float, 1.0, "flow radius: the rows are at variance s = r^2/4, s/2 and s/4"),
     )),
     "rmt": (_cmd_rmt, "asymptotic-freeness Monte Carlo experiment", (
         ("kind", rmt.FREENESS_KINDS, ..., ""),

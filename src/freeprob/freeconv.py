@@ -49,16 +49,17 @@ alone, the pole sum of its atoms), which costs a few operations per point
 where the cell kernel sums every grid cell.  A law without a closed-form G
 enters as its cell `Measure`, which gives them from its own quadrature: its
 moments (`measures.moments`) and the cell kernel
-(`measures.cauchy_evaluator`), or an evaluator handed in.
+(`measures.cauchy_evaluator`).
 
-The semicircle flow f_mu(s) = mu boxplus (semicircle of variance s) satisfies
-the complex inviscid Burgers equation d_s G + G d_z G = 0 in the variance
-variable s; parametrizing by the radius instead leaves a nonzero residual
-(checked numerically on mu = delta_0, where both flows have closed forms).
-`semicircle_flow_residual` therefore differentiates in s = r^2/4, and reads
-each member semicircle through its closed-form (G, G') from
-`measures.named_cauchy`, so the finite differences see the solve's error on
-mu alone and no quadrature of the member.
+The semicircle flow mu_s = mu boxplus (semicircle of variance s) satisfies
+the complex inviscid Burgers equation d_s G + G d_z G = 0 in the variance s,
+whose characteristics are straight lines: G_s(z + s G_mu(z)) = G_mu(z)
+wherever Im(z + s G_mu(z)) > 0.  This is Biane's subordination
+omega(z) = z - s G_s(z), read at z_s = z + s G_mu(z).
+`semicircle_flow_residual` checks it by one solve at the one point z_s,
+against the member semicircle's closed-form (G, G') from
+`measures.named_cauchy`, so the residual is the solve's error alone: no
+step in s or z, and no quadrature of the member.
 """
 
 from __future__ import annotations
@@ -325,13 +326,12 @@ def _subordinate(
     return out, out_p
 
 
-def _as_input(mu, cauchy=None) -> LawInput:
+def _as_input(mu) -> LawInput:
     """``mu`` as a `LawInput`: a `Measure` through its quadrature moments and
-    ``cauchy``, by default its cell kernel; a `LawInput` as it is, with
-    ``cauchy`` in place of its evaluator if given."""
+    its cell kernel; a `LawInput` as it is."""
     if isinstance(mu, LawInput):
-        return mu if cauchy is None else mu._replace(cauchy=cauchy)
-    return LawInput(atoms=mu.atoms, support=mu.support, cauchy=cauchy or cauchy_evaluator(mu),
+        return mu
+    return LawInput(atoms=mu.atoms, support=mu.support, cauchy=cauchy_evaluator(mu),
                     moments=lambda order: measure_moments(mu, order).tolist())
 
 
@@ -341,8 +341,6 @@ def free_convolve_analytic(
     grid_size: int = 512,
     eta: float = 1e-3,
     n_moments: int = 6,
-    cauchy_x=None,
-    cauchy_y=None,
 ) -> ConvolutionResult:
     """Voiculescu's algorithm on two inputs; returns moments, measure, the
     solve's residuals and step counts, and the inverted measure's mass defect
@@ -353,14 +351,14 @@ def free_convolve_analytic(
     moments and its cell kernel.  The inputs give the support hint, the
     atoms, the moments m_1..m_n_moments that the float recursion convolves,
     their mean and variance, which give the solve's start (see
-    `_free_clt_start`), and the (G, G') evaluator that the solve reads;
-    ``cauchy_x``, if given, replaces X's evaluator by another one of the same
-    law, and likewise ``cauchy_y``.  The output's atoms follow from the
-    inputs' atoms (see the module docstring).  Each grid point at the single
-    height ``eta``, positive and finite, is solved once, for G and G'; each
-    atom's pole m/(z - a) is subtracted from G and its derivative from G'
-    (m/(z - a)^2 is added), and `stieltjes_invert` inverts the rest into the
-    density.  Atoms that carry the whole mass make the output, with no solve.
+    `_free_clt_start`), and the (G, G') evaluator that the solve reads (a
+    caller that wants another evaluator of the same law passes a `LawInput`
+    that carries it).  The output's atoms follow from the inputs' atoms (see
+    the module docstring).  Each grid point at the single height ``eta``,
+    positive and finite, is solved once, for G and G'; each atom's pole
+    m/(z - a) is subtracted from G and its derivative from G' (m/(z - a)^2 is
+    added), and `stieltjes_invert` inverts the rest into the density.  Atoms
+    that carry the whole mass make the output, with no solve.
     """
     if not 0 < eta < math.inf:
         raise ValueError(f"eta must be positive and finite, got {eta}")
@@ -371,8 +369,8 @@ def free_convolve_analytic(
     for mu in (mu_x, mu_y):
         if mu.support is None and not mu.atoms:
             raise ValueError("input measure is empty")
-    x = _as_input(mu_x, cauchy_x)
-    y = _as_input(mu_y, cauchy_y)
+    x = _as_input(mu_x)
+    y = _as_input(mu_y)
     # no two pairs share a location: their masses would total more than 2
     atoms = tuple((a + b, ma + mb - 1.0) for a, ma in x.atoms for b, mb in y.atoms
                   if ma + mb - 1.0 > ATOM_TOL)
@@ -476,34 +474,29 @@ def free_clt(m_base, n_copies: int, order: int | None = None) -> list:
     return free_moments_from_cumulants(scaled)
 
 
-def semicircle_flow_residual(mu: Measure, r: float, z: complex, h: float) -> complex:
-    """Finite-difference Burgers residual d_s G + G d_z G of the semicircle flow.
+def semicircle_flow_residual(mu: LawInput | Measure, s: float, z: complex,
+                             solver: SolverCounters) -> tuple:
+    """The semicircle flow's characteristic at z, checked by one solve.
 
-    The flow member at radius r carries variance s = r^2/4, and s is the
-    variable in which the PDE holds (see module docstring); both derivatives
-    are second-order central differences with step h.  z must be finite
-    with Im z >= 0.1, and r and h positive, with h below r^2/4.
+    Returns (z_s, |G_s(z_s) - G_mu(z)|/|G_mu(z)|), z_s = z + s G_mu(z) and
+    G_s the G of mu boxplus (the semicircle of variance s), which the solve
+    `_subordinate` gives at z_s against the member's closed form
+    (`measures.named_cauchy`) and adds its counters to ``solver``.  ``mu`` is
+    read as in `free_convolve_analytic`.  z must be finite with Im z >= 0.1,
+    s positive and finite, and z_s in the upper half-plane.
     """
     z = complex(z)
-    r = float(r)
-    h = float(h)
+    s = float(s)
     if not (math.isfinite(z.real) and math.isfinite(z.imag) and z.imag >= 0.1):
         raise ValueError(f"need a finite z with Im z >= 0.1, got {z}")
-    if not (r > 0 and h > 0):
-        raise ValueError(f"r and h must be positive, got r={r}, h={h}")
-    s0 = r * r / 4.0
-    if h >= s0:
-        raise ValueError(f"step h={h} too large for flow variance {s0}")
-
-    cauchy_mu = cauchy_evaluator(mu)
-
-    def g_at(s: float, *zs: complex) -> list:
-        member = named_cauchy("semicircle", r=2.0 * math.sqrt(s))
-        solved, _ = _subordinate(np.array(zs), cauchy_mu, member, SolverCounters())
-        return [complex(g) for g in solved]
-
-    g0, g_zp, g_zm = g_at(s0, z, z + h, z - h)
-    (g_sp,), (g_sm,) = g_at(s0 + h, z), g_at(s0 - h, z)
-    ds = (g_sp - g_sm) / (2.0 * h)
-    dz = (g_zp - g_zm) / (2.0 * h)
-    return ds + g0 * dz
+    if not 0 < s < math.inf:
+        raise ValueError(f"flow variance s must be positive and finite, got {s}")
+    mu = _as_input(mu)
+    g = complex(mu.cauchy(np.array([z]))[0][0])
+    z_s = z + s * g
+    if not z_s.imag > 0:
+        raise ValueError(f"the characteristic from z = {z} leaves the upper half-plane "
+                         f"by s = {s} (z_s = {z_s})")
+    member = named_cauchy("semicircle", r=2.0 * math.sqrt(s))
+    g_s, _ = _subordinate(np.array([z_s]), mu.cauchy, member, solver)
+    return z_s, abs(complex(g_s[0]) - g) / abs(g)

@@ -4,6 +4,7 @@ import contextlib
 import io
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -225,12 +226,43 @@ def test_polya_return_estimate(capsys):
     assert low_d["result"]["return_probability_estimate"] is None
 
 
-def test_flow_ratio_table(capsys):
-    doc = run_json(capsys, ["flow", "--law", "semicircle", "--z", "2i", "--h", "0.04"])
+def test_flow_table_is_at_the_solve_tolerance(capsys):
+    doc = run_json(capsys, ["flow", "--law", "semicircle", "--z", "2i"])
     rows = doc["result"]["rows"]
-    assert len(rows) >= 2
-    ratios = doc["result"]["ratios"]
-    assert all(r > 3.5 for r in ratios)
+    assert [row["s"] for row in rows] == [0.25, 0.125, 0.0625]
+    g = complex(measures.named_cauchy("semicircle")(np.array([2j]))[0][0])
+    for row in rows:
+        point = complex(row["point"]["re"], row["point"]["im"])
+        assert abs(point - (2j + row["s"] * g)) < 1e-15
+        assert row["residual"] <= 1e-11
+    diag = doc["diagnostics"]
+    assert list(diag) == ["continuation_residual", "functional_residual", "iterations",
+                          "median_iterations", "safeguarded_steps", "worst_z"]
+    assert diag["continuation_residual"] <= 1e-12
+
+
+def test_flow_solves_each_member_at_one_point(capsys, monkeypatch):
+    # one solve of one point for each of s0, s0/2 and s0/4, against the
+    # member semicircle's closed form
+    solves, members = [], []
+    solve, closed = cli.freeconv._subordinate, cli.freeconv.named_cauchy
+    monkeypatch.setattr(cli.freeconv, "_subordinate",
+                        lambda zs, *a, **k: solves.append(len(zs)) or solve(zs, *a, **k))
+    monkeypatch.setattr(cli.freeconv, "named_cauchy",
+                        lambda *a, **k: members.append((a, k)) or closed(*a, **k))
+    rows = run_json(capsys, ["flow", "--law", "arcsine", "--z", "0.3+1j", "--r", "2"])[
+        "result"]["rows"]
+    assert solves == [1, 1, 1]
+    assert members == [(("semicircle",), {"r": 2.0 * math.sqrt(s)}) for s in (1.0, 0.5, 0.25)]
+    monkeypatch.undo()
+    # the residuals of those three solves, to the bit
+    mu = measures.named_input("arcsine")
+    g = complex(mu.cauchy(np.array([0.3 + 1j]))[0][0])
+    for row in rows:
+        member = measures.named_cauchy("semicircle", r=2.0 * math.sqrt(row["s"]))
+        g_s, _ = cli.freeconv._subordinate(np.array([0.3 + 1j + row["s"] * g]), mu.cauchy,
+                                           member, cli.freeconv.SolverCounters())
+        assert row["residual"] == abs(complex(g_s[0]) - g) / abs(g)
 
 
 def test_flow_continuation_failure_exits_three(capsys, monkeypatch):
@@ -238,7 +270,7 @@ def test_flow_continuation_failure_exits_three(capsys, monkeypatch):
         raise ContinuationError("ladder stalled", z=2j)
 
     monkeypatch.setattr(cli.freeconv, "semicircle_flow_residual", boom)
-    rc = cli.run(["flow", "--law", "semicircle", "--z", "2i", "--h", "0.04"])
+    rc = cli.run(["flow", "--law", "semicircle", "--z", "2i"])
     assert rc == 3
     assert "ladder stalled" in capsys.readouterr().err
 
@@ -347,7 +379,8 @@ BAD_INPUT = [
      "--eta", "-1"],
     ["flow", "--z", "nan+2j"],
     ["flow", "--z", "1e400j"],
-    ["flow", "--h", "nan"],
+    ["flow", "--law", "point", "--z", "0.1j", "--r", "2"],  # z_s = -9.9j
+    ["flow", "--r", "-1"],
     ["wick", "--n", "4", "--N", "0"],
     ["rmt", "--kind", "gue_gue", "--N", "1", "--trials", "4"],
 ]
@@ -413,7 +446,8 @@ def test_usage_errors(capsys):
     assert cli.run(["kesten", "--d", "2"]) == 2  # missing --nmax
     assert cli.run(["kesten", "--d", "0", "--nmax", "4"]) == 2  # bad value
     assert cli.run(["polya", "--d", "1", "--nmax", "50"]) == 2  # below floor
-    assert cli.run(["flow", "--h", "0.02,0.01"]) == 2  # one step, not a list
+    # the characteristic from z leaves the upper half-plane by s = 4
+    assert cli.run(["flow", "--law", "arcsine", "--z", "0.1+0.3j", "--r", "4"]) == 2
 
 
 def test_python_dash_m_matches_cli_run(capsys):
@@ -758,10 +792,14 @@ def test_option_spellings(capsys, spelling):
 def test_exact_name_wins_over_a_prefix(capsys):
     doc = run_json(capsys, ["wick", "--n", "4", "--N", "5"])
     assert (doc["config"]["n"], doc["config"]["N"]) == (4, 5)
-    doc = run_json(capsys, ["flow", "--h", "0.01"])  # --h is flow's, not --help
-    assert doc["config"]["h"] == 0.01
-    assert cli.run(["flow", "--he"]) == 0
-    assert capsys.readouterr().out.startswith("usage: freeprob flow")
+    # a name that is a prefix of another name, or of help, is its own
+    table = {o[0]: o for o in (("h", float, 0.02, ""), ("lam", float, 1.0, ""),
+                               ("lambda", float, 1.0, ""))}
+    assert cli._scan("flow", table, ["--h", "0.01", "--lam", "2"]) == {"h": 0.01, "lam": 2.0}
+    assert cli._scan("flow", table, ["--lamb", "3"]) == {"lambda": 3.0}
+    for argv in (["flow", "--h"], ["flow", "--he"]):  # flow has no --h
+        assert cli.run(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: freeprob flow")
 
 
 def test_ambiguous_prefix_is_a_usage_error(capsys):
@@ -845,26 +883,31 @@ def test_cli_run_leaves_argparse_unloaded():
     assert _fresh_interpreter(code) == "[]"
 
 
-@pytest.mark.parametrize("law_x,law_y,cells", [
-    ("arcsine", "arcsine", []),
-    ("marchenko_pastur:lam=1", "bernoulli", []),
-    ("semicircle", "point:c=1.5", []),
-    ("marchenko_pastur:lam=0.5", "semicircle:r=3", []),
-    ("sato_tate", "bernoulli", ["sato_tate"]),
-    ("arcsine", "sato_tate", ["sato_tate"]),
-    ("sato_tate", "sato_tate", ["sato_tate"]),
-])
-def test_freeconv_builds_a_cell_measure_only_for_sato_tate(capsys, monkeypatch, law_x, law_y,
-                                                           cells):
-    # a law with a closed form enters the analytic route as itself
+_FREECONV = ["--route", "both", "--grid-size", "64"]
+
+
+@pytest.mark.parametrize("argv,cells", [
+    (["freeconv", "--law-x", "arcsine", "--law-y", "arcsine", *_FREECONV], []),
+    (["freeconv", "--law-x", "marchenko_pastur:lam=1", "--law-y", "bernoulli", *_FREECONV], []),
+    (["freeconv", "--law-x", "semicircle", "--law-y", "point:c=1.5", *_FREECONV], []),
+    (["freeconv", "--law-x", "marchenko_pastur:lam=0.5", "--law-y", "semicircle:r=3",
+      *_FREECONV], []),
+    (["freeconv", "--law-x", "sato_tate", "--law-y", "bernoulli", *_FREECONV], ["sato_tate"]),
+    (["freeconv", "--law-x", "arcsine", "--law-y", "sato_tate", *_FREECONV], ["sato_tate"]),
+    (["freeconv", "--law-x", "sato_tate", "--law-y", "sato_tate", *_FREECONV], ["sato_tate"]),
+    *((["flow", "--law", law, "--z", "0.3+1j"], cells) for law, cells in (
+        ("semicircle", []), ("arcsine", []), ("bernoulli", []), ("point:c=1.5", []),
+        ("marchenko_pastur:lam=0.5", []), ("sato_tate", ["sato_tate"]))),
+], ids=" ".join)
+def test_freeconv_builds_a_cell_measure_only_for_sato_tate(capsys, monkeypatch, argv, cells):
+    # a law with a closed form enters the analytic route, and flow, as itself
     calls = []
     make = measures.make_named
     monkeypatch.setattr(measures, "make_named",
                         lambda law, *a, **k: calls.append(law) or make(law, *a, **k))
-    doc = run_json(capsys, ["freeconv", "--law-x", law_x, "--law-y", law_y,
-                            "--route", "both", "--grid-size", "64"])
+    doc = run_json(capsys, argv)
     assert calls == cells
-    if not cells:  # the float recursion on the exact moments
+    if argv[0] == "freeconv" and not cells:  # the float recursion on the exact moments
         assert doc["diagnostics"]["route_agreement"] < 1e-12
 
 
