@@ -42,7 +42,11 @@ freeconv's analytic route reads each named law from its record in
 `measures` (`measures.named_input`), with no grid cells: its atoms, support,
 exact moments and closed-form G.  A law without a closed-form G enters as
 its cell measure on --grid-size points (on 512 in ``flow``, which reads its
-law the same way).  ``moments_quadrature`` is the float free
+law the same way).  Two equal laws (equal tags and resolved parameters,
+`measures.resolve_law`) take the power route mu^{boxplus 2}
+(`freeconv.free_power_analytic`), one G evaluation per Newton round; other
+pairs take the two-law solve (`freeconv.free_convolve_analytic`).
+``moments_quadrature`` is the float free
 moment-cumulant recursion run on the inputs' moments m_1..m_n, n the smaller
 of --order and 6: a closed-form law's exact moments rounded to floats, and a
 cell measure's quadrature moments.  An entry that the recursion cannot
@@ -477,8 +481,10 @@ def _cmd_freeconv(args) -> str:
         result["moments_provenance"] = "exact" if exact else "quadrature"
 
     if analytic_wanted:
-        conv = freeconv.free_convolve_analytic(
-            *inputs, grid_size=args.grid_size, eta=args.eta, n_moments=min(args.order, 6))
+        options = {"grid_size": args.grid_size, "eta": args.eta, "n_moments": min(args.order, 6)}
+        # mu boxplus mu is the power mu^{boxplus 2}: one G evaluation per round
+        conv = freeconv.free_power_analytic(first, 2.0, **options) if laws[1] == laws[0] else \
+            freeconv.free_convolve_analytic(*inputs, **options)
         diagnostics.update(_solver_diagnostics(conv.solver))
         diagnostics["mass_defect"] = conv.mass_defect
         diagnostics["clipped_negative_mass"] = conv.measure.clipped_negative_mass
@@ -682,7 +688,7 @@ _COMMANDS = {
     "flow": (_cmd_flow, "semicircular-flow residual along the characteristic from z "
              "at s = r^2/4, s/2, s/4", (
         ("law", str, "point", "base measure (named law)"),
-        ("z", str, "2j", "evaluation point, finite, Im z >= 0.1"),
+        ("z", str, "2j", "evaluation point, finite, Im z > 0"),
         ("r", float, 1.0, "flow radius: the rows are at variance s = r^2/4, s/2 and s/4"),
     )),
     "rmt": (_cmd_rmt, "asymptotic-freeness Monte Carlo experiment", (

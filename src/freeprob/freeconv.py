@@ -19,6 +19,19 @@ once, by Newton steps on w - T(w) with plain steps w <- T(w) as the fallback.
 At the fixed point omega_2 = z + h_X(omega_1) satisfies
 G_X(omega_1) = G_Y(omega_2), which the functional residual measures.
 
+The free convolution power mu^{boxplus t}, t >= 1, has the one-law map
+
+    T(w) = z/t + (1 - 1/t) F_mu(w),    F = 1/G,
+
+whose fixed point omega gives F_{mu^{boxplus t}} = F_mu(omega) (Nica &
+Speicher, Amer. J. Math. 118, 1996; Belinschi & Bercovici, 2004).  At t = 2
+it is mu boxplus mu with omega_1 = omega_2 = omega, at one G evaluation per
+round where the two-law map takes two (`free_power_analytic`).  Its Newton
+step is damped: a step that leaves the upper half-plane goes 0.9 of the way
+to the axis instead, which takes fewer rounds than falling back to T(w); the
+two-law map keeps its plain fallback.  Both maps run on one Newton driver
+(`_newton`): residual, stall, acceptance, restart and counters.
+
 Newton starts at the subordination function of the free CLT's answer: the
 semicircle sigma with the mean and variance of X boxplus Y.  It is in closed
 form (Biane, "On the free convolution with a semi-circular distribution",
@@ -27,14 +40,16 @@ Indiana Univ. Math. J. 46, 1997):
     w_0(z) = z - kappa_1(Y) - kappa_2(Y) G_sigma(z),
 
 exact when X and Y are both semicircles or Y is a point mass, and in the
-upper half-plane with Im w_0 >= Im z, since kappa_2 >= 0 and Im G <= 0.
+upper half-plane with Im w_0 >= Im z, since kappa_2 >= 0 and Im G <= 0.  For
+mu^{boxplus t}, Y is mu^{boxplus (t - 1)}, with cumulants (t - 1) kappa_n(mu).
 
 The output's atoms need no search: X boxplus Y has an atom at a + b exactly
 when mu_X({a}) + mu_Y({b}) > 1, and its mass is the excess (Bercovici &
 Voiculescu, "Regularity questions for free convolution", Oper. Theory Adv.
-Appl. 104, 1998).  The solve gives G and, from the same Newton round, G'
-at each point of one row t + i eta of the inversion grid (omega_1 is
-analytic, so G' = G_X'(omega_1) omega_1' in closed form, see `_subordinate`).
+Appl. 104, 1998); mu^{boxplus t} has one at t a where t mu({a}) - (t - 1)
+is positive, of that mass.  The solve gives G and, from the same Newton
+round, G' at each point of one row t + i eta of the inversion grid (omega
+is analytic, so G' = G_mu'(omega) omega' in closed form, see `_newton`).
 The atoms' poles are subtracted from both, and `measures.stieltjes_invert`
 reads the density off that single row as (eta Re G' - Im G)/pi, which
 cancels the O(eta) smoothing with no second row.
@@ -67,7 +82,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from ._numpy import np
 from .measures import LawInput, Measure, _edge_root, cauchy_evaluator, named_cauchy
@@ -82,6 +97,7 @@ __all__ = [
     "free_convolve_cumulants",
     "free_convolve_moments",
     "free_convolve_analytic",
+    "free_power_analytic",
     "free_poisson",
     "free_clt",
     "semicircle_flow_residual",
@@ -119,9 +135,11 @@ class SolverCounters:
     def __init__(self):
         # worst relative fixed-point residual (|w - T(w)| + rounding)/(1 + |w|)
         self.residual = 0.0
-        self.functional = 0.0  # worst |G_X(omega_1) - G_Y(omega_2)|/|G|
+        # worst |G_X(omega_1) - G_Y(omega_2)|/|G|; a power t != 2 leaves it at 0
+        self.functional = 0.0
         self.iterations = 0  # most rounds any point took, both orders counted
-        self.safeguarded_steps = 0  # plain steps w <- T(w) taken for Newton, summed over points
+        # damped or plain steps taken for Newton's, summed over points
+        self.safeguarded_steps = 0
         self.worst_z: complex | None = None  # the point with the largest fixed-point residual
         # rounds -> number of points that finished after that many, both orders counted
         self.rounds_finished = Counter()
@@ -132,12 +150,14 @@ class SolverCounters:
         return vars(self) == vars(other)
 
     def add(self, zs, residual, functional, rounds):
-        """Take in the points ``zs`` that finished after ``rounds`` rounds."""
+        """Take in the points ``zs`` that finished after ``rounds`` rounds;
+        ``functional`` is None where the map has nothing to check it by."""
         k = int(np.argmax(residual))
         if self.worst_z is None or residual[k] > self.residual:
             self.residual = float(residual[k])
             self.worst_z = complex(zs[k])
-        self.functional = max(self.functional, float(functional.max()))
+        if functional is not None:
+            self.functional = max(self.functional, float(functional.max()))
         self.iterations = max(self.iterations, rounds)
         self.rounds_finished[rounds] += len(zs)
 
@@ -211,48 +231,115 @@ def _free_clt_start(z: np.ndarray, x: tuple, y: tuple) -> np.ndarray:
     return z - mean_y - var_y * (_unit_semicircle((z - (mean_x + mean_y)) / root) / root)
 
 
-def _subordinate(
-    z: np.ndarray, cauchy_x, cauchy_y, solver: SolverCounters, after: int = 0,
-    failed: list | None = None, start: np.ndarray | None = None,
-) -> tuple:
-    """(G, G') of X boxplus Y at every point of z (Im z > 0), solved together.
+class _TwoLaw(NamedTuple):
+    """T(w) = z + h_Y(z + h_X(w)), h = 1/G - id, whose fixed point is
+    omega_1(z) of X boxplus Y, from the (G, G') evaluators of X and Y, for
+    `_newton`: plain steps, and a restart with X and Y swapped."""
 
-    ``cauchy_x`` and ``cauchy_y`` are the (G, G') evaluators of X and Y.
-    Returns the arrays G_X(w) and G_X'(w) omega_1'(z), w = omega_1(z) the
-    fixed point of T(w) = z + h_Y(z + h_X(w)) with h = 1/G - id, iterated
-    from ``start`` (an array like z in the upper half-plane, by default z
-    itself; `free_convolve_analytic` passes the free CLT's subordination
-    function of Biane (1997), see `_free_clt_start`), and adds its residuals
-    and step counts to ``solver``.  Each round evaluates T and T' at the
-    iterate of every point still iterating:
+    cauchy_x: Callable
+    cauchy_y: Callable
+    damped = False
 
-    * Steps.  The next iterate is the full Newton step on F(w) = w - T(w),
-      w - F(w)/(1 - h_Y'(u) h_X'(w)) with u = z + h_X(w).  Where that step is
-      not finite or leaves the upper half-plane, it is the plain step
-      w <- T(w) instead: T maps the upper half-plane into itself, so plain
-      steps converge to the fixed point (Denjoy-Wolff), only slowly.
+    def restart(self):
+        return _TwoLaw(self.cauchy_y, self.cauchy_x)
+
+    def round(self, zs, az, w, aw):
+        """(T(w), 1 - T'(w), rounding noise of T(w), state for `finish`);
+        T'(w) = h_Y'(u) h_X'(w), u = z + h_X(w)."""
+        gx, gxp = self.cauchy_x(w)
+        igx = 1.0 / gx
+        u = zs + igx - w
+        gy, gyp = self.cauchy_y(u)
+        igy = 1.0 / gy
+        dhx = -gxp / (gx * gx) - 1.0  # h_X'(w)
+        dhy = -gyp / (gy * gy) - 1.0  # h_Y'(u)
+        noise = np.abs(dhy) * (np.abs(igx) + aw + az)
+        noise += np.abs(igy) + np.abs(u) + az
+        return zs + igy - u, 1.0 - dhy * dhx, noise, (gx, gxp, gy, dhy)
+
+    def finish(self, zs, w, state, done, slope):
+        """G_X(w), G_X'(w) omega_1' with omega_1' = (1 + h_Y'(u))/(1 - T'(w)),
+        and |G_X(w) - G_Y(u)|/|G_X(w)|, at the points ``done``."""
+        gx, gxp, gy, dhy = state
+        g = gx[done]
+        return g, gxp[done] * (1.0 + dhy[done]) / slope[done], np.abs(g - gy[done]) / np.abs(g)
+
+
+class _Power(NamedTuple):
+    """T(w) = z/t + (1 - 1/t) F(w), F = 1/G_mu, whose fixed point is the
+    omega(z) of mu^{boxplus t}, t >= 1, from the (G, G') evaluator of mu, for
+    `_newton`: damped steps, and a restart with plain ones."""
+
+    cauchy: Callable
+    t: float
+    damped: bool = True
+
+    def restart(self):
+        return self._replace(damped=False)
+
+    def round(self, zs, az, w, aw):
+        """As `_TwoLaw.round`, with T'(w) = (1 - 1/t) F'(w), F' = -G'/G^2."""
+        g, gp = self.cauchy(w)
+        f = 1.0 / g
+        c = 1.0 - 1.0 / self.t
+        noise = aw + az / self.t + c * np.abs(f)
+        return zs / self.t + c * f, 1.0 + c * gp / (g * g), noise, (g, gp, f)
+
+    def finish(self, zs, w, state, done, slope):
+        """G_mu(w) and G_mu'(w) omega' with omega' = (1/t)/(1 - T'(w)) at the
+        points ``done``; at t = 2, |G_mu(w) - G_mu(u)|/|G_mu(w)| with
+        u = z + h_mu(w) the second subordination point of mu boxplus mu, by
+        one more evaluation, and None (no check) at any other t."""
+        g, gp, f = state
+        g_done = g[done]
+        gp_done = gp[done] * (1.0 / self.t) / slope[done]
+        if self.t != 2.0:
+            return g_done, gp_done, None
+        other, _ = self.cauchy(zs[done] + f[done] - w[done])
+        return g_done, gp_done, np.abs(g_done - other) / np.abs(g_done)
+
+
+def _newton(z: np.ndarray, fmap, solver: SolverCounters, start: np.ndarray | None = None,
+            after: int = 0, failed: list | None = None) -> tuple:
+    """(G, G') at every point of z (Im z > 0), solved together by Newton on
+    F(w) = w - T(w), T the map ``fmap`` (`_TwoLaw` or `_Power`).
+
+    Iterates from ``start`` (an array like z in the upper half-plane, by
+    default z itself) and adds its residuals and step counts to ``solver``.
+    Each round evaluates T and 1 - T' at the iterate of every point still
+    iterating (``fmap.round``):
+
+    * Steps.  The next iterate is the full Newton step w - F(w)/(1 - T'(w)).
+      Where that step is not finite or leaves the upper half-plane, a map
+      with plain steps takes w <- T(w) instead: T maps the upper half-plane
+      into itself, so plain steps converge to the fixed point
+      (Denjoy-Wolff), only slowly.  A damped map goes 0.9 of the way to the
+      axis along the Newton step, and takes w <- T(w) only where that is not
+      finite.  Both kinds count as safeguarded steps.
     * Residual.  (|F(w)| + e)/(1 + |w|), where e bounds the rounding error of
       T(w) at ``ROUNDING`` per term, so that rounding noise cannot pass for
       convergence.  It bounds the error of w relative to 1 + |w|, up to the
       conditioning 1/|1 - T'(w)|.
     * Done.  At a residual of ``SOLVE_TOL``, or of ``ACCEPT_TOL`` once the
-      residual has stalled for ``STALL_ROUNDS`` rounds: where G is small one
-      of the two subordination functions is huge, and rounding alone keeps
-      the residual above ``SOLVE_TOL``.
-    * Derivative.  omega_1 is analytic, so differentiating w = T(w) in z
-      gives omega_1' = (1 + h_Y'(u))/(1 - h_Y'(u) h_X'(w)).  A point's G' is
-      G_X'(w) omega_1' from the G_X', h_X' and h_Y' of the round that
-      finishes it, at the w whose G_X(w) it returns.
-    * Swap.  A point stalled for ``SWAP_ROUNDS`` rounds above ``ACCEPT_TOL``,
-      or above it at ``MAX_ROUNDS``, is solved again as G_Y(omega_2), with X
-      and Y swapped, ``after`` the rounds already spent: the rounding floor is
-      lower in the order that iterates the smaller subordination function.
-      The swapped solve starts at z, and returns G_Y(omega_2) and
-      G_Y'(omega_2) omega_2', by the same rule with X and Y exchanged.
-      In that order a point above ``ACCEPT_TOL`` at ``MAX_ROUNDS`` has
-      failed: it goes to the list ``failed`` as (z, residual), and once every
-      other point is solved the call raises ContinuationError with their
-      count and the worst of them.
+      residual has stalled for ``STALL_ROUNDS`` rounds: where G is small a
+      subordination function is huge, and rounding alone keeps the residual
+      above ``SOLVE_TOL``.
+    * Derivative.  omega is analytic, so differentiating w = T(w) in z gives
+      omega' = (d_z T)/(1 - T'(w)), with the 1 - T' of the Newton step.  A
+      point's G and G' come from the round that finishes it
+      (``fmap.finish``), at the w whose G it returns, with its functional
+      residual.
+    * Restart.  A point stalled for ``SWAP_ROUNDS`` rounds above
+      ``ACCEPT_TOL``, or above it at ``MAX_ROUNDS``, is solved again from z
+      by ``fmap.restart()`` ``after`` the rounds already spent: for two laws,
+      with X and Y swapped, as G_Y(omega_2) and G_Y'(omega_2) omega_2',
+      since the rounding floor is lower in the order that iterates the
+      smaller subordination function; for a power, with plain steps, since
+      damped steps can keep a point near the axis where plain ones reach the
+      fixed point.  In that solve a point above ``ACCEPT_TOL`` at
+      ``MAX_ROUNDS`` has failed: it goes to the list ``failed`` as (z,
+      residual), and once every other point is solved the call raises
+      ContinuationError with their count and the worst of them.
     """
     z = np.asarray(z, dtype=np.complex128).ravel()
     out = np.empty(z.shape, dtype=np.complex128)
@@ -268,50 +355,53 @@ def _subordinate(
     stall = np.zeros(n, dtype=np.int64)  # rounds since it was reached
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for rounds in range(1, MAX_ROUNDS + 1):
-            gx, gxp = cauchy_x(w)
-            igx = 1.0 / gx
-            u = zs + igx - w
-            gy, gyp = cauchy_y(u)
-            igy = 1.0 / gy
-            tw = zs + igy - u
-            dhx = -gxp / (gx * gx) - 1.0  # h_X'(w)
-            dhy = -gyp / (gy * gy) - 1.0  # h_Y'(u)
             aw = np.abs(w)
-            noise = np.abs(dhy) * (np.abs(igx) + aw + az)
-            noise += np.abs(igy) + np.abs(u) + az
+            tw, slope, noise, state = fmap.round(zs, az, w, aw)
             fw = w - tw
             r = (np.abs(fw) + ROUNDING * noise) / (1.0 + aw)
             stall = np.where(r < r_low, 0, stall + 1)
             r_low = np.minimum(r, r_low)
-            done = (r <= SOLVE_TOL) | ((stall >= STALL_ROUNDS) & (r <= ACCEPT_TOL))
-            stuck = ~done & (stall >= SWAP_ROUNDS)
+            # stall counts at most rounds - 1, so each stall clause is
+            # built only once it can hold
+            stuck = None
             if rounds == MAX_ROUNDS:
                 done = r <= ACCEPT_TOL
                 stuck = ~done
                 if after:
                     failed += zip(zs[stuck], r[stuck])
+            else:
+                done = r <= SOLVE_TOL
+                if rounds > STALL_ROUNDS:
+                    done |= (stall >= STALL_ROUNDS) & (r <= ACCEPT_TOL)
+                if rounds > SWAP_ROUNDS:
+                    stuck = ~done & (stall >= SWAP_ROUNDS)
             keep = None  # None while every point goes on iterating
             if done.any():
-                g_done = gx[done]
-                functional = np.abs(g_done - gy[done]) / np.abs(g_done)
+                g, gp, functional = fmap.finish(zs, w, state, done, slope)
                 solver.add(zs[done], r[done], functional, after + rounds)
-                out[idx[done]] = g_done
-                dhy_done = dhy[done]
-                out_p[idx[done]] = gxp[done] * (1.0 + dhy_done) / (1.0 - dhy_done * dhx[done])
+                out[idx[done]] = g
+                out_p[idx[done]] = gp
                 keep = ~done
-            if not after and stuck.any():
-                out[idx[stuck]], out_p[idx[stuck]] = _subordinate(
-                    zs[stuck], cauchy_y, cauchy_x, solver, after=rounds, failed=failed)
+            if not after and stuck is not None and stuck.any():
+                out[idx[stuck]], out_p[idx[stuck]] = _newton(
+                    zs[stuck], fmap.restart(), solver, after=rounds, failed=failed)
                 keep = ~(done | stuck)
             if rounds == MAX_ROUNDS or (keep is not None and not keep.any()):
                 break
-            w = w - fw / (1.0 - dhy * dhx)
-            plain = ~(np.isfinite(w) & (w.imag > 0.0))
-            if plain.any():
-                w = np.where(plain, tw, w)
+            step = fw / slope
+            w_next = w - step
+            guard = ~(np.isfinite(w_next) & (w_next.imag > 0.0))
+            if guard.any():
+                if fmap.damped:
+                    # where guarded and finite, Im step >= Im w > 0
+                    w_next = np.where(guard, w - (0.9 * w.imag / step.imag) * step, w_next)
+                    w_next = np.where(np.isfinite(w_next), w_next, tw)
+                else:
+                    w_next = np.where(guard, tw, w_next)
                 if keep is not None:
-                    plain &= keep
-                solver.safeguarded_steps += int(np.count_nonzero(plain))
+                    guard &= keep
+                solver.safeguarded_steps += int(np.count_nonzero(guard))
+            w = w_next
             if keep is not None:
                 idx, zs, az, w = idx[keep], zs[keep], az[keep], w[keep]
                 r_low, stall = r_low[keep], stall[keep]
@@ -326,6 +416,24 @@ def _subordinate(
     return out, out_p
 
 
+def _subordinate(z: np.ndarray, cauchy_x, cauchy_y, solver: SolverCounters,
+                 start: np.ndarray | None = None) -> tuple:
+    """(G, G') of X boxplus Y at every point of z (Im z > 0) from the (G, G')
+    evaluators of X and Y: G_X(omega_1) and G_X'(omega_1) omega_1', by
+    `_newton` on `_TwoLaw` from ``start`` (`free_convolve_analytic` passes
+    the free CLT's subordination function of Biane (1997), see
+    `_free_clt_start`)."""
+    return _newton(z, _TwoLaw(cauchy_x, cauchy_y), solver, start)
+
+
+def _power_subordinate(z: np.ndarray, cauchy, t: float, solver: SolverCounters,
+                       start: np.ndarray | None = None) -> tuple:
+    """(G, G') of mu^{boxplus t}, t >= 1, at every point of z (Im z > 0) from
+    the (G, G') evaluator of mu: G_mu(omega) and G_mu'(omega) omega', by
+    `_newton` on `_Power` from ``start``."""
+    return _newton(z, _Power(cauchy, float(t)), solver, start)
+
+
 def _as_input(mu) -> LawInput:
     """``mu`` as a `LawInput`: a `Measure` through its quadrature moments and
     its cell kernel; a `LawInput` as it is."""
@@ -333,6 +441,57 @@ def _as_input(mu) -> LawInput:
         return mu
     return LawInput(atoms=mu.atoms, support=mu.support, cauchy=cauchy_evaluator(mu),
                     moments=lambda order: measure_moments(mu, order).tolist())
+
+
+def _check_analytic(inputs: tuple, grid_size: int, eta: float, n_moments: int):
+    """The analytic routes' rules on their inputs and settings (ValueError)."""
+    if not 0 < eta < math.inf:
+        raise ValueError(f"eta must be positive and finite, got {eta}")
+    if grid_size < 64:
+        raise ValueError("grid_size must be at least 64")
+    if n_moments < 1:
+        raise ValueError(f"n_moments must be at least 1, got {n_moments}")
+    for mu in inputs:
+        if mu.support is None and not mu.atoms:
+            raise ValueError("input measure is empty")
+
+
+def _mean_variance(m: list) -> tuple:
+    """(mean, variance) from m_1, m_2: rounding can take m_2 - m_1^2 below 0."""
+    return m[0], max(m[1] - m[0] * m[0], 0.0)
+
+
+def _invert(solve, atoms: tuple, moms: tuple, hint: tuple, grid_size: int,
+            eta: float) -> ConvolutionResult:
+    """The analytic route's result: the output ``atoms`` alone when they
+    carry the whole mass, else the density that `stieltjes_invert` reads off
+    ``solve``'s (G, G') at height ``eta`` on the support ``hint``, padded,
+    after each atom's pole is subtracted."""
+    solver = SolverCounters()
+    missing = 1.0 - sum(m for _, m in atoms)
+    if missing <= 1e-9:
+        # the atoms carry the whole mass, so the output has no density
+        return ConvolutionResult(moments=moms, measure=Measure(atoms=atoms), solver=solver,
+                                 mass_defect=missing)
+    a, b = hint
+    pad = 0.1 * max(b - a, 1.0)
+
+    def transform(zs: np.ndarray) -> tuple:
+        g, gp = solve(zs, solver)
+        for loc, mass in atoms:
+            pole = mass / (zs - loc)
+            g -= pole
+            gp += pole / (zs - loc)
+        return g, gp
+
+    measure = stieltjes_invert(transform, (a - pad, b + pad), grid_size=grid_size, eps=eta,
+                               atoms=atoms)
+    return ConvolutionResult(
+        moments=moms,
+        measure=measure,
+        solver=solver,
+        mass_defect=1.0 - measure.raw_mass,
+    )
 
 
 def free_convolve_analytic(
@@ -358,23 +517,17 @@ def free_convolve_analytic(
     positive and finite, is solved once, for G and G'; each atom's pole
     m/(z - a) is subtracted from G and its derivative from G' (m/(z - a)^2 is
     added), and `stieltjes_invert` inverts the rest into the density.  Atoms
-    that carry the whole mass make the output, with no solve.
+    that carry the whole mass make the output, with no solve.  The two-law
+    map solves mu boxplus mu too, whether or not one object is on both
+    sides; `free_power_analytic` solves it with one evaluation of G per
+    round.
     """
-    if not 0 < eta < math.inf:
-        raise ValueError(f"eta must be positive and finite, got {eta}")
-    if grid_size < 64:
-        raise ValueError("grid_size must be at least 64")
-    if n_moments < 1:
-        raise ValueError(f"n_moments must be at least 1, got {n_moments}")
-    for mu in (mu_x, mu_y):
-        if mu.support is None and not mu.atoms:
-            raise ValueError("input measure is empty")
+    _check_analytic((mu_x, mu_y), grid_size, eta, n_moments)
     x = _as_input(mu_x)
     y = _as_input(mu_y)
     # no two pairs share a location: their masses would total more than 2
     atoms = tuple((a + b, ma + mb - 1.0) for a, ma in x.atoms for b, mb in y.atoms
                   if ma + mb - 1.0 > ATOM_TOL)
-    missing = 1.0 - sum(m for _, m in atoms)
     # mu boxplus mu (one object on both sides) reads its moments once
     mx = x.moments(max(n_moments, 2))
     my = mx if mu_y is mu_x else y.moments(max(n_moments, 2))
@@ -383,36 +536,50 @@ def free_convolve_analytic(
     # from then on are inf or an undetermined inf - inf = NaN: Python floats
     # give these without a warning
     moms = tuple(free_convolve_moments(lx, lx if my is mx else my[:n_moments]))
-    solver = SolverCounters()
-    if missing <= 1e-9:
-        # the atoms carry the whole mass, so the output has no density
-        return ConvolutionResult(moments=moms, measure=Measure(atoms=atoms), solver=solver,
-                                 mass_defect=missing)
+    clt_x, clt_y = _mean_variance(mx), _mean_variance(my)
+    (ax, bx), (ay, by) = _bounds(x), _bounds(y)
 
-    ax, bx = _bounds(x)
-    ay, by = _bounds(y)
-    a, b = ax + ay, bx + by
-    pad = 0.1 * max(b - a, 1.0)
-    # (mean, variance): rounding can take m_2 - m_1^2 below 0
-    clt_x, clt_y = ((m[0], max(m[1] - m[0] * m[0], 0.0)) for m in (mx, my))
+    def solve(zs: np.ndarray, solver: SolverCounters) -> tuple:
+        return _subordinate(zs, x.cauchy, y.cauchy, solver,
+                            start=_free_clt_start(zs, clt_x, clt_y))
 
-    def transform(zs: np.ndarray) -> tuple:
-        g, gp = _subordinate(zs, x.cauchy, y.cauchy, solver,
-                             start=_free_clt_start(zs, clt_x, clt_y))
-        for loc, mass in atoms:
-            pole = mass / (zs - loc)
-            g -= pole
-            gp += pole / (zs - loc)
-        return g, gp
+    return _invert(solve, atoms, moms, (ax + ay, bx + by), grid_size, eta)
 
-    measure = stieltjes_invert(transform, (a - pad, b + pad), grid_size=grid_size, eps=eta,
-                               atoms=atoms)
-    return ConvolutionResult(
-        moments=moms,
-        measure=measure,
-        solver=solver,
-        mass_defect=1.0 - measure.raw_mass,
-    )
+
+def free_power_analytic(
+    mu: LawInput | Measure,
+    t: float,
+    grid_size: int = 512,
+    eta: float = 1e-3,
+    n_moments: int = 6,
+) -> ConvolutionResult:
+    """`free_convolve_analytic` for the free convolution power mu^{boxplus t},
+    t >= 1 and finite, by the one-law map `_Power` (see the module
+    docstring); at t = 2 it is mu boxplus mu.
+
+    The input is read as there, once.  The output has an atom at t a for
+    each atom (a, m) of mu with t m - (t - 1) > ``ATOM_TOL``, of that mass;
+    the support hint is t [lo, hi]; the moments are the float recursion on
+    t kappa_n(mu); the start is the free CLT's, from the semicircle of mean
+    t kappa_1 and variance t kappa_2.
+    """
+    t = float(t)
+    if not 1.0 <= t < math.inf:
+        raise ValueError(f"the power t must be at least 1 and finite, got {t}")
+    _check_analytic((mu,), grid_size, eta, n_moments)
+    x = _as_input(mu)
+    atoms = tuple((t * a, t * m - (t - 1.0)) for a, m in x.atoms if t * m - (t - 1.0) > ATOM_TOL)
+    mx = x.moments(max(n_moments, 2))
+    moms = tuple(free_moments_from_cumulants(
+        [t * k for k in free_cumulants_from_moments(mx[:n_moments])]))
+    k1, k2 = _mean_variance(mx)
+    lo, hi = _bounds(x)
+
+    def solve(zs: np.ndarray, solver: SolverCounters) -> tuple:
+        start = _free_clt_start(zs, (k1, k2), ((t - 1.0) * k1, (t - 1.0) * k2))
+        return _power_subordinate(zs, x.cauchy, t, solver, start=start)
+
+    return _invert(solve, atoms, moms, (t * lo, t * hi), grid_size, eta)
 
 
 def free_poisson(lam, alpha, n_copies: int, order: int) -> list:
@@ -482,13 +649,13 @@ def semicircle_flow_residual(mu: LawInput | Measure, s: float, z: complex,
     G_s the G of mu boxplus (the semicircle of variance s), which the solve
     `_subordinate` gives at z_s against the member's closed form
     (`measures.named_cauchy`) and adds its counters to ``solver``.  ``mu`` is
-    read as in `free_convolve_analytic`.  z must be finite with Im z >= 0.1,
-    s positive and finite, and z_s in the upper half-plane.
+    read as in `free_convolve_analytic`.  z must be finite with Im z > 0, s
+    positive and finite, and z_s in the upper half-plane.
     """
     z = complex(z)
     s = float(s)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag) and z.imag >= 0.1):
-        raise ValueError(f"need a finite z with Im z >= 0.1, got {z}")
+    if not (math.isfinite(z.real) and math.isfinite(z.imag) and z.imag > 0):
+        raise ValueError(f"need a finite z with Im z > 0, got {z}")
     if not 0 < s < math.inf:
         raise ValueError(f"flow variance s must be positive and finite, got {s}")
     mu = _as_input(mu)

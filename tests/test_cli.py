@@ -226,14 +226,16 @@ def test_polya_return_estimate(capsys):
     assert low_d["result"]["return_probability_estimate"] is None
 
 
-def test_flow_table_is_at_the_solve_tolerance(capsys):
-    doc = run_json(capsys, ["flow", "--law", "semicircle", "--z", "2i"])
+# near the axis too: the characteristic needs only Im z > 0 and Im z_s > 0
+@pytest.mark.parametrize("law,z", [("semicircle", 2j), ("arcsine", 3 + 0.05j)])
+def test_flow_table_is_at_the_solve_tolerance(capsys, law, z):
+    doc = run_json(capsys, ["flow", "--law", law, "--z", str(z)])
     rows = doc["result"]["rows"]
     assert [row["s"] for row in rows] == [0.25, 0.125, 0.0625]
-    g = complex(measures.named_cauchy("semicircle")(np.array([2j]))[0][0])
+    g = complex(measures.named_cauchy(law)(np.array([z]))[0][0])
     for row in rows:
         point = complex(row["point"]["re"], row["point"]["im"])
-        assert abs(point - (2j + row["s"] * g)) < 1e-15
+        assert abs(point - (z + row["s"] * g)) < 1e-15
         assert row["residual"] <= 1e-11
     diag = doc["diagnostics"]
     assert list(diag) == ["continuation_residual", "functional_residual", "iterations",
@@ -380,6 +382,7 @@ BAD_INPUT = [
     ["flow", "--z", "nan+2j"],
     ["flow", "--z", "1e400j"],
     ["flow", "--law", "point", "--z", "0.1j", "--r", "2"],  # z_s = -9.9j
+    ["flow", "--law", "arcsine", "--z", "3+0j"],
     ["flow", "--r", "-1"],
     ["wick", "--n", "4", "--N", "0"],
     ["rmt", "--kind", "gue_gue", "--N", "1", "--trials", "4"],
@@ -501,7 +504,7 @@ def test_zero_density_with_missing_mass_is_a_numerical_failure(capsys, monkeypat
     def real_transform(zs, *args, **kwargs):
         return np.zeros(zs.shape, dtype=np.complex128), np.zeros(zs.shape, dtype=np.complex128)
 
-    monkeypatch.setattr(cli.freeconv, "_subordinate", real_transform)
+    monkeypatch.setattr(cli.freeconv, "_power_subordinate", real_transform)
     argv = ["freeconv", "--law-x", "bernoulli", "--law-y", "bernoulli",
             "--route", "analytic", "--grid-size", "128"]
     assert cli.run(argv) == 3
@@ -523,6 +526,30 @@ def test_atoms_of_unit_mass_are_the_output_without_a_solve(capsys, law_x, law_y,
     assert doc["diagnostics"]["output_moment_error"] == 0
     assert cli.run(argv + ["--format", "csv"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "t,density"
+
+
+@pytest.mark.parametrize("eta", ["1e-3", "1e-7"])
+@pytest.mark.parametrize("law", measures.NAMED_TAGS)
+def test_mu_boxplus_mu_power_route_matches_the_two_law_solve(capsys, law, eta):
+    # equal laws take the one-law power map at t = 2; the library's two-law
+    # solve on two distinct input objects gives the same law
+    argv = ["freeconv", "--law-x", law, "--law-y", law, "--route", "analytic",
+            "--grid-size", "256", "--eta", eta]
+    doc = run_json(capsys, argv)
+
+    def side():
+        return measures.named_input(law) or measures.make_named(law, 256)
+
+    ref = cli.freeconv.free_convolve_analytic(side(), side(), grid_size=256, eta=float(eta))
+    density = doc["result"]["density"]
+    assert density["atoms"] == [[a, m] for a, m in ref.measure.atoms]
+    assert doc["result"]["moments_quadrature"] == list(ref.moments)
+    if ref.measure.support is not None:
+        got, want = np.array(density["samples"]), ref.measure.samples
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(want)
+    diag = doc["diagnostics"]
+    assert diag["iterations"] <= ref.solver.iterations + 3
+    assert diag["continuation_residual"] < 1e-8
 
 
 def _fresh_interpreter(code: str) -> str:

@@ -284,24 +284,46 @@ BATCH_CASES = [
     # atoms with a gap at 1.5: at this eta its grid point stalls and is
     # solved again with X and Y swapped, at both heights
     (("point", {"c": 1.5}), ("bernoulli", {}), False, (0.3, 2.7), 1e-4),
+    # the power map mu^{boxplus t}, at (x, t): its damped steps, and at t = 2
+    # its functional check; from w = z, sato_tate's cells stall points that
+    # are solved again with plain steps
+    (("bernoulli", {}), 2.0, False, (-2.4, 2.4), 1e-7),
+    (("arcsine", {}), 3.0, True, (-6.0, 6.0), 1e-3),
+    (("sato_tate", {}), 1.5, False, (-3.4, 3.4), 1e-3),
 ]
+
+
+def _solve(x, y, closed):
+    """The solve of x boxplus y, or of x^{boxplus y} for a number y, as
+    (zs, counters, clt start?) -> (G, G')."""
+    cauchy_x = _evaluator(x, closed)
+    mean, var = _mean_variance(x)
+    if isinstance(y, float):
+        clt = ((mean, var), ((y - 1.0) * mean, (y - 1.0) * var))
+        return lambda zs, counters, clt_start: freeconv._power_subordinate(
+            zs, cauchy_x, y, counters,
+            start=freeconv._free_clt_start(zs, *clt) if clt_start else None)
+    cauchy_y = _evaluator(y, closed)
+    clt = ((mean, var), _mean_variance(y))
+    return lambda zs, counters, clt_start: freeconv._subordinate(
+        zs, cauchy_x, cauchy_y, counters,
+        start=freeconv._free_clt_start(zs, *clt) if clt_start else None)
 
 
 @pytest.mark.parametrize("x,y,closed,hint,eta", BATCH_CASES,
                          ids=["semicircle+arcsine", "bernoulli+bernoulli",
-                              "sato_tate+bernoulli", "point+bernoulli"])
+                              "sato_tate+bernoulli", "point+bernoulli", "bernoulli^2",
+                              "arcsine^3", "sato_tate^1.5"])
 def test_subordination_is_pointwise_across_batches(x, y, closed, hint, eta):
-    cauchy_x, cauchy_y = _evaluator(x, closed), _evaluator(y, closed)
+    solve = _solve(x, y, closed)
     parts = _levels(*hint, eta)
-    clt = [_mean_variance(law) for law in (x, y)]
     # from w = z, and from the free CLT start, which is pointwise too
-    for start in (lambda zs: None, lambda zs: freeconv._free_clt_start(zs, *clt)):
+    for clt_start in (False, True):
         zs = np.concatenate(parts)
         batched = SolverCounters()
-        whole, whole_p = freeconv._subordinate(zs, cauchy_x, cauchy_y, batched, start=start(zs))
+        whole, whole_p = solve(zs, batched, clt_start)
         apart = SolverCounters()
-        pieces = [freeconv._subordinate(p, cauchy_x, cauchy_y, apart, start=start(p))
-                  for p in parts]
+        pieces = [solve(p, apart, clt_start) for p in parts]
         assert whole.tobytes() == np.concatenate([g for g, _ in pieces]).tobytes()
         assert whole_p.tobytes() == np.concatenate([gp for _, gp in pieces]).tobytes()
         assert batched.rounds_finished.total() == whole.size
@@ -382,6 +404,39 @@ def test_subordination_derivative_matches_closed_forms(x, y, hint, eta, exact):
         assert np.max(np.abs(gp - want) / np.abs(want)) < 1e-9
         if x[0] == "point":
             assert solver.iterations > freeconv.SWAP_ROUNDS  # the swapped branch ran
+
+
+@pytest.mark.parametrize("t", [1.5, 2.0, 3.0, 4.0])
+def test_power_map_gives_kesten_mckay(t):
+    # arcsine^{boxplus t} is the Kesten-McKay law of q = 2t (the free-group
+    # walk's spectral law at integer t), read as -Im G/pi just above the axis
+    q = 2.0 * t
+    x = np.linspace(-0.75, 0.75, 7) * 2.0 * math.sqrt(q - 1.0)
+    z = x + 1e-10j
+    exact = q * np.sqrt(4.0 * (q - 1.0) - x * x) / (2.0 * math.pi * (q * q - x * x))
+    # arcsine has mean 0 and variance 2
+    for start in (None, freeconv._free_clt_start(z, (0.0, 2.0), (0.0, 2.0 * (t - 1.0)))):
+        solver = SolverCounters()
+        g, _ = freeconv._power_subordinate(z, named_cauchy("arcsine"), t, solver, start=start)
+        assert np.max(np.abs(-g.imag / math.pi - exact)) <= 1e-9
+        assert solver.residual <= freeconv.SOLVE_TOL
+
+
+def test_power_map_at_t_1_is_the_input():
+    cauchy = named_cauchy("arcsine")
+    z = np.linspace(-3.0, 3.0, 61) + 1e-3j
+    solver = SolverCounters()
+    g, gp = freeconv._power_subordinate(z, cauchy, 1.0, solver)
+    want, want_p = cauchy(z)
+    assert g.tobytes() == want.tobytes()
+    assert gp.tobytes() == want_p.tobytes()
+    assert solver.iterations == 1
+
+
+@pytest.mark.parametrize("t", [0.5, math.inf, math.nan])
+def test_power_below_1_or_not_finite_is_rejected(t):
+    with pytest.raises(ValueError, match="power t"):
+        freeconv.free_power_analytic(named_input("arcsine"), t)
 
 
 def _kesten_mckay_q4(t):

@@ -35,12 +35,22 @@ ROOT = Path(__file__).resolve().parent.parent
 REPEATS = 5
 
 # pairs with a density on both sides, one with an atom on each side, at a
-# grid where the solve dominates and at four times it
+# grid where the solve dominates and at four times it; then equal laws, which
+# take the power route: atoms only at perfbench's grid and at 2048, and
+# densities near the axis
 PAIRS = (("arcsine", "arcsine"), ("semicircle", "arcsine"),
          ("marchenko_pastur:lam=0.5", "bernoulli"))
-ARGVS = tuple(("freeconv", "--law-x", x, "--law-y", y, "--route", "analytic",
-               "--grid-size", grid)
-              for grid in ("512", "2048") for x, y in PAIRS)
+
+
+def _argv(x: str, y: str, *options: str) -> tuple:
+    return ("freeconv", "--law-x", x, "--law-y", y, "--route", "analytic", *options)
+
+
+ARGVS = tuple(_argv(x, y, "--grid-size", grid) for grid in ("512", "2048") for x, y in PAIRS) + (
+    _argv("bernoulli", "bernoulli", "--grid-size", "256"),
+    _argv("bernoulli", "bernoulli", "--grid-size", "2048"),
+    _argv("arcsine", "arcsine", "--grid-size", "512", "--eta", "1e-7"),
+)
 
 
 def worker(argv: list) -> dict:
@@ -121,7 +131,7 @@ def main():
                "after_faster_in": sum(a < b for a, b in zip(times["after"], times["before"]))}
         row["ratio"] = row["after"]["median_s"] / row["before"]["median_s"]
         rows.append(row)
-        print(f"{' '.join(argv[2:5:2])} grid {argv[-1]:>4}: "
+        print(f"{' '.join(argv[2:5:2])} {' '.join(argv[7:])}: "
               f"{1e3 * row['before']['median_s']:7.2f} ms -> "
               f"{1e3 * row['after']['median_s']:7.2f} ms  x{row['ratio']:.3f}  "
               f"faster {row['after_faster_in']}/{args.runs}"
