@@ -10,8 +10,8 @@ Exit codes, mapped in one place (`run`): 0 success; 2 bad input, a
 `ValueError` or an `OSError` (a file that cannot be read or written; an
 --output that cannot be written is found before the run), with nothing on
 stdout; 3 numerical failure, a `ContinuationError` (a solve that missed its
-tolerance) or an `InversionError` (an inversion that went negative or lost
-mass).
+tolerance) or an `InversionError` (an inversion that went negative, lost
+mass or was not finite).
 
 Each input rule is checked once, by the library function that consumes the
 input, which raises ValueError: law names and parameters in
@@ -42,7 +42,8 @@ freeconv's analytic route reads each named law from its record in
 `measures` (`measures.named_input`), with no grid cells: its atoms, support,
 exact moments and closed-form G.  A law without a closed-form G enters as
 its cell measure on --grid-size points (on 512 in ``flow``, which reads its
-law the same way).  Two equal laws (equal tags and resolved parameters,
+law the same way, and whose ``provenance`` says which: ``closed_form`` or
+``quadrature``).  Two equal laws (equal tags and resolved parameters,
 `measures.resolve_law`) take the power route mu^{boxplus 2}
 (`freeconv.free_power_analytic`), one G evaluation per Newton round; other
 pairs take the two-law solve (`freeconv.free_convolve_analytic`).
@@ -143,7 +144,11 @@ def _jdump(obj, indent: int = 0) -> str:
         if not obj:
             return "[]"
         if all(type(v) is float for v in obj):  # a density's samples, a moment list
-            rows = [f"{inner}{v:.17g}" if v - v == 0 else inner + _fmt_float(v) for v in obj]
+            # a sum of floats is finite only if every term is
+            if math.isfinite(sum(obj)):
+                return ("[\n" + inner + (",\n" + inner).join(map("{:.17g}".format, obj))
+                        + "\n" + pad + "]")
+            rows = [inner + _fmt_float(v) for v in obj]
         else:
             rows = [f"{inner}{_jdump(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
@@ -407,17 +412,33 @@ def _cmd_cumulants(args) -> str:
 
 # moments m_1..m_n of the analytic route's output measure that it reports
 _OUTPUT_MOMENTS = 6
+# the largest float, as the integer it is
+_FLOAT_MAX = int(sys.float_info.max)
 
 
 def _worst_error(got: list, exact: list, relative: bool) -> float:
-    """max |a - b|, over max(1, |b|) if ``relative``, over floats a and
-    Fractions b, in exact arithmetic, since b need not fit a float; inf if
-    some a is None or not finite, or the result does not fit a float."""
+    """max |a - b|, over max(1, |b|) if ``relative``, over floats a and exact
+    values b (Fractions, ints or finite floats), in exact arithmetic, since b need
+    not fit a float; inf if some a is None or not finite, or the result is at
+    or past the float range.
+
+    Each term is the ratio of integers n/d that the ``as_integer_ratio()``
+    pairs of a and b give, the terms are compared by cross-multiplying, and
+    the largest is divided once: int/int division rounds correctly, as
+    float(Fraction) does.
+    """
     if not all(a is not None and math.isfinite(a) for a in got):
         return math.inf
-    worst = max(abs(Fraction(a) - b) / (max(1, abs(b)) if relative else 1)
-                for a, b in zip(got, exact))
-    return float(worst) if worst < sys.float_info.max else math.inf
+    num, den = 0, 1
+    for a, b in zip(got, exact):
+        p, q = a.as_integer_ratio()
+        r, s = b.as_integer_ratio()
+        # |a - b| = |p s - r q|/(q s); over |b| = |r|/s where that exceeds 1
+        n = abs(p * s - r * q)
+        d = q * abs(r) if relative and abs(r) > s else q * s
+        if n * den > num * d:
+            num, den = n, d
+    return num / den if num < _FLOAT_MAX * den else math.inf
 
 
 def _law_input(tag: str, params: dict, grid_size: int):
@@ -514,7 +535,7 @@ def _measure_payload(mu) -> dict:
     if mu.support is not None:
         lo, hi = mu.support
         payload["support"] = [float(lo), float(hi)]
-        payload["samples"] = [float(v) for v in mu.samples]
+        payload["samples"] = mu.samples.tolist()
         payload["edges"] = list(mu.edges)
     return payload
 
@@ -557,6 +578,7 @@ def _cmd_flow(args) -> str:
     if not args.r > 0:
         raise _Usage(f"--r must be positive, got {args.r}")
     mu = _law_input(*_parse_law(args.law), 512)
+    provenance = "quadrature" if isinstance(mu, measures.Measure) else "closed_form"
     z = _parse_complex(args.z)
     solver = freeconv.SolverCounters()
     s0 = args.r * args.r / 4.0
@@ -566,7 +588,7 @@ def _cmd_flow(args) -> str:
     for s in (s0, s0 / 2, s0 / 4):
         point, residual = freeconv.semicircle_flow_residual(mu, s, z, solver)
         rows.append({"s": s, "point": point, "residual": residual})
-    return _report(config, {"rows": rows, "provenance": "quadrature"},
+    return _report(config, {"rows": rows, "provenance": provenance},
                    _solver_diagnostics(solver))
 
 

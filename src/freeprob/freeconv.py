@@ -30,7 +30,8 @@ round where the two-law map takes two (`free_power_analytic`).  Its Newton
 step is damped: a step that leaves the upper half-plane goes 0.9 of the way
 to the axis instead, which takes fewer rounds than falling back to T(w); the
 two-law map keeps its plain fallback.  Both maps run on one Newton driver
-(`_newton`): residual, stall, acceptance, restart and counters.
+(`_newton`): residual, stall, acceptance, restart and counters, and the
+functional check, once per solve over the points it finished.
 
 Newton starts at the subordination function of the free CLT's answer: the
 semicircle sigma with the mean and variance of X boxplus Y.  It is in closed
@@ -149,15 +150,12 @@ class SolverCounters:
             return NotImplemented
         return vars(self) == vars(other)
 
-    def add(self, zs, residual, functional, rounds):
-        """Take in the points ``zs`` that finished after ``rounds`` rounds;
-        ``functional`` is None where the map has nothing to check it by."""
+    def add(self, zs, residual, rounds):
+        """Take in the points ``zs`` that finished after ``rounds`` rounds."""
         k = int(np.argmax(residual))
         if self.worst_z is None or residual[k] > self.residual:
             self.residual = float(residual[k])
             self.worst_z = complex(zs[k])
-        if functional is not None:
-            self.functional = max(self.functional, float(functional.max()))
         self.iterations = max(self.iterations, rounds)
         self.rounds_finished[rounds] += len(zs)
 
@@ -259,10 +257,13 @@ class _TwoLaw(NamedTuple):
 
     def finish(self, zs, w, state, done, slope):
         """G_X(w), G_X'(w) omega_1' with omega_1' = (1 + h_Y'(u))/(1 - T'(w)),
-        and |G_X(w) - G_Y(u)|/|G_X(w)|, at the points ``done``."""
+        and G_Y(u) for `functional`, at the points ``done``."""
         gx, gxp, gy, dhy = state
-        g = gx[done]
-        return g, gxp[done] * (1.0 + dhy[done]) / slope[done], np.abs(g - gy[done]) / np.abs(g)
+        return gx[done], gxp[done] * (1.0 + dhy[done]) / slope[done], gy[done]
+
+    def functional(self, g, gy):
+        """|G_X(w) - G_Y(u)|/|G_X(w)| from the G and G_Y(u) of `finish`."""
+        return np.abs(g - gy) / np.abs(g)
 
 
 class _Power(NamedTuple):
@@ -286,17 +287,19 @@ class _Power(NamedTuple):
         return zs / self.t + c * f, 1.0 + c * gp / (g * g), noise, (g, gp, f)
 
     def finish(self, zs, w, state, done, slope):
-        """G_mu(w) and G_mu'(w) omega' with omega' = (1/t)/(1 - T'(w)) at the
-        points ``done``; at t = 2, |G_mu(w) - G_mu(u)|/|G_mu(w)| with
-        u = z + h_mu(w) the second subordination point of mu boxplus mu, by
-        one more evaluation, and None (no check) at any other t."""
+        """G_mu(w), G_mu'(w) omega' with omega' = (1/t)/(1 - T'(w)), and
+        u = z + h_mu(w) for `functional`, at the points ``done``."""
         g, gp, f = state
-        g_done = g[done]
-        gp_done = gp[done] * (1.0 / self.t) / slope[done]
+        return g[done], gp[done] * (1.0 / self.t) / slope[done], zs[done] + f[done] - w[done]
+
+    def functional(self, g, u):
+        """At t = 2, |G_mu(w) - G_mu(u)|/|G_mu(w)|, u the second subordination
+        point of mu boxplus mu, by one evaluation at all the points u; None
+        (no check) at any other t."""
         if self.t != 2.0:
-            return g_done, gp_done, None
-        other, _ = self.cauchy(zs[done] + f[done] - w[done])
-        return g_done, gp_done, np.abs(g_done - other) / np.abs(g_done)
+            return None
+        other, _ = self.cauchy(u)
+        return np.abs(g - other) / np.abs(g)
 
 
 def _newton(z: np.ndarray, fmap, solver: SolverCounters, start: np.ndarray | None = None,
@@ -327,8 +330,10 @@ def _newton(z: np.ndarray, fmap, solver: SolverCounters, start: np.ndarray | Non
     * Derivative.  omega is analytic, so differentiating w = T(w) in z gives
       omega' = (d_z T)/(1 - T'(w)), with the 1 - T' of the Newton step.  A
       point's G and G' come from the round that finishes it
-      (``fmap.finish``), at the w whose G it returns, with its functional
-      residual.
+      (``fmap.finish``), at the w whose G it returns, with what the map's
+      functional check reads there.  The call runs that check
+      (``fmap.functional``) once, over every point it finished, so that a
+      check that evaluates G does so once per call, not once per round.
     * Restart.  A point stalled for ``SWAP_ROUNDS`` rounds above
       ``ACCEPT_TOL``, or above it at ``MAX_ROUNDS``, is solved again from z
       by ``fmap.restart()`` ``after`` the rounds already spent: for two laws,
@@ -353,6 +358,7 @@ def _newton(z: np.ndarray, fmap, solver: SolverCounters, start: np.ndarray | Non
     az = np.abs(z)
     r_low = np.full(n, np.inf)  # lowest residual so far
     stall = np.zeros(n, dtype=np.int64)  # rounds since it was reached
+    finished = []  # (G, what the functional check reads) of each finishing round
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for rounds in range(1, MAX_ROUNDS + 1):
             aw = np.abs(w)
@@ -377,10 +383,11 @@ def _newton(z: np.ndarray, fmap, solver: SolverCounters, start: np.ndarray | Non
                     stuck = ~done & (stall >= SWAP_ROUNDS)
             keep = None  # None while every point goes on iterating
             if done.any():
-                g, gp, functional = fmap.finish(zs, w, state, done, slope)
-                solver.add(zs[done], r[done], functional, after + rounds)
+                g, gp, check = fmap.finish(zs, w, state, done, slope)
+                solver.add(zs[done], r[done], after + rounds)
                 out[idx[done]] = g
                 out_p[idx[done]] = gp
+                finished.append((g, check))
                 keep = ~done
             if not after and stuck is not None and stuck.any():
                 out[idx[stuck]], out_p[idx[stuck]] = _newton(
@@ -405,6 +412,10 @@ def _newton(z: np.ndarray, fmap, solver: SolverCounters, start: np.ndarray | Non
             if keep is not None:
                 idx, zs, az, w = idx[keep], zs[keep], az[keep], w[keep]
                 r_low, stall = r_low[keep], stall[keep]
+        if finished:
+            functional = fmap.functional(*(np.concatenate(part) for part in zip(*finished)))
+            if functional is not None:
+                solver.functional = max(solver.functional, float(functional.max()))
     if not after and failed:
         z_bad, r_bad = max(failed, key=lambda point: point[1])
         raise ContinuationError(

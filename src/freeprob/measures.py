@@ -559,8 +559,8 @@ def stieltjes_invert(G: Callable, support_hint, grid_size: int = 2048, eps: floa
     Its ``raw_mass`` is the mass before normalising, so the mass defect of the
     inversion is 1 - raw_mass, and its ``clipped_negative_mass`` is the mass
     that clipping the density at 0 removed, by the grid's trapezoid weights,
-    before normalising.  A density below -1e-6, or zero where the atoms leave
-    mass missing, raises `InversionError`.
+    before normalising.  A density that is not finite, below -1e-6, or zero
+    where the atoms leave mass missing, raises `InversionError`.
     """
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
@@ -581,6 +581,13 @@ def stieltjes_invert(G: Callable, support_hint, grid_size: int = 2048, eps: floa
                          "values and one of derivatives")
     dens = (eps * gp.real - g.imag) / math.pi
 
+    finite = np.isfinite(dens)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise InversionError(
+            f"density {dens[k]} at t={t[k]:.6g}, eps={eps:g}: the transform's G or G' is "
+            "not finite there"
+        )
     if float(dens.min()) < -1e-6:
         k = int(np.argmin(dens))
         raise InversionError(

@@ -18,11 +18,15 @@ same values (and, for floats, the same bits) from both:
 * ``marchenko_pastur_moments``: the Marchenko-Pastur law's exact moments by
   the free moment-cumulant recursion on its cumulants lam alpha^n (the
   library takes the Narayana sum).
+* ``worst_error_fractions``: the CLI's worst moment error by Fraction
+  arithmetic, one Fraction per term (the library cross-multiplies the
+  integer ratios of the floats and divides once).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -146,3 +150,16 @@ def marchenko_pastur_moments(order: int, lam: float, alpha: float) -> list:
     parameters, from its free cumulants kappa_n = lam alpha^n."""
     lam, alpha = Fraction(lam), Fraction(alpha)
     return free_moments_from_cumulants([lam * alpha**n for n in range(1, order + 1)])
+
+
+def worst_error_fractions(got: list, exact: list, relative: bool) -> float:
+    """max |a - b|, over max(1, |b|) if ``relative``, over floats a and
+    Fractions b, in exact arithmetic, since b need not fit a float; inf if
+    some a is None or not finite, or the result does not fit a float.  A
+    float b turns the term into float arithmetic (Fraction - float is a
+    float)."""
+    if not all(a is not None and math.isfinite(a) for a in got):
+        return math.inf
+    worst = max(abs(Fraction(a) - b) / (max(1, abs(b)) if relative else 1)
+                for a, b in zip(got, exact))
+    return float(worst) if worst < sys.float_info.max else math.inf

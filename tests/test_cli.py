@@ -6,12 +6,14 @@ import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from exact_oracles import worst_error_fractions
 
 import freeprob
 import freeprob.cli as cli
@@ -511,6 +513,17 @@ def test_zero_density_with_missing_mass_is_a_numerical_failure(capsys, monkeypat
     assert "so mass 1 is missing" in capsys.readouterr().err
 
 
+def test_a_density_that_is_not_finite_is_a_numerical_failure(capsys):
+    # at eta 1e200, G * G underflows in the power map and G' is NaN, which
+    # would pass the inversion's test for a negative density
+    argv = ["freeconv", "--law-x", "semicircle", "--law-y", "semicircle",
+            "--route", "analytic", "--grid-size", "64", "--eta", "1e200"]
+    assert cli.run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: density nan at t=-4.8, eps=1e+200")
+
+
 @pytest.mark.parametrize("law_x,law_y,atoms", [
     ("point:c=1.5", "bernoulli", [[0.5, 0.5], [2.5, 0.5]]),
     ("point", "point", [[0.0, 1.0]]),
@@ -671,6 +684,59 @@ def test_route_agreement_beyond_the_float_range_reads_infinity(capsys):
     # the float recursion cannot determine m4..m6: they read null, not "NaN"
     assert "NaN" not in doc["result"]["moments_quadrature"]
     assert doc["result"]["moments_quadrature"][3:] == [None, None, None]
+
+
+def _random_float(rng) -> float:
+    return rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-30, 30)
+
+
+@pytest.mark.parametrize("relative", [True, False], ids=["relative", "absolute"])
+def test_worst_error_matches_the_fraction_form(relative):
+    # the integer cross-multiplication gives the float of the exact worst
+    # error, bit for bit as the Fraction form does (tests/exact_oracles.py)
+    rng = random.Random(31)
+    big = sys.float_info.max
+    top = int(big)
+
+    def same(got, exact, oracle_exact=None):
+        want = worst_error_fractions(got, exact if oracle_exact is None else oracle_exact,
+                                     relative)
+        assert cli._worst_error(got, exact, relative).hex() == want.hex(), (got, exact)
+
+    for _ in range(1500):
+        n = rng.randint(1, 8)
+        got = [_random_float(rng) for _ in range(n)]
+        # exact values near the floats (a moment error of a few units in the
+        # last place), far from them, and past the float range
+        near = [Fraction(a) + Fraction(rng.randint(-9, 9), 3 * 2 ** rng.randint(40, 60))
+                * Fraction(abs(a)) for a in got]
+        far = [Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**20)) for _ in got]
+        huge = [Fraction(rng.randint(-10**400, 10**400), rng.randint(1, 7)) for _ in got]
+        for exact in (near, far, huge, [rng.randint(-5, 5) for _ in got]):
+            same(got, exact)
+        # a float exact value is an exact rational too; the Fraction form
+        # turns its term into float arithmetic, which in the relative mode
+        # rounds twice, so there the oracle reads it as the Fraction it is
+        floats = [_random_float(rng) for _ in got]
+        same(got, floats, [Fraction(b) for b in floats])
+        if not relative:
+            same(got, floats)
+    # past the float range, and None, NaN or inf among the entries
+    same([1e308, 0.5], [Fraction(-10**308), Fraction(1, 3)])
+    same([0.0], [Fraction(10**400)])
+    for bad in (None, math.nan, math.inf, -math.inf):
+        same([0.5, bad, 1.0], [Fraction(1, 2)] * 3)
+        assert cli._worst_error([0.5, bad, 1.0], [Fraction(1, 2)] * 3, relative) == math.inf
+    # at the largest float: an error of exactly it, or past it, is inf; one
+    # below it rounds to it
+    for got, exact in (([big], [0]), ([-big], [0]), ([big], [Fraction(-1, 2)]),
+                       ([big], [Fraction(1, 2)]), ([math.nextafter(big, 0.0)], [0]),
+                       ([0.0], [Fraction(top)]), ([0.0], [Fraction(top - 1)]),
+                       ([0.0], [Fraction(2 * top - 1, 2)]), ([0.0], [Fraction(2 * top + 1, 2)]),
+                       ([0.25, big], [Fraction(1, 4), Fraction(1, 2**1100)])):
+        same(got, exact)
+    assert cli._worst_error([big], [Fraction(1, 2)], relative) == big
+    assert cli._worst_error([big], [Fraction(-1, 2)], relative) == math.inf
 
 
 @pytest.mark.parametrize("route,code", [("analytic", 2), ("both", 2), ("moments", 0)])
@@ -923,8 +989,8 @@ _FREECONV = ["--route", "both", "--grid-size", "64"]
     (["freeconv", "--law-x", "arcsine", "--law-y", "sato_tate", *_FREECONV], ["sato_tate"]),
     (["freeconv", "--law-x", "sato_tate", "--law-y", "sato_tate", *_FREECONV], ["sato_tate"]),
     *((["flow", "--law", law, "--z", "0.3+1j"], cells) for law, cells in (
-        ("semicircle", []), ("arcsine", []), ("bernoulli", []), ("point:c=1.5", []),
-        ("marchenko_pastur:lam=0.5", []), ("sato_tate", ["sato_tate"]))),
+        ("semicircle", []), ("arcsine", []), ("bernoulli", []), ("point", []),
+        ("point:c=1.5", []), ("marchenko_pastur:lam=0.5", []), ("sato_tate", ["sato_tate"]))),
 ], ids=" ".join)
 def test_freeconv_builds_a_cell_measure_only_for_sato_tate(capsys, monkeypatch, argv, cells):
     # a law with a closed form enters the analytic route, and flow, as itself
@@ -936,6 +1002,8 @@ def test_freeconv_builds_a_cell_measure_only_for_sato_tate(capsys, monkeypatch, 
     assert calls == cells
     if argv[0] == "freeconv" and not cells:  # the float recursion on the exact moments
         assert doc["diagnostics"]["route_agreement"] < 1e-12
+    if argv[0] == "flow":  # flow says which of the two its law entered as
+        assert doc["result"]["provenance"] == ("quadrature" if cells else "closed_form")
 
 
 def test_kesten_computes_its_loop_counts_once(capsys, monkeypatch):

@@ -274,22 +274,25 @@ def _levels(lo, hi, eta):
     return t + 1j * eta, t + 1j * eta / 2.0
 
 
+# (x, y, closed, hint, eta, whether the solve from w = z restarts points)
 BATCH_CASES = [
     # closed forms
-    (("semicircle", {}), ("arcsine", {}), True, (-4.4, 4.4), 1e-3),
+    (("semicircle", {}), ("arcsine", {}), True, (-4.4, 4.4), 1e-3, False),
     # exact pole sums of atoms only; near 0 the solve is close to a double root
-    (("bernoulli", {}), ("bernoulli", {}), False, (-2.4, 2.4), 1e-3),
+    (("bernoulli", {}), ("bernoulli", {}), False, (-2.4, 2.4), 1e-3, False),
     # the cell kernel on a density
-    (("sato_tate", {}), ("bernoulli", {}), False, (-3.4, 3.4), 1e-3),
+    (("sato_tate", {}), ("bernoulli", {}), False, (-3.4, 3.4), 1e-3, False),
     # atoms with a gap at 1.5: at this eta its grid point stalls and is
     # solved again with X and Y swapped, at both heights
-    (("point", {"c": 1.5}), ("bernoulli", {}), False, (0.3, 2.7), 1e-4),
+    (("point", {"c": 1.5}), ("bernoulli", {}), False, (0.3, 2.7), 1e-4, True),
     # the power map mu^{boxplus t}, at (x, t): its damped steps, and at t = 2
     # its functional check; from w = z, sato_tate's cells stall points that
-    # are solved again with plain steps
-    (("bernoulli", {}), 2.0, False, (-2.4, 2.4), 1e-7),
-    (("arcsine", {}), 3.0, True, (-6.0, 6.0), 1e-3),
-    (("sato_tate", {}), 1.5, False, (-3.4, 3.4), 1e-3),
+    # are solved again with plain steps, and at t = 2 that solve runs the
+    # functional check on the points it finishes
+    (("bernoulli", {}), 2.0, False, (-2.4, 2.4), 1e-7, False),
+    (("arcsine", {}), 3.0, True, (-6.0, 6.0), 1e-3, False),
+    (("sato_tate", {}), 1.5, False, (-3.4, 3.4), 1e-3, True),
+    (("sato_tate", {}), 2.0, False, (-0.3, 6.6), 1e-3, True),
 ]
 
 
@@ -310,18 +313,45 @@ def _solve(x, y, closed):
         start=freeconv._free_clt_start(zs, *clt) if clt_start else None)
 
 
-@pytest.mark.parametrize("x,y,closed,hint,eta", BATCH_CASES,
+@pytest.mark.parametrize("x,y,closed,hint,eta,restarts", BATCH_CASES,
                          ids=["semicircle+arcsine", "bernoulli+bernoulli",
                               "sato_tate+bernoulli", "point+bernoulli", "bernoulli^2",
-                              "arcsine^3", "sato_tate^1.5"])
-def test_subordination_is_pointwise_across_batches(x, y, closed, hint, eta):
+                              "arcsine^3", "sato_tate^1.5", "sato_tate^2"])
+def test_subordination_is_pointwise_across_batches(monkeypatch, x, y, closed, hint, eta,
+                                                   restarts):
+    restarted = []  # the sizes of the restarted solves
+    checked = []  # the sizes of the functional checks
+    newton = freeconv._newton
+
+    def recording(z, fmap, solver, start=None, after=0, failed=None):
+        if after:
+            restarted.append(z.size)
+        return newton(z, fmap, solver, start, after, failed)
+
+    def counted(functional):
+        def check(self, g, read):
+            checked.append(g.size)
+            return functional(self, g, read)
+        return check
+
+    monkeypatch.setattr(freeconv, "_newton", recording)
+    for fmap in (freeconv._TwoLaw, freeconv._Power):
+        monkeypatch.setattr(fmap, "functional", counted(fmap.functional))
     solve = _solve(x, y, closed)
     parts = _levels(*hint, eta)
     # from w = z, and from the free CLT start, which is pointwise too
     for clt_start in (False, True):
         zs = np.concatenate(parts)
         batched = SolverCounters()
+        restarted.clear()
+        checked.clear()
         whole, whole_p = solve(zs, batched, clt_start)
+        if not clt_start:
+            assert bool(restarted) == restarts
+        # one check per call, the restarted solve's included, over the points
+        # that call finished
+        assert len(checked) == 1 + len(restarted)
+        assert sum(checked) == zs.size
         apart = SolverCounters()
         pieces = [solve(p, apart, clt_start) for p in parts]
         assert whole.tobytes() == np.concatenate([g for g, _ in pieces]).tobytes()
@@ -474,10 +504,10 @@ def test_median_iterations_is_a_round_count_of_the_solve():
     counters = SolverCounters()
     assert counters.median_iterations == 0
     ones = np.ones(3)
-    counters.add(np.full(1, 1j), ones[:1], ones[:1], 2)
-    counters.add(np.full(3, 2j), ones, ones, 7)
+    counters.add(np.full(1, 1j), ones[:1], 2)
+    counters.add(np.full(3, 2j), ones, 7)
     assert counters.median_iterations == 7  # the lower median of 2, 7, 7, 7
-    counters.add(np.full(2, 3j), ones[:2], ones[:2], 1)
+    counters.add(np.full(2, 3j), ones[:2], 1)
     assert counters.median_iterations == 2  # of 1, 1, 2, 7, 7, 7
 
 

@@ -282,6 +282,21 @@ def test_stieltjes_invert_normalises_and_keeps_the_raw_mass():
     assert rec.raw_mass == 0.5 + alone.raw_mass
 
 
+def test_stieltjes_invert_names_the_first_point_whose_density_is_not_finite():
+    # NaN would pass the test for a negative density, and the Measure's own
+    # test would raise a ValueError, which the CLI reads as bad input
+    closed = named_cauchy("semicircle")
+
+    def transform(w):
+        g, gp = closed(w)
+        g[40] = np.nan
+        gp[10] = np.inf
+        return g, gp
+
+    with pytest.raises(InversionError, match=r"density inf at t=-1\.5125, eps=0\.001: "):
+        stieltjes_invert(transform, (-2.2, 2.2), grid_size=64)
+
+
 def test_stieltjes_invert_rejects_a_zero_density_that_leaves_mass_missing():
     real = lambda w: (np.zeros(w.shape, dtype=np.complex128),) * 2
     with pytest.raises(InversionError, match="so mass 0.25 is missing"):
