@@ -51,16 +51,14 @@ pairs take the two-law solve (`freeconv.free_convolve_analytic`).
 moment-cumulant recursion run on the inputs' moments m_1..m_n, n the smaller
 of --order and 6: a closed-form law's exact moments rounded to floats, and a
 cell measure's quadrature moments.  An entry that the recursion cannot
-determine (past the float range) is null.
-``route_agreement`` (with ``--route both``) is the worst absolute difference
-between ``moments_quadrature`` and the exact route's moments.  It never reads
-the inverted output: for a pair of closed-form laws it compares two
-evaluations of the same exact moments and reads about 0, float rounding
-only; for a cell measure it measures that measure's quadrature.  The output
-is judged by ``output_moment_error`` (``moments_output`` against the exact
-moments, relative to max(1, |m|)), ``mass_defect`` (1 minus the inverted
-mass before normalising) and ``clipped_negative_mass`` (the mass that
-clipping the inverted density at 0 removed, before normalising).
+determine (past the float range) is null.  The output is judged by
+``output_moment_error`` (``moments_output`` against the exact moments,
+relative to max(1, |m|)), ``mass_defect`` (1 minus the inverted mass before
+normalising) and ``clipped_negative_mass`` (the mass that clipping the
+inverted density at 0 removed, before normalising).  The moment route
+convolves as many moments as each side gives: --order of them for a law, as
+many as it lists for a moment list; two sides that give different numbers
+are a usage error.
 
 numpy loads on first use (see `freeprob._numpy`), so the subcommands that
 compute in Fractions and ints never load it: ``kesten``, ``cumulants``,
@@ -416,18 +414,17 @@ _OUTPUT_MOMENTS = 6
 _FLOAT_MAX = int(sys.float_info.max)
 
 
-def _worst_error(got: list, exact: list, relative: bool) -> float:
-    """max |a - b|, over max(1, |b|) if ``relative``, over floats a and exact
-    values b (Fractions, ints or finite floats), in exact arithmetic, since b need
-    not fit a float; inf if some a is None or not finite, or the result is at
-    or past the float range.
+def _worst_error(got: list, exact: list) -> float:
+    """max |a - b|/max(1, |b|) over floats a and exact values b (Fractions,
+    ints or finite floats), in exact arithmetic, since b need not fit a float;
+    inf if some a is not finite, or the result is at or past the float range.
 
     Each term is the ratio of integers n/d that the ``as_integer_ratio()``
     pairs of a and b give, the terms are compared by cross-multiplying, and
     the largest is divided once: int/int division rounds correctly, as
     float(Fraction) does.
     """
-    if not all(a is not None and math.isfinite(a) for a in got):
+    if not all(math.isfinite(a) for a in got):
         return math.inf
     num, den = 0, 1
     for a, b in zip(got, exact):
@@ -435,7 +432,7 @@ def _worst_error(got: list, exact: list, relative: bool) -> float:
         r, s = b.as_integer_ratio()
         # |a - b| = |p s - r q|/(q s); over |b| = |r|/s where that exceeds 1
         n = abs(p * s - r * q)
-        d = q * abs(r) if relative and abs(r) > s else q * s
+        d = q * abs(r) if abs(r) > s else q * s
         if n * den > num * d:
             num, den = n, d
     return num / den if num < _FLOAT_MAX * den else math.inf
@@ -452,7 +449,6 @@ def _solver_diagnostics(solver) -> dict:
     """The counters of a subordination solve (`freeconv.SolverCounters`)."""
     return {
         "continuation_residual": solver.residual,
-        "functional_residual": solver.functional,
         "iterations": solver.iterations,
         "median_iterations": solver.median_iterations,
         "safeguarded_steps": solver.safeguarded_steps,
@@ -497,6 +493,9 @@ def _cmd_freeconv(args) -> str:
 
     if args.route in ("moments", "both"):
         kappas = [cumulants(i, args.order) for i in (0, 1)]
+        if len(kappas[0]) != len(kappas[1]):
+            raise _Usage(f"the two sides give different numbers of moments: {len(kappas[0])} "
+                         f"for x and {len(kappas[1])} for y (a law gives --order of them)")
         result["moments"] = freeconv.free_convolve_cumulants(*kappas)
         exact = all(isinstance(k, Fraction) for side in kappas for k in side)
         result["moments_provenance"] = "exact" if exact else "quadrature"
@@ -516,15 +515,12 @@ def _cmd_freeconv(args) -> str:
         kappas = [measures.named_cumulants(tag, _OUTPUT_MOMENTS, **params)
                   for tag, params in laws]
         diagnostics["output_moment_error"] = None if None in kappas else _worst_error(
-            output, freeconv.free_convolve_cumulants(*kappas), relative=True)
+            output, freeconv.free_convolve_cumulants(*kappas))
         # an entry the float recursion could not determine (NaN) is null
         result["moments_quadrature"] = [None if math.isnan(m) else m for m in conv.moments]
         result["moments_output"] = output
         result["density"] = _measure_payload(conv.measure)
         result["density_provenance"] = "quadrature"
-        if "moments" in result:
-            diagnostics["route_agreement"] = _worst_error(
-                result["moments_quadrature"], result["moments"], relative=False)
     if args.format == "csv":
         raise _Usage("CSV needs the analytic route (it emits the density grid)")
     return _report(config, result, diagnostics)

@@ -16,8 +16,6 @@ Denjoy-Wolff point), and G_{X boxplus Y}(z) = G_X(omega_1(z)).  Because the
 fixed point is unique, no continuation from far above the axis is needed to
 pick the branch: every point of the Stieltjes-inversion grid is solved at
 once, by Newton steps on w - T(w) with plain steps w <- T(w) as the fallback.
-At the fixed point omega_2 = z + h_X(omega_1) satisfies
-G_X(omega_1) = G_Y(omega_2), which the functional residual measures.
 
 The free convolution power mu^{boxplus t}, t >= 1, has the one-law map
 
@@ -30,8 +28,7 @@ round where the two-law map takes two (`free_power_analytic`).  Its Newton
 step is damped: a step that leaves the upper half-plane goes 0.9 of the way
 to the axis instead, which takes fewer rounds than falling back to T(w); the
 two-law map keeps its plain fallback.  Both maps run on one Newton driver
-(`_newton`): residual, stall, acceptance, restart and counters, and the
-functional check, once per solve over the points it finished.
+(`_newton`): residual, stall, acceptance, restart and counters.
 
 Newton starts at the subordination function of the free CLT's answer: the
 semicircle sigma with the mean and variance of X boxplus Y.  It is in closed
@@ -136,8 +133,6 @@ class SolverCounters:
     def __init__(self):
         # worst relative fixed-point residual (|w - T(w)| + rounding)/(1 + |w|)
         self.residual = 0.0
-        # worst |G_X(omega_1) - G_Y(omega_2)|/|G|; a power t != 2 leaves it at 0
-        self.functional = 0.0
         self.iterations = 0  # most rounds any point took, both orders counted
         # damped or plain steps taken for Newton's, summed over points
         self.safeguarded_steps = 0
@@ -253,17 +248,13 @@ class _TwoLaw(NamedTuple):
         dhy = -gyp / (gy * gy) - 1.0  # h_Y'(u)
         noise = np.abs(dhy) * (np.abs(igx) + aw + az)
         noise += np.abs(igy) + np.abs(u) + az
-        return zs + igy - u, 1.0 - dhy * dhx, noise, (gx, gxp, gy, dhy)
+        return zs + igy - u, 1.0 - dhy * dhx, noise, (gx, gxp, dhy)
 
-    def finish(self, zs, w, state, done, slope):
-        """G_X(w), G_X'(w) omega_1' with omega_1' = (1 + h_Y'(u))/(1 - T'(w)),
-        and G_Y(u) for `functional`, at the points ``done``."""
-        gx, gxp, gy, dhy = state
-        return gx[done], gxp[done] * (1.0 + dhy[done]) / slope[done], gy[done]
-
-    def functional(self, g, gy):
-        """|G_X(w) - G_Y(u)|/|G_X(w)| from the G and G_Y(u) of `finish`."""
-        return np.abs(g - gy) / np.abs(g)
+    def finish(self, state, done, slope):
+        """G_X(w) and G_X'(w) omega_1', omega_1' = (1 + h_Y'(u))/(1 - T'(w)),
+        at the points ``done``."""
+        gx, gxp, dhy = state
+        return gx[done], gxp[done] * (1.0 + dhy[done]) / slope[done]
 
 
 class _Power(NamedTuple):
@@ -284,22 +275,13 @@ class _Power(NamedTuple):
         f = 1.0 / g
         c = 1.0 - 1.0 / self.t
         noise = aw + az / self.t + c * np.abs(f)
-        return zs / self.t + c * f, 1.0 + c * gp / (g * g), noise, (g, gp, f)
+        return zs / self.t + c * f, 1.0 + c * gp / (g * g), noise, (g, gp)
 
-    def finish(self, zs, w, state, done, slope):
-        """G_mu(w), G_mu'(w) omega' with omega' = (1/t)/(1 - T'(w)), and
-        u = z + h_mu(w) for `functional`, at the points ``done``."""
-        g, gp, f = state
-        return g[done], gp[done] * (1.0 / self.t) / slope[done], zs[done] + f[done] - w[done]
-
-    def functional(self, g, u):
-        """At t = 2, |G_mu(w) - G_mu(u)|/|G_mu(w)|, u the second subordination
-        point of mu boxplus mu, by one evaluation at all the points u; None
-        (no check) at any other t."""
-        if self.t != 2.0:
-            return None
-        other, _ = self.cauchy(u)
-        return np.abs(g - other) / np.abs(g)
+    def finish(self, state, done, slope):
+        """G_mu(w) and G_mu'(w) omega', omega' = (1/t)/(1 - T'(w)), at the
+        points ``done``."""
+        g, gp = state
+        return g[done], gp[done] * (1.0 / self.t) / slope[done]
 
 
 def _newton(z: np.ndarray, fmap, solver: SolverCounters, start: np.ndarray | None = None,
@@ -330,10 +312,7 @@ def _newton(z: np.ndarray, fmap, solver: SolverCounters, start: np.ndarray | Non
     * Derivative.  omega is analytic, so differentiating w = T(w) in z gives
       omega' = (d_z T)/(1 - T'(w)), with the 1 - T' of the Newton step.  A
       point's G and G' come from the round that finishes it
-      (``fmap.finish``), at the w whose G it returns, with what the map's
-      functional check reads there.  The call runs that check
-      (``fmap.functional``) once, over every point it finished, so that a
-      check that evaluates G does so once per call, not once per round.
+      (``fmap.finish``), at the w whose G it returns.
     * Restart.  A point stalled for ``SWAP_ROUNDS`` rounds above
       ``ACCEPT_TOL``, or above it at ``MAX_ROUNDS``, is solved again from z
       by ``fmap.restart()`` ``after`` the rounds already spent: for two laws,
@@ -358,7 +337,6 @@ def _newton(z: np.ndarray, fmap, solver: SolverCounters, start: np.ndarray | Non
     az = np.abs(z)
     r_low = np.full(n, np.inf)  # lowest residual so far
     stall = np.zeros(n, dtype=np.int64)  # rounds since it was reached
-    finished = []  # (G, what the functional check reads) of each finishing round
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for rounds in range(1, MAX_ROUNDS + 1):
             aw = np.abs(w)
@@ -383,11 +361,8 @@ def _newton(z: np.ndarray, fmap, solver: SolverCounters, start: np.ndarray | Non
                     stuck = ~done & (stall >= SWAP_ROUNDS)
             keep = None  # None while every point goes on iterating
             if done.any():
-                g, gp, check = fmap.finish(zs, w, state, done, slope)
+                out[idx[done]], out_p[idx[done]] = fmap.finish(state, done, slope)
                 solver.add(zs[done], r[done], after + rounds)
-                out[idx[done]] = g
-                out_p[idx[done]] = gp
-                finished.append((g, check))
                 keep = ~done
             if not after and stuck is not None and stuck.any():
                 out[idx[stuck]], out_p[idx[stuck]] = _newton(
@@ -412,10 +387,6 @@ def _newton(z: np.ndarray, fmap, solver: SolverCounters, start: np.ndarray | Non
             if keep is not None:
                 idx, zs, az, w = idx[keep], zs[keep], az[keep], w[keep]
                 r_low, stall = r_low[keep], stall[keep]
-        if finished:
-            functional = fmap.functional(*(np.concatenate(part) for part in zip(*finished)))
-            if functional is not None:
-                solver.functional = max(solver.functional, float(functional.max()))
     if not after and failed:
         z_bad, r_bad = max(failed, key=lambda point: point[1])
         raise ContinuationError(

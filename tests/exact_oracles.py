@@ -152,14 +152,11 @@ def marchenko_pastur_moments(order: int, lam: float, alpha: float) -> list:
     return free_moments_from_cumulants([lam * alpha**n for n in range(1, order + 1)])
 
 
-def worst_error_fractions(got: list, exact: list, relative: bool) -> float:
-    """max |a - b|, over max(1, |b|) if ``relative``, over floats a and
-    Fractions b, in exact arithmetic, since b need not fit a float; inf if
-    some a is None or not finite, or the result does not fit a float.  A
-    float b turns the term into float arithmetic (Fraction - float is a
-    float)."""
-    if not all(a is not None and math.isfinite(a) for a in got):
+def worst_error_fractions(got: list, exact: list) -> float:
+    """max |a - b|/max(1, |b|) over floats a and Fractions b, in exact
+    arithmetic, since b need not fit a float; inf if some a is not finite, or
+    the result does not fit a float."""
+    if not all(math.isfinite(a) for a in got):
         return math.inf
-    worst = max(abs(Fraction(a) - b) / (max(1, abs(b)) if relative else 1)
-                for a, b in zip(got, exact))
+    worst = max(abs(Fraction(a) - b) / max(1, abs(b)) for a, b in zip(got, exact))
     return float(worst) if worst < sys.float_info.max else math.inf
